@@ -151,13 +151,20 @@ def copy_model(model: EmbeddingModel) -> EmbeddingModel:
     return EmbeddingModel(model.gcn_weights, model.mlp_layers, model.arch)
 
 
+def check_variant(variant: str) -> None:
+    """Raise ValueError unless variant names one of the two embeddings."""
+    if variant not in (GCN_VARIANT, MLP_VARIANT):
+        raise ValueError(f"unknown variant {variant!r}, expected 'gcn' or 'mlp'")
+
+
 @dataclass
 class ForwardCache:
-    """Intermediate values of one forward pass, kept for backpropagation.
+    """Intermediate values of one embed call, kept for backpropagation.
 
     gcn_pre/gcn_post hold each graph layer's pre- and post-activation node
     matrices (empty for the MLP-only variant); mlp_pre/mlp_post the same per
-    MLP layer. flat is the MLP input vector.
+    MLP layer. flat is the MLP input. Every array carries the pose axis
+    first; forward() returns the single pose's slice, take(0).
     """
 
     x: np.ndarray
@@ -166,6 +173,17 @@ class ForwardCache:
     flat: np.ndarray
     mlp_pre: list[np.ndarray]
     mlp_post: list[np.ndarray]
+
+    def take(self, index) -> "ForwardCache":
+        """The cache of the poses selected by a numpy index along axis 0."""
+        return ForwardCache(
+            x=self.x[index],
+            gcn_pre=[z[index] for z in self.gcn_pre],
+            gcn_post=[h[index] for h in self.gcn_post],
+            flat=self.flat[index],
+            mlp_pre=[z[index] for z in self.mlp_pre],
+            mlp_post=[a[index] for a in self.mlp_post],
+        )
 
 
 def gcn_layer_forward(h_in, a_norm, w, activation: str = "relu") -> np.ndarray:
@@ -183,56 +201,57 @@ def gcn_layer_forward(h_in, a_norm, w, activation: str = "relu") -> np.ndarray:
     return apply_activation(activation, a_norm @ h_in @ w)
 
 
-def _mlp_forward(model: EmbeddingModel, flat: np.ndarray, cache: ForwardCache) -> np.ndarray:
-    a = flat
+def embed(model: EmbeddingModel, x: np.ndarray, topo: SkeletonTopology | None,
+          variant: str) -> tuple[np.ndarray, ForwardCache]:
+    """Embed a stack of normalized poses, x of shape (n, 15, 2).
+
+    Returns the (n, 50) embeddings and the stacked cache of intermediates.
+    The gcn variant runs both graph layers, (A_norm @ H) @ W per pose, and
+    flattens each pose's 15x2 output node-major, [x0, y0, x1, y1, ...]; the
+    mlp variant flattens x itself (topo may then be None). Row i is bit for
+    bit the embedding of x[i] alone, whatever n: every product is a per-pose
+    matmul of the single-pose shape, the MLP head as (n, 1, k) @ W; a flat
+    (n, k) @ W GEMM would round differently.
+    """
+    check_variant(variant)
+    cache = ForwardCache(x=x, gcn_pre=[], gcn_post=[], flat=None,
+                         mlp_pre=[], mlp_post=[])
+    h = x
+    if variant == GCN_VARIANT:
+        for w in model.gcn_weights:
+            z = topo.adjacency_norm @ h @ w
+            h = apply_activation(model.arch.gcn_activation, z)
+            cache.gcn_pre.append(z)
+            cache.gcn_post.append(h)
+    cache.flat = h.reshape(len(x), FLAT_DIM)
+    a = cache.flat[:, None, :]
     for layer, act in zip(model.mlp_layers, model.arch.mlp_activations):
         z = a @ layer.w + layer.b
         a = apply_activation(act, z)
-        cache.mlp_pre.append(z)
-        cache.mlp_post.append(a)
-    return a
+        cache.mlp_pre.append(z[:, 0])
+        cache.mlp_post.append(a[:, 0])
+    return a[:, 0], cache
+
+
+def forward_variant(model: EmbeddingModel, pose: NormalizedPose,
+                    topo: SkeletonTopology | None,
+                    variant: str) -> tuple[np.ndarray, ForwardCache]:
+    """Embed one normalized pose; returns the 50-vector and its cache."""
+    embedding, cache = embed(model, pose.features[None], topo, variant)
+    return embedding[0], cache.take(0)
 
 
 def forward(model: EmbeddingModel, pose: NormalizedPose,
             topo: SkeletonTopology) -> tuple[np.ndarray, ForwardCache]:
-    """Embed a normalized pose through the graph layers and the MLP head.
-
-    Returns the 50-dimensional embedding and the cache of intermediates.
-    The 15x2 output of the second graph layer is flattened node-major:
-    [x0, y0, x1, y1, ...].
-    """
-    x = pose.features
-    cache = ForwardCache(x=x, gcn_pre=[], gcn_post=[], flat=None,
-                         mlp_pre=[], mlp_post=[])
-    h = x
-    for w in model.gcn_weights:
-        z = topo.adjacency_norm @ h @ w
-        h = apply_activation(model.arch.gcn_activation, z)
-        cache.gcn_pre.append(z)
-        cache.gcn_post.append(h)
-    cache.flat = h.reshape(-1)
-    embedding = _mlp_forward(model, cache.flat, cache)
-    return embedding, cache
+    """Embed a normalized pose through the graph layers and the MLP head."""
+    return forward_variant(model, pose, topo, GCN_VARIANT)
 
 
 def forward_mlp_baseline(model: EmbeddingModel,
                          pose: NormalizedPose) -> tuple[np.ndarray, ForwardCache]:
     """Ablation variant: flatten the normalized coordinates straight into the
     MLP head, skipping both graph layers."""
-    x = pose.features
-    cache = ForwardCache(x=x, gcn_pre=[], gcn_post=[], flat=x.reshape(-1),
-                         mlp_pre=[], mlp_post=[])
-    embedding = _mlp_forward(model, cache.flat, cache)
-    return embedding, cache
-
-
-def forward_variant(model: EmbeddingModel, pose: NormalizedPose,
-                    topo: SkeletonTopology, variant: str) -> tuple[np.ndarray, ForwardCache]:
-    if variant == GCN_VARIANT:
-        return forward(model, pose, topo)
-    if variant == MLP_VARIANT:
-        return forward_mlp_baseline(model, pose)
-    raise ValueError(f"unknown variant {variant!r}, expected 'gcn' or 'mlp'")
+    return forward_variant(model, pose, None, MLP_VARIANT)
 
 
 def save_checkpoint(model: EmbeddingModel) -> bytes:

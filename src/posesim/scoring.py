@@ -15,9 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from posesim.network import EmbeddingModel, forward_variant
-from posesim.skeleton import Pose, SkeletonTopology, normalize_pose
-from posesim.training import PosePair, cosine_distance
+from posesim.network import MLP_WIDTHS, EmbeddingModel, check_variant, embed
+from posesim.skeleton import (
+    Pose,
+    SkeletonTopology,
+    distinct_poses,
+    normalize_stack,
+)
+from posesim.training import PosePair, cosine_distances
+
+# Distinct poses evaluate() embeds per call; the chunk bounds the memory its
+# intermediates take on a large corpus.
+EVAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -53,12 +62,19 @@ def score_pair(model: EmbeddingModel, topo: SkeletonTopology, a: Pose,
 
     The raw cosine distance can land a rounding error outside [0, 2] (an
     identical pair can produce -1e-16), so it is clipped to the domain
-    before scoring; identical poses therefore score exactly 100.
+    before scoring; identical poses therefore score exactly 100. Both poses
+    go through one stacked embed, and the result equals evaluate()'s row
+    for the same pair bit for bit.
     """
-    e1, _ = forward_variant(model, normalize_pose(a), topo, variant)
-    e2, _ = forward_variant(model, normalize_pose(b), topo, variant)
-    d = min(max(cosine_distance(e1, e2), 0.0), 2.0)
+    check_variant(variant)
+    emb, _ = embed(model, normalize_stack([a.keypoints, b.keypoints]), topo,
+                   variant)
+    d = float(_clipped_distances(emb)[0])
     return d, similarity_score(d, p)
+
+
+def _clipped_distances(e: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(cosine_distances(e), 0.0), 2.0)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -132,7 +148,12 @@ def evaluate(model: EmbeddingModel, topo: SkeletonTopology, pairs,
     magnitude over the magnitude-bearing pairs (larger perturbation must
     rank lower). Distance means cover label 1 and label 0 pairs separately
     (nan when a label is absent). pair_ids defaults to the pair index.
+
+    Each distinct pose is normalized and embedded once, EVAL_CHUNK poses per
+    stacked call, with no backward cache kept; every row equals score_pair
+    on that pair bit for bit.
     """
+    check_variant(variant)
     pairs = list(pairs)
     if not pairs:
         raise ValueError("pairs must be nonempty")
@@ -142,11 +163,17 @@ def evaluate(model: EmbeddingModel, topo: SkeletonTopology, pairs,
         pair_ids = [str(i) for i in pair_ids]
         if len(pair_ids) != len(pairs):
             raise ValueError(f"{len(pairs)} pairs but {len(pair_ids)} pair_ids")
-    rows = []
-    for pid, pair in zip(pair_ids, pairs):
-        d, score = score_pair(model, topo, pair.pose_a, pair.pose_b, p,
-                              variant)
-        rows.append(EvalRow(pid, d, score, pair.label_y, pair.magnitude))
+    keypoints, index = distinct_poses(
+        [pose for pair in pairs for pose in (pair.pose_a, pair.pose_b)])
+    emb = np.empty((len(keypoints), MLP_WIDTHS[-1]))
+    for start in range(0, len(keypoints), EVAL_CHUNK):
+        part = slice(start, start + EVAL_CHUNK)
+        emb[part], _ = embed(model, normalize_stack(keypoints[part]), topo,
+                             variant)
+    dists = _clipped_distances(emb[index]).tolist()
+    rows = [EvalRow(pid, d, similarity_score(d, p), pair.label_y,
+                    pair.magnitude)
+            for pid, pair, d in zip(pair_ids, pairs, dists)]
     pos = [r.d_c for r in rows if r.label == 1]
     neg = [r.d_c for r in rows if r.label == 0]
     graded = [(r.score, r.magnitude) for r in rows if r.magnitude is not None]

@@ -14,6 +14,7 @@ safe to call from any number of threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,19 +51,35 @@ SKELETON_EDGES = (
 )
 
 
+# Coordinates below this magnitude are finite and no per-axis extent
+# (max - min) of them can overflow: the largest is exactly float64's max.
+_SAFE_MAGNITUDE = 2.0 ** 1023
+
+
 def _validated_coords(values, shape, what: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite values")
+    if not np.abs(arr).max() < _SAFE_MAGNITUDE:  # also catches nan
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{what} contains non-finite values")
+        for axis, name in enumerate("xy"):
+            # Python floats: the overflow yields inf without a RuntimeWarning
+            lo, hi = float(arr[:, axis].min()), float(arr[:, axis].max())
+            if hi - lo == math.inf:
+                raise ValueError(f"{what} {name} extent {hi!r} - {lo!r} "
+                                 f"overflows float64")
     arr.flags.writeable = False
     return arr
 
 
 @dataclass(frozen=True)
 class Pose:
-    """A single 2D pose: 15 keypoints in pixel coordinates, indexed as above."""
+    """A single 2D pose: 15 keypoints in pixel coordinates, indexed as above.
+
+    Coordinates must be finite, and so must each axis's extent (max - min),
+    which normalization divides by.
+    """
 
     keypoints: np.ndarray
 
@@ -155,6 +172,48 @@ def build_skeleton_topology() -> SkeletonTopology:
     )
 
 
+def distinct_poses(poses) -> tuple[np.ndarray, np.ndarray]:
+    """Stack the distinct keypoint arrays among poses, in first-seen order.
+
+    Returns (keypoints, index): keypoints has shape (u, 15, 2) and
+    poses[i].keypoints equals keypoints[index[i]] bit for bit, so any
+    per-pose result computed on the stack can be gathered back by index.
+    """
+    rows: dict[bytes, int] = {}
+    stack = []
+    index = np.empty(len(poses), dtype=np.intp)
+    for i, pose in enumerate(poses):
+        key = pose.keypoints.tobytes()
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = len(stack)
+            stack.append(pose.keypoints)
+        index[i] = row
+    return np.array(stack).reshape(-1, NUM_KEYPOINTS, 2), index
+
+
+def normalize_stack(keypoints) -> np.ndarray:
+    """Min-max normalize a (n, 15, 2) stack of poses per pose and axis.
+
+    Row i equals normalize_pose of pose i bit for bit: the same per-element
+    subtraction and division, with 0.5 on an axis of zero extent. Raises
+    ValueError for a wrongly shaped or non-finite stack.
+    """
+    kp = np.asarray(keypoints, dtype=np.float64)
+    if kp.ndim != 3 or kp.shape[1:] != (NUM_KEYPOINTS, 2):
+        raise ValueError(f"keypoint stack must have shape (n, {NUM_KEYPOINTS}, 2), "
+                         f"got {kp.shape}")
+    if not np.all(np.isfinite(kp)):
+        raise ValueError("pose contains non-finite coordinates")
+    lo = kp.min(axis=1, keepdims=True)
+    extent = kp.max(axis=1, keepdims=True) - lo
+    features = np.full_like(kp, 0.5)
+    np.divide(kp - lo, extent, out=features, where=extent != 0.0)
+    if features.min() < 0.0 or features.max() > 1.0:
+        raise ValueError("normalized features must lie in [0, 1]")
+    return features
+
+
 def normalize_pose(pose: Pose) -> NormalizedPose:
     """Min-max normalize keypoints per axis into [0, 1].
 
@@ -162,15 +221,4 @@ def normalize_pose(pose: Pose) -> NormalizedPose:
     result invariant to translation and to positive per-axis scaling. An axis
     with zero extent maps to 0.5 everywhere.
     """
-    kp = pose.keypoints
-    if not np.all(np.isfinite(kp)):
-        raise ValueError("pose contains non-finite coordinates")
-    features = np.empty_like(kp)
-    for axis in range(2):
-        lo = kp[:, axis].min()
-        hi = kp[:, axis].max()
-        if hi == lo:
-            features[:, axis] = 0.5
-        else:
-            features[:, axis] = (kp[:, axis] - lo) / (hi - lo)
-    return NormalizedPose(features)
+    return NormalizedPose(normalize_stack(pose.keypoints[None])[0])

@@ -21,10 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from posesim.network import (
+    GCN_VARIANT,
+    MLP_VARIANT,
     EmbeddingModel,
     ForwardCache,
+    check_variant,
     copy_model,
-    forward_variant,
+    embed,
     init_model,
     parameter_list,
 )
@@ -33,12 +36,16 @@ from posesim.skeleton import (
     Pose,
     SkeletonTopology,
     build_skeleton_topology,
-    normalize_pose,
+    distinct_poses,
+    normalize_stack,
 )
 
 NORM_FLOOR = 1e-12
 
 DEFAULT_MARGIN = 1.35
+
+# Pairs whose per-twin gradients exist at once in _BatchGradient
+PAIRS_PER_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -136,6 +143,49 @@ def _finite_vector(e, what: str) -> np.ndarray:
     return arr
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, k) stacks.
+
+    Each row is one BLAS dot, the call a 1-D `a[i] @ b[i]` or
+    np.linalg.norm makes, so a row's value does not depend on n.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _pair_cosines(e: np.ndarray):
+    """Cosines of the row pairs (2k, 2k + 1) of a (2n, dim) stack.
+
+    Returns (cos, raw, norms, denom): one cosine per pair, every row's raw
+    norm and its norm clamped below at NORM_FLOOR, and each pair's product
+    of clamped norms.
+    """
+    raw = np.sqrt(_row_dots(e, e))
+    norms = np.maximum(raw, NORM_FLOOR)
+    denom = norms[0::2] * norms[1::2]
+    return _row_dots(e[0::2], e[1::2]) / denom, raw, norms, denom
+
+
+def cosine_distances(e: np.ndarray) -> np.ndarray:
+    """cosine_distance of each row pair (2k, 2k + 1) of a (2n, dim) stack."""
+    return 1.0 - _pair_cosines(e)[0]
+
+
+def _cosine_distance_grads(e: np.ndarray):
+    """cosine_distance_grads of each row pair (2k, 2k + 1) of a stack.
+
+    Returns the n distances and a (2n, dim) stack whose row i is the
+    gradient of its pair's distance w.r.t. row i.
+    """
+    cos, raw, norms, denom = _pair_cosines(e)
+    cos, denom = np.repeat(cos, 2)[:, None], np.repeat(denom, 2)[:, None]
+    partner = e.reshape(-1, 2, e.shape[1])[:, ::-1].reshape(e.shape)
+    g = -partner / denom
+    # where a norm is clamped it is locally constant: its term drops out
+    g = np.where((raw >= NORM_FLOOR)[:, None],
+                 g + (cos / (norms * norms)[:, None]) * e, g)
+    return 1.0 - cos[0::2, 0], g
+
+
 def cosine_distance(e1, e2) -> float:
     """1 - cos(e1, e2), with each norm clamped below at 1e-12.
 
@@ -147,9 +197,7 @@ def cosine_distance(e1, e2) -> float:
     e2 = _finite_vector(e2, "e2")
     if e1.shape != e2.shape:
         raise ValueError(f"shape mismatch: {e1.shape} vs {e2.shape}")
-    n1 = max(float(np.linalg.norm(e1)), NORM_FLOOR)
-    n2 = max(float(np.linalg.norm(e2)), NORM_FLOOR)
-    return 1.0 - float(e1 @ e2) / (n1 * n2)
+    return float(cosine_distances(np.stack([e1, e2]))[0])
 
 
 def cosine_distance_grads(e1, e2):
@@ -160,19 +208,19 @@ def cosine_distance_grads(e1, e2):
     """
     e1 = np.asarray(e1, dtype=np.float64)
     e2 = np.asarray(e2, dtype=np.float64)
-    raw1 = float(np.linalg.norm(e1))
-    raw2 = float(np.linalg.norm(e2))
-    n1 = max(raw1, NORM_FLOOR)
-    n2 = max(raw2, NORM_FLOOR)
-    denom = n1 * n2
-    cos = float(e1 @ e2) / denom
-    g1 = -e2 / denom
-    if raw1 >= NORM_FLOOR:
-        g1 = g1 + (cos / (n1 * n1)) * e1
-    g2 = -e1 / denom
-    if raw2 >= NORM_FLOOR:
-        g2 = g2 + (cos / (n2 * n2)) * e2
-    return 1.0 - cos, g1, g2
+    d, g = _cosine_distance_grads(np.stack([e1, e2]))
+    return float(d[0]), g[0], g[1]
+
+
+def _pair_losses(d, y, m: float):
+    """Contrastive losses and dL/dd, elementwise over d and labels y.
+
+    y is 0 or 1, so y * d + (1 - y) * hinge picks d or the hinge exactly.
+    The hinge subgradient at d == m is 0.
+    """
+    hinge = np.maximum(m - d, 0.0)
+    t = y * d + (1 - y) * hinge
+    return 0.5 * t * t, y * d - (1 - y) * hinge
 
 
 def contrastive_loss(d_c: float, y: int, m: float = DEFAULT_MARGIN) -> float:
@@ -180,32 +228,30 @@ def contrastive_loss(d_c: float, y: int, m: float = DEFAULT_MARGIN) -> float:
         raise ValueError(f"y must be 0 or 1, got {y!r}")
     if not m > 0:
         raise ValueError("margin must be > 0")
-    if y == 1:
-        return 0.5 * d_c * d_c
-    hinge = m - d_c
-    return 0.5 * hinge * hinge if hinge > 0.0 else 0.0
+    loss, _ = _pair_losses(float(d_c), y, m)
+    return float(loss)
 
 
-def _loss_ddist(d: float, y: int, m: float) -> float:
-    """dL/dd. The hinge subgradient at d == m is 0."""
-    if y == 1:
-        return d
-    return -(m - d) if d < m else 0.0
+def _backward(model: EmbeddingModel, topo: SkeletonTopology,
+              cache: ForwardCache, g: np.ndarray, out: list) -> None:
+    """Backpropagate g = dL/d(embedding), shape (n, 50), through n twins.
 
-
-def _network_backward(model: EmbeddingModel, cache: ForwardCache,
-                      g_emb: np.ndarray, topo, grads: list) -> None:
-    """Accumulate dL/dparam into grads, given dL/dembedding for one twin."""
-    g = g_emb
-    for i in reversed(range(len(model.mlp_layers))):
-        layer = model.mlp_layers[i]
+    out holds one (n, *shape) stack per parameter, in canonical order; row t
+    receives twin t's own gradient. Every product is the one a single-twin
+    pass would make, so no sum runs across twins here.
+    """
+    layers = model.mlp_layers
+    for i in reversed(range(len(layers))):
         if model.arch.mlp_activations[i] == "relu":
             g = g * (cache.mlp_pre[i] > 0.0)
         a_prev = cache.flat if i == 0 else cache.mlp_post[i - 1]
-        grads[2 + 2 * i] += np.outer(a_prev, g)
-        grads[3 + 2 * i] += g
-        g = layer.w @ g
+        np.einsum("ni,nj->nij", a_prev, g, out=out[2 + 2 * i])
+        out[3 + 2 * i][...] = g
+        if i > 0 or cache.gcn_pre:
+            g = (layers[i].w @ g[:, :, None])[:, :, 0]
     if not cache.gcn_pre:
+        for grad in out[:len(model.gcn_weights)]:
+            grad[...] = 0.0
         return
     a_norm = topo.adjacency_norm
     gh = g.reshape(cache.gcn_post[-1].shape)
@@ -213,33 +259,78 @@ def _network_backward(model: EmbeddingModel, cache: ForwardCache,
         if model.arch.gcn_activation == "relu":
             gh = gh * (cache.gcn_pre[i] > 0.0)
         h_in = cache.x if i == 0 else cache.gcn_post[i - 1]
-        grads[i] += (a_norm @ h_in).T @ gh
-        gh = a_norm.T @ (gh @ model.gcn_weights[i].T)
+        np.matmul((a_norm @ h_in).transpose(0, 2, 1), gh, out=out[i])
+        if i > 0:
+            gh = a_norm.T @ (gh @ model.gcn_weights[i].T)
 
 
-def _pair_backward_full(model, topo, pair: PosePair, cfg: TrainConfig,
-                        variant: str):
-    """(loss, distance, grads) for one pair; twins share weights so both
-    twins' gradient contributions are summed."""
-    na = normalize_pose(pair.pose_a)
-    nb = normalize_pose(pair.pose_b)
-    e1, cache1 = forward_variant(model, na, topo, variant)
-    e2, cache2 = forward_variant(model, nb, topo, variant)
-    d, gd1, gd2 = cosine_distance_grads(e1, e2)
-    loss = contrastive_loss(d, pair.label_y, cfg.margin_m)
-    dl_dd = _loss_ddist(d, pair.label_y, cfg.margin_m)
-    grads = [np.zeros_like(p) for p in parameter_list(model)]
-    if dl_dd != 0.0:
-        _network_backward(model, cache1, dl_dd * gd1, topo, grads)
-        _network_backward(model, cache2, dl_dd * gd2, topo, grads)
-    return loss, d, grads
+def _split(flat: np.ndarray, params) -> list:
+    """Per-parameter views of the last axis of flat, in canonical order."""
+    views, start = [], 0
+    for p in params:
+        views.append(flat[..., start:start + p.size]
+                     .reshape(flat.shape[:-1] + p.shape))
+        start += p.size
+    return views
+
+
+class _BatchGradient:
+    """The summed parameter gradient of a batch of pairs.
+
+    A pair's gradient is the sum of its two twins' backward passes, and the
+    pairs add to the running total one at a time in batch order, so the
+    total is bit-identical to summing pair_backward results in a loop.
+    Pairs with dL/dd == 0 would add exact zeros and are skipped. Twin
+    gradients are built `chunk` pairs at a time in one buffer allocated
+    once: materializing a whole batch makes the reduction page-fault bound.
+    """
+
+    def __init__(self, model: EmbeddingModel, chunk: int = PAIRS_PER_CHUNK):
+        params = parameter_list(model)
+        size = sum(p.size for p in params)
+        # row 0: the running total; rows 2j + 1, 2j + 2: pair j's twins
+        self.rows = np.empty((2 * chunk + 1, size))
+        self.total = np.zeros(size)
+        self.twin_grads = _split(self.rows[1:], params)
+        self.grads = _split(self.total, params)
+
+    def compute(self, model, topo, x, labels, margin, variant):
+        """Sum the gradients of the pairs whose twins are x[2k], x[2k + 1].
+
+        Leaves the sum in self.grads; returns each pair's loss and distance.
+        """
+        emb, cache = embed(model, x, topo, variant)
+        d, g = _cosine_distance_grads(emb)
+        loss, dl_dd = _pair_losses(d, labels, margin)
+        active = np.flatnonzero(dl_dd)
+        cache = cache.take((2 * active[:, None] + np.arange(2)).reshape(-1))
+        g = g.reshape(len(d), 2, -1)[active] * dl_dd[active, None, None]
+        g = g.reshape(2 * len(active), emb.shape[1])
+        self.total[...] = 0.0
+        step = len(self.rows) - 1
+        for start in range(0, len(g), step):
+            part = slice(start, start + step)
+            n = len(g[part])
+            _backward(model, topo, cache.take(part), g[part],
+                      [t[:n] for t in self.twin_grads])
+            self.rows[0] = self.total
+            pair_sums = self.rows[2:n + 2:2]
+            np.add(self.rows[1:n + 1:2], pair_sums, out=pair_sums)
+            np.add.reduce(self.rows[0:n + 1:2], axis=0, out=self.total)
+        return loss, d
 
 
 def pair_backward(model: EmbeddingModel, topo: SkeletonTopology,
                   pair: PosePair, cfg: TrainConfig, variant: str = "gcn"):
-    """Loss and exact analytic parameter gradients for one pair."""
-    loss, _, grads = _pair_backward_full(model, topo, pair, cfg, variant)
-    return loss, grads
+    """Loss and exact analytic parameter gradients for one pair.
+
+    A batch of one through the trainer's own gradient code.
+    """
+    grads = _BatchGradient(model, chunk=1)
+    x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
+    loss, _ = grads.compute(model, topo, x, np.array([pair.label_y]),
+                            cfg.margin_m, variant)
+    return float(loss[0]), grads.grads
 
 
 def init_adam_state(model: EmbeddingModel) -> AdamState:
@@ -279,36 +370,45 @@ def train(model: EmbeddingModel, topo: SkeletonTopology, pairs,
     per-pair gradients in shuffled index order, reduce (mean by default),
     then take one adam_step per batch. Fully determined by (model, pairs
     order, cfg).
+
+    Each distinct pose is normalized once per call, a batch's twins are
+    embedded in one stacked call, and only pairs with a nonzero dL/dd are
+    backpropagated. The result is bit-identical to looping pair_backward
+    over each batch in shuffled order.
     """
+    check_variant(variant)
     pairs = list(pairs)
     if not pairs:
         raise ValueError("pairs must be nonempty")
+    keypoints, index = distinct_poses(
+        [pose for pair in pairs for pose in (pair.pose_a, pair.pose_b)])
+    features = normalize_stack(keypoints)
+    twins = index.reshape(-1, 2)
+    labels = np.array([pair.label_y for pair in pairs])
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     state = init_adam_state(model)
+    batch_grad = _BatchGradient(model)
     history = TrainHistory()
     for _ in range(cfg.epochs):
         order = rng.permutation(len(pairs))
-        losses = []
-        pos_d, neg_d = [], []
+        losses, dists = [], []
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            accum = [np.zeros_like(p) for p in parameter_list(model)]
-            for idx in batch:
-                pair = pairs[idx]
-                loss, d, grads = _pair_backward_full(model, topo, pair, cfg,
-                                                     variant)
-                for a, g in zip(accum, grads):
-                    a += g
-                losses.append(loss)
-                (pos_d if pair.label_y == 1 else neg_d).append(d)
+            loss, d = batch_grad.compute(model, topo,
+                                         features[twins[batch].reshape(-1)],
+                                         labels[batch], cfg.margin_m, variant)
+            losses.append(loss)
+            dists.append(d)
             scale = 1.0 / len(batch) if cfg.loss_reduction == "mean" else 1.0
             if scale != 1.0:
-                for a in accum:
-                    a *= scale
-            adam_step(model, accum, state, cfg)
-        history.mean_loss.append(float(np.mean(losses)))
-        history.mean_pos_dist.append(float(np.mean(pos_d)) if pos_d else float("nan"))
-        history.mean_neg_dist.append(float(np.mean(neg_d)) if neg_d else float("nan"))
+                batch_grad.total *= scale
+            adam_step(model, batch_grad.grads, state, cfg)
+        dists = np.concatenate(dists)
+        visited = labels[order]
+        pos_d, neg_d = dists[visited == 1], dists[visited == 0]
+        history.mean_loss.append(float(np.mean(np.concatenate(losses))))
+        history.mean_pos_dist.append(float(np.mean(pos_d)) if pos_d.size else float("nan"))
+        history.mean_neg_dist.append(float(np.mean(neg_d)) if neg_d.size else float("nan"))
     return model, history
 
 
@@ -317,21 +417,21 @@ def gradient_check(model: EmbeddingModel, topo: SkeletonTopology,
                    variant: str = "gcn", fd_epsilon: float = 1e-6) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    The denominator is max(|analytic|, |numeric|, 1e-8) per coordinate. The
+    The analytic side is pair_backward, the trainer's own backward pass. The
+    denominator is max(|analytic|, |numeric|, 1e-8) per coordinate. The
     model is not modified; differencing runs on a private copy.
     """
+    check_variant(variant)
     if not fd_epsilon > 0:
         raise ValueError("fd_epsilon must be > 0")
     work = copy_model(model)
-    _, _, analytic = _pair_backward_full(work, topo, pair, cfg, variant)
-    na = normalize_pose(pair.pose_a)
-    nb = normalize_pose(pair.pose_b)
+    _, analytic = pair_backward(work, topo, pair, cfg, variant)
+    x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
 
     def loss_at_current():
-        e1, _ = forward_variant(work, na, topo, variant)
-        e2, _ = forward_variant(work, nb, topo, variant)
-        return contrastive_loss(cosine_distance(e1, e2), pair.label_y,
-                                cfg.margin_m)
+        emb, _ = embed(work, x, topo, variant)
+        d = float(cosine_distances(emb)[0])
+        return float(_pair_losses(d, pair.label_y, cfg.margin_m)[0])
 
     worst = 0.0
     for p, ga in zip(parameter_list(work), analytic):
@@ -350,7 +450,7 @@ def gradient_check(model: EmbeddingModel, topo: SkeletonTopology,
     return float(worst)
 
 
-def _fd_friendly(model, topo, pair: PosePair, na, nb) -> bool:
+def _fd_friendly(model, topo, pair: PosePair, x) -> bool:
     """Whether central differencing at step 1e-6 is trustworthy at this point.
 
     Differencing needs the loss smooth within the step and the comparison
@@ -360,21 +460,19 @@ def _fd_friendly(model, topo, pair: PosePair, na, nb) -> bool:
     every relu pre-activation away from zero, and every nonzero analytic
     gradient coordinate above the noise floor by a wide margin. The gradient
     condition reads only analytic magnitudes, so it cannot hide a wrong
-    gradient from the comparison.
+    gradient from the comparison. x holds the pair's two normalized twins.
     """
-    for variant in ("gcn", "mlp"):
-        e1, c1 = forward_variant(model, na, topo, variant)
-        e2, c2 = forward_variant(model, nb, topo, variant)
-        if min(np.linalg.norm(e1), np.linalg.norm(e2)) < 1e-3:
+    for variant in (GCN_VARIANT, MLP_VARIANT):
+        emb, cache = embed(model, x, topo, variant)
+        cos, raw, _, _ = _pair_cosines(emb)
+        if raw.min() < 1e-3:
             return False
-        if cosine_distance(e1, e2) > DEFAULT_MARGIN - 1e-3:
+        if 1.0 - cos[0] > DEFAULT_MARGIN - 1e-3:
             return False
-        for cache in (c1, c2):
-            for z in (*cache.gcn_pre, *cache.mlp_pre[:-1]):  # identity head has no kink
-                if float(np.min(np.abs(z))) < 1e-4:
-                    return False
-        _, _, grads = _pair_backward_full(model, topo, pair, TrainConfig(),
-                                          variant)
+        for z in (*cache.gcn_pre, *cache.mlp_pre[:-1]):  # identity head has no kink
+            if float(np.min(np.abs(z))) < 1e-4:
+                return False
+        _, grads = pair_backward(model, topo, pair, TrainConfig(), variant)
         for g in grads:
             mags = np.abs(g.reshape(-1))
             nonzero = mags[mags > 0.0]
@@ -398,6 +496,6 @@ def random_check_instance(seed: int):
         pose_a = Pose(rng.uniform(-3.0, 3.0, size=(NUM_KEYPOINTS, 2)))
         pose_b = Pose(rng.uniform(-3.0, 3.0, size=(NUM_KEYPOINTS, 2)))
         pair = PosePair(pose_a, pose_b, label_y=seed % 2)
-        na, nb = normalize_pose(pose_a), normalize_pose(pose_b)
-        if _fd_friendly(model, topo, pair, na, nb):
+        x = normalize_stack([pose_a.keypoints, pose_b.keypoints])
+        if _fd_friendly(model, topo, pair, x):
             return model, pair

@@ -10,6 +10,7 @@ from posesim.skeleton import (
     Pose,
     build_skeleton_topology,
     normalize_pose,
+    normalize_stack,
     symmetric_normalize,
 )
 
@@ -218,3 +219,29 @@ class TestPoseValidation:
         bad = np.full((NUM_KEYPOINTS, 2), 1.5)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             NormalizedPose(bad)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestExtentOverflow:
+    """Finite keypoints whose extent overflows float64 are rejected at Pose,
+    and extreme but valid poses normalize without a RuntimeWarning (which
+    this class turns into an error, as -W error::RuntimeWarning would)."""
+
+    @pytest.mark.parametrize("axis, name", [(0, "x"), (1, "y")])
+    def test_overflowing_extent_rejected(self, axis, name):
+        kp = np.zeros((NUM_KEYPOINTS, 2))
+        kp[0, axis] = -1e308
+        kp[1, axis] = 1e308
+        with pytest.raises(ValueError, match=f"{name} extent .* overflows"):
+            Pose(kp)
+
+    def test_largest_finite_extent_normalizes(self):
+        kp = np.zeros((NUM_KEYPOINTS, 2))
+        kp[:, 0] = np.linspace(-8.9e307, 8.9e307, NUM_KEYPOINTS)
+        kp[:, 1] = -1e308  # degenerate axis at the edge of the range
+        features = normalize_pose(Pose(kp)).features
+        assert features[0, 0] == 0.0 and features[-1, 0] == 1.0
+        assert np.all(features[:, 1] == 0.5)
+        stack = normalize_stack(np.stack([kp, kp[::-1], np.zeros_like(kp)]))
+        np.testing.assert_array_equal(stack[0], features)
+        np.testing.assert_array_equal(stack[2], np.full_like(kp, 0.5))
