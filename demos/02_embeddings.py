@@ -16,7 +16,7 @@ from posesim import (
     ScoreParams,
     build_skeleton_topology,
     cosine_distance,
-    forward,
+    forward_variant,
     init_model,
     normalize_pose,
     similarity_score,
@@ -25,7 +25,8 @@ from posesim.corpus import TEMPLATE_LIBRARY, _extent_diagonal
 
 
 def embed(model, topo, pts):
-    e, _ = forward(model, normalize_pose(Pose(np.asarray(pts))), topo)
+    e, _ = forward_variant(model, normalize_pose(Pose(np.asarray(pts))), topo,
+                           "gcn")
     return e
 
 

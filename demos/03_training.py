@@ -13,10 +13,11 @@ import numpy as np
 from posesim import (
     SynthConfig,
     TrainConfig,
+    build_pose_pairs,
     build_skeleton_topology,
     cosine_distance,
-    forward,
-    generate_synthetic_corpus,
+    forward_variant,
+    generate_corpus_files,
     init_model,
     load_checkpoint,
     normalize_pose,
@@ -28,16 +29,17 @@ from posesim import (
 def mean_distances(model, topo, pairs):
     pos, neg = [], []
     for pair in pairs:
-        e1, _ = forward(model, normalize_pose(pair.pose_a), topo)
-        e2, _ = forward(model, normalize_pose(pair.pose_b), topo)
+        e1, _ = forward_variant(model, normalize_pose(pair.pose_a), topo, "gcn")
+        e2, _ = forward_variant(model, normalize_pose(pair.pose_b), topo, "gcn")
         (pos if pair.label_y == 1 else neg).append(cosine_distance(e1, e2))
     return float(np.mean(pos)), float(np.mean(neg))
 
 
 def main():
     topo = build_skeleton_topology()
-    records, pairs = generate_synthetic_corpus(
+    records, entries = generate_corpus_files(
         SynthConfig(pairs_per_template=16, seed=1))
+    pairs, _ = build_pose_pairs(records, entries)
     print(f"corpus: {len(records)} poses, {len(pairs)} labelled pairs")
 
     model = init_model(h=2, seed=4)

@@ -16,7 +16,6 @@ from posesim.corpus import (
     SynthConfig,
     build_pose_pairs,
     generate_corpus_files,
-    generate_synthetic_corpus,
     load_corpus,
     parse_pair_file,
     parse_pose_file,
@@ -27,8 +26,6 @@ from posesim.corpus import (
 from posesim.network import (
     ArchMeta,
     EmbeddingModel,
-    forward,
-    forward_mlp_baseline,
     forward_variant,
     init_model,
     load_checkpoint,
@@ -94,11 +91,8 @@ __all__ = [
     "contrastive_loss",
     "cosine_distance",
     "evaluate",
-    "forward",
-    "forward_mlp_baseline",
     "forward_variant",
     "generate_corpus_files",
-    "generate_synthetic_corpus",
     "gradient_check",
     "history_csv",
     "init_model",

@@ -70,7 +70,6 @@ def cmd_gen(args) -> int:
         template_count=args.templates,
         pairs_per_template=args.pairs_per_template,
         jitter_levels=_parse_jitter(args.jitter),
-        negative_strategy=args.negative_strategy,
         seed=args.seed,
     )
     records, entries = generate_corpus_files(cfg)
@@ -175,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--pairs-per-template", type=int, default=32)
     gen.add_argument("--jitter", default="0.01,0.03,0.05,0.10",
                      help="comma-separated jitter levels, ascending")
-    gen.add_argument("--negative-strategy", default="cross_template")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True,
                      help=f"output directory ({POSE_FILE}, {PAIR_FILE})")

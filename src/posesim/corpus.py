@@ -158,12 +158,11 @@ class SynthConfig:
     template_count: int = 8
     pairs_per_template: int = 32
     jitter_levels: tuple = (0.01, 0.03, 0.05, 0.10)
-    negative_strategy: str = "cross_template"
     seed: int = 0
 
     def __post_init__(self):
-        if self.template_count < 1:
-            raise ValueError("template_count must be >= 1")
+        if self.template_count < 2:
+            raise ValueError("cross-template negatives need template_count >= 2")
         if self.pairs_per_template < 1:
             raise ValueError("pairs_per_template must be >= 1")
         levels = tuple(float(v) for v in self.jitter_levels)
@@ -174,8 +173,6 @@ class SynthConfig:
         if list(levels) != sorted(levels):
             raise ValueError("jitter levels must be sorted ascending")
         object.__setattr__(self, "jitter_levels", levels)
-        if self.negative_strategy != "cross_template":
-            raise ValueError(f"unknown negative_strategy {self.negative_strategy!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -346,9 +343,15 @@ def _extent_diagonal(points: np.ndarray) -> float:
     return float(np.hypot(spans[0], spans[1]))
 
 
-def _generate(cfg: SynthConfig):
-    if cfg.template_count < 2:
-        raise ValueError("cross-template negatives need template_count >= 2")
+def generate_corpus_files(cfg: SynthConfig = SynthConfig()):
+    """Synthesize a labelled corpus; returns (records, entries).
+
+    Positive pairs match a template with a jittered copy of itself and
+    record the jitter level as magnitude; negative pairs cross jittered
+    poses from two distinct templates. Deterministic in cfg.seed. The
+    result is the file-level view for serialization; build_pose_pairs
+    joins it into pose pairs.
+    """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     records, entries = [], []
     templates = _template_poses(cfg, rng)
@@ -379,24 +382,6 @@ def _generate(cfg: SynthConfig):
             entries.append(PairEntry(a=f"t{i:02d}",
                                      b=f"t{other:02d}_p{k:03d}", y=0))
     return records, entries
-
-
-def generate_synthetic_corpus(cfg: SynthConfig = SynthConfig()):
-    """Synthesize a labelled corpus; returns (records, pairs).
-
-    Positive pairs match a template with a jittered copy of itself and
-    record the jitter level as magnitude; negative pairs cross jittered
-    poses from two distinct templates. Deterministic in cfg.seed.
-    """
-    records, entries = _generate(cfg)
-    pairs, _ = build_pose_pairs(records, entries)
-    return records, pairs
-
-
-def generate_corpus_files(cfg: SynthConfig = SynthConfig()):
-    """Like generate_synthetic_corpus, but returns the file-level view
-    (records, entries) for serialization."""
-    return _generate(cfg)
 
 
 def split_corpus(items, train_fraction: float, seed: int = 0):

@@ -27,16 +27,14 @@ MLP_WIDTHS = (FLAT_DIM, 40, 50, 50)
 
 CHECKPOINT_VERSION = 1
 
+# The fixed layout as checkpoints record it; load_checkpoint accepts no other
+LAYOUT = {
+    "flatten_order": "node_major",
+    "activations": {"gcn": "relu", "mlp": ["relu", "relu", "identity"]},
+}
+
 GCN_VARIANT = "gcn"
 MLP_VARIANT = "mlp"
-
-
-def apply_activation(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "identity":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
 
 
 @dataclass(frozen=True)
@@ -51,20 +49,11 @@ class ArchMeta:
     """
 
     gcn_hidden: int = 2
-    gcn_activation: str = "relu"
-    mlp_activations: tuple[str, str, str] = ("relu", "relu", "identity")
-    flatten_order: str = "node_major"
     seed: int = 0
 
     def __post_init__(self):
         if self.gcn_hidden < 1:
             raise ValueError("gcn_hidden must be >= 1")
-        if self.flatten_order != "node_major":
-            raise ValueError("only node_major flatten order is supported")
-        for name in (self.gcn_activation, *self.mlp_activations):
-            if name not in ("relu", "identity"):
-                raise ValueError(f"unknown activation {name!r}")
-        object.__setattr__(self, "mlp_activations", tuple(self.mlp_activations))
 
 
 def _param(values, shape, what: str) -> np.ndarray:
@@ -164,7 +153,7 @@ class ForwardCache:
     gcn_pre/gcn_post hold each graph layer's pre- and post-activation node
     matrices (empty for the MLP-only variant); mlp_pre/mlp_post the same per
     MLP layer. flat is the MLP input. Every array carries the pose axis
-    first; forward() returns the single pose's slice, take(0).
+    first; forward_variant() returns the single pose's slice, take(0).
     """
 
     x: np.ndarray
@@ -186,32 +175,17 @@ class ForwardCache:
         )
 
 
-def gcn_layer_forward(h_in, a_norm, w, activation: str = "relu") -> np.ndarray:
-    """One graph convolution: activation(a_norm @ h_in @ w)."""
-    h_in = np.asarray(h_in, dtype=np.float64)
-    a_norm = np.asarray(a_norm, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    n = h_in.shape[0]
-    if a_norm.shape != (n, n):
-        raise ValueError(
-            f"adjacency shape {a_norm.shape} does not match {n} input nodes")
-    if w.ndim != 2 or w.shape[0] != h_in.shape[1]:
-        raise ValueError(
-            f"weight shape {w.shape} does not match input width {h_in.shape[1]}")
-    return apply_activation(activation, a_norm @ h_in @ w)
-
-
 def embed(model: EmbeddingModel, x: np.ndarray, topo: SkeletonTopology | None,
           variant: str) -> tuple[np.ndarray, ForwardCache]:
     """Embed a stack of normalized poses, x of shape (n, 15, 2).
 
     Returns the (n, 50) embeddings and the stacked cache of intermediates.
-    The gcn variant runs both graph layers, (A_norm @ H) @ W per pose, and
-    flattens each pose's 15x2 output node-major, [x0, y0, x1, y1, ...]; the
-    mlp variant flattens x itself (topo may then be None). Row i is bit for
-    bit the embedding of x[i] alone, whatever n: every product is a per-pose
-    matmul of the single-pose shape, the MLP head as (n, 1, k) @ W; a flat
-    (n, k) @ W GEMM would round differently.
+    The gcn variant runs both ReLU graph layers, (A_norm @ H) @ W per pose,
+    and flattens each pose's 15x2 output node-major, [x0, y0, x1, y1, ...];
+    the mlp variant flattens x itself (topo may then be None). Row i is bit
+    for bit the embedding of x[i] alone, whatever n: every product is a
+    per-pose matmul of the single-pose shape, the MLP head as
+    (n, 1, k) @ W; a flat (n, k) @ W GEMM would round differently.
     """
     check_variant(variant)
     cache = ForwardCache(x=x, gcn_pre=[], gcn_post=[], flat=None,
@@ -220,14 +194,14 @@ def embed(model: EmbeddingModel, x: np.ndarray, topo: SkeletonTopology | None,
     if variant == GCN_VARIANT:
         for w in model.gcn_weights:
             z = topo.adjacency_norm @ h @ w
-            h = apply_activation(model.arch.gcn_activation, z)
+            h = np.maximum(z, 0.0)
             cache.gcn_pre.append(z)
             cache.gcn_post.append(h)
     cache.flat = h.reshape(len(x), FLAT_DIM)
     a = cache.flat[:, None, :]
-    for layer, act in zip(model.mlp_layers, model.arch.mlp_activations):
+    for i, layer in enumerate(model.mlp_layers):
         z = a @ layer.w + layer.b
-        a = apply_activation(act, z)
+        a = z if i == len(model.mlp_layers) - 1 else np.maximum(z, 0.0)
         cache.mlp_pre.append(z[:, 0])
         cache.mlp_post.append(a[:, 0])
     return a[:, 0], cache
@@ -236,22 +210,14 @@ def embed(model: EmbeddingModel, x: np.ndarray, topo: SkeletonTopology | None,
 def forward_variant(model: EmbeddingModel, pose: NormalizedPose,
                     topo: SkeletonTopology | None,
                     variant: str) -> tuple[np.ndarray, ForwardCache]:
-    """Embed one normalized pose; returns the 50-vector and its cache."""
+    """Embed one normalized pose; returns the 50-vector and its cache.
+
+    variant "gcn" runs the graph layers and the MLP head; "mlp", the
+    ablation, feeds the flattened coordinates straight into the head and
+    takes topo None.
+    """
     embedding, cache = embed(model, pose.features[None], topo, variant)
     return embedding[0], cache.take(0)
-
-
-def forward(model: EmbeddingModel, pose: NormalizedPose,
-            topo: SkeletonTopology) -> tuple[np.ndarray, ForwardCache]:
-    """Embed a normalized pose through the graph layers and the MLP head."""
-    return forward_variant(model, pose, topo, GCN_VARIANT)
-
-
-def forward_mlp_baseline(model: EmbeddingModel,
-                         pose: NormalizedPose) -> tuple[np.ndarray, ForwardCache]:
-    """Ablation variant: flatten the normalized coordinates straight into the
-    MLP head, skipping both graph layers."""
-    return forward_variant(model, pose, None, MLP_VARIANT)
 
 
 def save_checkpoint(model: EmbeddingModel) -> bytes:
@@ -262,14 +228,7 @@ def save_checkpoint(model: EmbeddingModel) -> bytes:
     """
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "arch": {
-            "gcn_hidden": model.arch.gcn_hidden,
-            "flatten_order": model.arch.flatten_order,
-            "activations": {
-                "gcn": model.arch.gcn_activation,
-                "mlp": list(model.arch.mlp_activations),
-            },
-        },
+        "arch": {"gcn_hidden": model.arch.gcn_hidden, **LAYOUT},
         "seed": model.arch.seed,
         "gcn_w0": model.gcn_weights[0].tolist(),
         "gcn_w1": model.gcn_weights[1].tolist(),
@@ -282,37 +241,36 @@ def save_checkpoint(model: EmbeddingModel) -> bytes:
 def load_checkpoint(data: bytes) -> EmbeddingModel:
     """Parse a checkpoint produced by save_checkpoint.
 
-    Raises ValueError for malformed payloads, unsupported versions, shape
-    mismatches against the declared architecture, or non-finite parameters.
+    Raises ValueError, and no other exception, for any payload that is not
+    such a checkpoint: malformed JSON or fields, unsupported versions, a
+    layout other than LAYOUT, shape mismatches against the declared
+    architecture, or non-finite parameters.
     """
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"malformed checkpoint: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("malformed checkpoint: top level must be an object")
     try:
         version = doc["format_version"]
         arch_doc = doc["arch"]
-        arch = ArchMeta(
-            gcn_hidden=int(arch_doc["gcn_hidden"]),
-            gcn_activation=str(arch_doc["activations"]["gcn"]),
-            mlp_activations=tuple(arch_doc["activations"]["mlp"]),
-            flatten_order=str(arch_doc["flatten_order"]),
-            seed=int(doc["seed"]),
-        )
-        gcn_w0 = doc["gcn_w0"]
-        gcn_w1 = doc["gcn_w1"]
-        mlp_doc = doc["mlp"]
+        layout = {key: arch_doc[key] for key in LAYOUT}
+        # a JSON number such as 1e400 parses as inf, which int() overflows
+        arch = ArchMeta(gcn_hidden=int(arch_doc["gcn_hidden"]),
+                        seed=int(doc["seed"]))
+        gcn_weights = (np.asarray(doc["gcn_w0"], dtype=np.float64),
+                       np.asarray(doc["gcn_w1"], dtype=np.float64))
         mlp_layers = tuple(AffineLayer(w=np.asarray(entry["w"], dtype=np.float64),
                                        b=np.asarray(entry["b"], dtype=np.float64))
-                           for entry in mlp_doc)
-    except (KeyError, TypeError, IndexError) as exc:
+                           for entry in doc["mlp"])
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed checkpoint: missing or invalid field ({exc})") from exc
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
+    if layout != LAYOUT:
+        raise ValueError(f"unsupported checkpoint layout {layout!r}, "
+                         f"expected {LAYOUT!r}")
     if len(mlp_layers) != 3:
         raise ValueError(f"checkpoint must carry 3 mlp layers, got {len(mlp_layers)}")
-    return EmbeddingModel((np.asarray(gcn_w0, dtype=np.float64),
-                           np.asarray(gcn_w1, dtype=np.float64)),
-                          mlp_layers, arch)
+    return EmbeddingModel(gcn_weights, mlp_layers, arch)

@@ -78,7 +78,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_epsilon: float = 1e-8
     seed: int = 0
-    loss_reduction: str = "mean"
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -96,8 +95,6 @@ class TrainConfig:
             raise ValueError("adam_epsilon must be > 0")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.loss_reduction not in ("mean", "sum"):
-            raise ValueError("loss_reduction must be 'mean' or 'sum'")
 
 
 @dataclass
@@ -141,6 +138,15 @@ def _finite_vector(e, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite values")
     return arr
+
+
+def _embedding_pair(e1, e2) -> np.ndarray:
+    """The (2, dim) stack of two finite embedding vectors of equal shape."""
+    e1 = _finite_vector(e1, "e1")
+    e2 = _finite_vector(e2, "e2")
+    if e1.shape != e2.shape:
+        raise ValueError(f"shape mismatch: {e1.shape} vs {e2.shape}")
+    return np.stack([e1, e2])
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -193,22 +199,16 @@ def cosine_distance(e1, e2) -> float:
     collapses to zero; at every realistic operating point it is inactive.
     Result lies in [0, 2] up to rounding.
     """
-    e1 = _finite_vector(e1, "e1")
-    e2 = _finite_vector(e2, "e2")
-    if e1.shape != e2.shape:
-        raise ValueError(f"shape mismatch: {e1.shape} vs {e2.shape}")
-    return float(cosine_distances(np.stack([e1, e2]))[0])
+    return float(cosine_distances(_embedding_pair(e1, e2))[0])
 
 
 def cosine_distance_grads(e1, e2):
     """Distance plus its analytic gradients w.r.t. both embeddings.
 
     Where a norm is clamped it is locally constant, so its term drops out of
-    that side's gradient.
+    that side's gradient. Validates its inputs as cosine_distance does.
     """
-    e1 = np.asarray(e1, dtype=np.float64)
-    e2 = np.asarray(e2, dtype=np.float64)
-    d, g = _cosine_distance_grads(np.stack([e1, e2]))
+    d, g = _cosine_distance_grads(_embedding_pair(e1, e2))
     return float(d[0]), g[0], g[1]
 
 
@@ -238,11 +238,12 @@ def _backward(model: EmbeddingModel, topo: SkeletonTopology,
 
     out holds one (n, *shape) stack per parameter, in canonical order; row t
     receives twin t's own gradient. Every product is the one a single-twin
-    pass would make, so no sum runs across twins here.
+    pass would make, so no sum runs across twins here. Every layer but the
+    identity MLP output is ReLU-gated.
     """
     layers = model.mlp_layers
     for i in reversed(range(len(layers))):
-        if model.arch.mlp_activations[i] == "relu":
+        if i < len(layers) - 1:
             g = g * (cache.mlp_pre[i] > 0.0)
         a_prev = cache.flat if i == 0 else cache.mlp_post[i - 1]
         np.einsum("ni,nj->nij", a_prev, g, out=out[2 + 2 * i])
@@ -256,8 +257,7 @@ def _backward(model: EmbeddingModel, topo: SkeletonTopology,
     a_norm = topo.adjacency_norm
     gh = g.reshape(cache.gcn_post[-1].shape)
     for i in reversed(range(len(model.gcn_weights))):
-        if model.arch.gcn_activation == "relu":
-            gh = gh * (cache.gcn_pre[i] > 0.0)
+        gh = gh * (cache.gcn_pre[i] > 0.0)
         h_in = cache.x if i == 0 else cache.gcn_post[i - 1]
         np.matmul((a_norm @ h_in).transpose(0, 2, 1), gh, out=out[i])
         if i > 0:
@@ -367,9 +367,8 @@ def train(model: EmbeddingModel, topo: SkeletonTopology, pairs,
 
     Per epoch: shuffle with the run-level seeded generator, split into
     batches of cfg.batch_size keeping the final short batch, accumulate
-    per-pair gradients in shuffled index order, reduce (mean by default),
-    then take one adam_step per batch. Fully determined by (model, pairs
-    order, cfg).
+    per-pair gradients in shuffled index order, take their mean, then take
+    one adam_step per batch. Fully determined by (model, pairs order, cfg).
 
     Each distinct pose is normalized once per call, a batch's twins are
     embedded in one stacked call, and only pairs with a nonzero dL/dd are
@@ -399,9 +398,8 @@ def train(model: EmbeddingModel, topo: SkeletonTopology, pairs,
                                          labels[batch], cfg.margin_m, variant)
             losses.append(loss)
             dists.append(d)
-            scale = 1.0 / len(batch) if cfg.loss_reduction == "mean" else 1.0
-            if scale != 1.0:
-                batch_grad.total *= scale
+            # multiply by the reciprocal: a division would round differently
+            batch_grad.total *= 1.0 / len(batch)
             adam_step(model, batch_grad.grads, state, cfg)
         dists = np.concatenate(dists)
         visited = labels[order]

@@ -21,8 +21,6 @@ from posesim.corpus import (
     split_corpus,
 )
 from posesim.network import (
-    forward,
-    forward_mlp_baseline,
     forward_variant,
     init_model,
     load_checkpoint,
@@ -111,8 +109,8 @@ class TestCriterion2:
             scale = rng.uniform(0.1, 10.0, 2)
             offset = rng.uniform(-1e3, 1e3, 2)
             moved = pts * scale + offset
-            for fn in (lambda p: forward(model, p, TOPO)[0],
-                       lambda p: forward_mlp_baseline(model, p)[0]):
+            for fn in (lambda p: forward_variant(model, p, TOPO, "gcn")[0],
+                       lambda p: forward_variant(model, p, None, "mlp")[0]):
                 e1 = fn(normalize_pose(Pose(pts)))
                 e2 = fn(normalize_pose(Pose(moved)))
                 worst = max(worst, float(np.max(np.abs(e1 - e2))))

@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from posesim.cli import main
 from posesim.corpus import parse_pose_file
-from posesim.network import load_checkpoint
+from posesim.network import init_model, load_checkpoint, save_checkpoint
 
 
 def run(capsys, *argv):
@@ -145,6 +146,18 @@ class TestScore:
 
 
 class TestEval:
+    @pytest.mark.parametrize("field", ["seed", "gcn_hidden"])
+    def test_overflowing_checkpoint_field_fails(self, tmp_path, capsys, field):
+        corpus = gen_small(tmp_path, capsys)
+        blob = save_checkpoint(init_model(h=2, seed=0)).decode()
+        bad = tmp_path / "bad.json"
+        bad.write_text(re.sub(rf'("{field}": )\d+', r"\g<1>1e400", blob))
+        code, _, err = run(capsys, "eval", "--checkpoint", str(bad),
+                           "--pairs", str(corpus / "pairs.json"),
+                           "--out", str(tmp_path / "ev"))
+        assert code == 1
+        assert err.startswith("error: malformed checkpoint")
+
     def test_writes_report_and_prints_summary(self, tmp_path, capsys):
         corpus = gen_small(tmp_path, capsys)
         run_dir = train_small(tmp_path, capsys, corpus)

@@ -12,7 +12,6 @@ from posesim.corpus import (
     TEMPLATE_LIBRARY,
     build_pose_pairs,
     generate_corpus_files,
-    generate_synthetic_corpus,
     load_corpus,
     parse_pair_file,
     parse_pose_file,
@@ -240,10 +239,6 @@ class TestSynthConfig:
     def test_zero_level_permitted(self):
         assert SynthConfig(jitter_levels=(0.0, 0.05)).jitter_levels == (0.0, 0.05)
 
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError, match="negative_strategy"):
-            SynthConfig(negative_strategy="hardest")
-
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError):
             SynthConfig(template_count=0)
@@ -269,7 +264,8 @@ class TestGenerator:
 
     def test_zero_jitter_pair_is_identical(self):
         cfg = SynthConfig(jitter_levels=(0.0,), pairs_per_template=1, seed=3)
-        records, pairs = generate_synthetic_corpus(cfg)
+        records, entries = generate_corpus_files(cfg)
+        pairs, _ = build_pose_pairs(records, entries)
         by_id = {r.id: r for r in records}
         np.testing.assert_array_equal(by_id["t00"].keypoints,
                                       by_id["t00_p000"].keypoints)
@@ -288,7 +284,7 @@ class TestGenerator:
 
     def test_cross_template_needs_two_templates(self):
         with pytest.raises(ValueError, match="template_count >= 2"):
-            generate_synthetic_corpus(SynthConfig(template_count=1))
+            SynthConfig(template_count=1)
 
     def test_deterministic_per_seed(self):
         cfg = SynthConfig(pairs_per_template=3, seed=11)

@@ -1,0 +1,32 @@
+"""The demos run end to end, and the package exports what it declares."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import posesim
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(demo)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_demos_found():
+    assert DEMOS
+
+
+def test_all_names_resolve():
+    missing = [name for name in posesim.__all__ if not hasattr(posesim, name)]
+    assert missing == []

@@ -4,16 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posesim.network import (
     AffineLayer,
-    ArchMeta,
     EmbeddingModel,
     copy_model,
-    forward,
-    forward_mlp_baseline,
     forward_variant,
-    gcn_layer_forward,
     init_model,
     load_checkpoint,
     parameter_count,
@@ -50,7 +48,7 @@ def ref_forward(model, features, a_norm, use_gcn):
         for w in model.gcn_weights:
             h = relu_rows(mat_mul(mat_mul(a, h), [list(r) for r in w]))
     flat = [v for row in h for v in row]
-    acts = model.arch.mlp_activations
+    acts = ("relu", "relu", "identity")
     vec = flat
     for layer, act in zip(model.mlp_layers, acts):
         w = layer.w
@@ -60,6 +58,26 @@ def ref_forward(model, features, a_norm, use_gcn):
             z = [v if v > 0.0 else 0.0 for v in z]
         vec = z
     return np.array(vec)
+
+
+# Every field of a checkpoint document, as a path of keys and indices
+CHECKPOINT_PATHS = (
+    ("format_version",), ("seed",), ("arch",), ("arch", "gcn_hidden"),
+    ("arch", "flatten_order"), ("arch", "activations"),
+    ("arch", "activations", "gcn"), ("arch", "activations", "mlp"),
+    ("arch", "activations", "mlp", 2), ("gcn_w0",), ("gcn_w0", 1),
+    ("gcn_w1", 0, 1), ("mlp",), ("mlp", 0), ("mlp", 1, "w"),
+    ("mlp", 1, "w", 3), ("mlp", 2, "b"), ("mlp", 2, "b", 7),
+)
+
+VALID_CHECKPOINT = save_checkpoint(init_model(h=2, seed=0))
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10 ** 308, 10 ** 400)
+    | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8)
 
 
 def random_pose(rng):
@@ -153,40 +171,6 @@ class TestModelValidation:
         dup.gcn_weights[0][0, 0] = 42.0
         assert model.gcn_weights[0][0, 0] != 42.0
 
-    def test_arch_rejects_unknown_activation(self):
-        with pytest.raises(ValueError):
-            ArchMeta(gcn_activation="tanh")
-
-    def test_arch_rejects_foreign_flatten_order(self):
-        with pytest.raises(ValueError):
-            ArchMeta(flatten_order="feature_major")
-
-
-class TestGcnLayer:
-    def test_matches_reference_on_random_graphs(self):
-        rng = np.random.default_rng(21)
-        for _ in range(10):
-            n, din, dout = rng.integers(2, 8, size=3)
-            h_in = rng.normal(size=(n, din))
-            a = rng.normal(size=(n, n))
-            w = rng.normal(size=(din, dout))
-            got = gcn_layer_forward(h_in, a, w)
-            want = relu_rows(mat_mul(mat_mul(a.tolist(), h_in.tolist()), w.tolist()))
-            np.testing.assert_allclose(got, np.array(want), atol=1e-10)
-
-    def test_identity_activation(self):
-        h_in = np.array([[1.0, -2.0], [0.5, 3.0]])
-        a = np.eye(2)
-        w = np.eye(2)
-        got = gcn_layer_forward(h_in, a, w, activation="identity")
-        np.testing.assert_array_equal(got, h_in)
-
-    def test_shape_mismatches_rejected(self):
-        with pytest.raises(ValueError, match="adjacency"):
-            gcn_layer_forward(np.zeros((3, 2)), np.eye(4), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="weight"):
-            gcn_layer_forward(np.zeros((3, 2)), np.eye(3), np.zeros((3, 2)))
-
 
 class TestForward:
     def test_matches_reference_oracle(self):
@@ -195,7 +179,7 @@ class TestForward:
         for seed in range(5):
             model = init_model(h=2, seed=seed)
             pose = random_pose(rng)
-            emb, _ = forward(model, pose, topo)
+            emb, _ = forward_variant(model, pose, topo, "gcn")
             want = ref_forward(model, pose.features.tolist(),
                                topo.adjacency_norm.tolist(), use_gcn=True)
             assert emb.shape == (50,)
@@ -206,7 +190,7 @@ class TestForward:
         for seed in range(5):
             model = init_model(h=2, seed=seed)
             pose = random_pose(rng)
-            emb, _ = forward_mlp_baseline(model, pose)
+            emb, _ = forward_variant(model, pose, None, "mlp")
             want = ref_forward(model, pose.features.tolist(), None, use_gcn=False)
             np.testing.assert_allclose(emb, want, atol=1e-10)
 
@@ -214,7 +198,7 @@ class TestForward:
         topo = build_skeleton_topology()
         model = init_model(h=2, seed=1)
         pose = random_pose(np.random.default_rng(8))
-        _, cache = forward(model, pose, topo)
+        _, cache = forward_variant(model, pose, topo, "gcn")
         final = cache.gcn_post[-1]
         for i in range(NUM_KEYPOINTS):
             for j in range(2):
@@ -223,7 +207,7 @@ class TestForward:
     def test_baseline_flattens_raw_features(self):
         model = init_model(h=2, seed=1)
         pose = random_pose(np.random.default_rng(9))
-        _, cache = forward_mlp_baseline(model, pose)
+        _, cache = forward_variant(model, pose, None, "mlp")
         assert cache.gcn_pre == [] and cache.gcn_post == []
         np.testing.assert_array_equal(cache.flat, pose.features.reshape(-1))
 
@@ -236,7 +220,7 @@ class TestForward:
         eye = np.eye(2)
         model = EmbeddingModel((eye, eye), base.mlp_layers, base.arch)
         pose = random_pose(np.random.default_rng(10))
-        _, cache = forward(model, pose, topo)
+        _, cache = forward_variant(model, pose, topo, "gcn")
         a2x = topo.adjacency_norm @ topo.adjacency_norm @ pose.features
         np.testing.assert_allclose(cache.gcn_post[-1], a2x, atol=1e-12)
         np.testing.assert_allclose(cache.flat, a2x.reshape(-1), atol=1e-12)
@@ -246,8 +230,8 @@ class TestForward:
         model = init_model(h=2, seed=2)
         pose = random_pose(np.random.default_rng(11))
         before = [p.copy() for p in parameter_list(model)]
-        emb1, _ = forward(model, pose, topo)
-        emb2, _ = forward(model, pose, topo)
+        emb1, _ = forward_variant(model, pose, topo, "gcn")
+        emb2, _ = forward_variant(model, pose, topo, "gcn")
         np.testing.assert_array_equal(emb1, emb2)
         for old, new in zip(before, parameter_list(model)):
             assert np.array_equal(old, new)
@@ -258,8 +242,9 @@ class TestForward:
         pose = random_pose(np.random.default_rng(12))
         gcn_emb, _ = forward_variant(model, pose, topo, "gcn")
         mlp_emb, _ = forward_variant(model, pose, topo, "mlp")
-        np.testing.assert_array_equal(gcn_emb, forward(model, pose, topo)[0])
-        np.testing.assert_array_equal(mlp_emb, forward_mlp_baseline(model, pose)[0])
+        assert not np.array_equal(gcn_emb, mlp_emb)
+        # the ablation never reads the graph
+        np.testing.assert_array_equal(mlp_emb, forward_variant(model, pose, None, "mlp")[0])
         with pytest.raises(ValueError, match="variant"):
             forward_variant(model, pose, topo, "transformer")
 
@@ -267,7 +252,7 @@ class TestForward:
         topo = build_skeleton_topology()
         model = init_model(h=2, seed=4)
         pose = random_pose(np.random.default_rng(13))
-        emb, cache = forward(model, pose, topo)
+        emb, cache = forward_variant(model, pose, topo, "gcn")
         assert len(cache.gcn_pre) == len(cache.gcn_post) == 2
         assert len(cache.mlp_pre) == len(cache.mlp_post) == 3
         np.testing.assert_array_equal(cache.mlp_post[-1], emb)
@@ -278,7 +263,7 @@ class TestForward:
         topo = build_skeleton_topology()
         model = init_model(h=16, seed=5)
         pose = random_pose(np.random.default_rng(14))
-        emb, cache = forward(model, pose, topo)
+        emb, cache = forward_variant(model, pose, topo, "gcn")
         assert emb.shape == (50,)
         assert cache.gcn_pre[0].shape == (NUM_KEYPOINTS, 16)
         want = ref_forward(model, pose.features.tolist(),
@@ -350,6 +335,47 @@ class TestCheckpoint:
         doc["mlp"] = doc["mlp"][:2]
         with pytest.raises(ValueError, match="3 mlp layers"):
             load_checkpoint(json.dumps(doc).encode())
+
+    def test_foreign_activation_layout_rejected(self):
+        doc = json.loads(save_checkpoint(init_model(h=2, seed=0)))
+        doc["arch"]["activations"]["gcn"] = "tanh"
+        with pytest.raises(ValueError, match="layout"):
+            load_checkpoint(json.dumps(doc).encode())
+
+    def test_foreign_flatten_order_rejected(self):
+        doc = json.loads(save_checkpoint(init_model(h=2, seed=0)))
+        doc["arch"]["flatten_order"] = "feature_major"
+        with pytest.raises(ValueError, match="layout"):
+            load_checkpoint(json.dumps(doc).encode())
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=256))
+    @example(data=b"[" * 100_000)
+    def test_arbitrary_bytes_load_or_raise_value_error(self, data):
+        try:
+            load_checkpoint(data)
+        except ValueError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(path=st.sampled_from(CHECKPOINT_PATHS),
+           value=json_values | st.just(KeyError))
+    @example(path=("seed",), value=float("inf"))
+    @example(path=("arch", "gcn_hidden"), value=float("inf"))
+    @example(path=("gcn_w0",), value={})
+    def test_field_replacements_load_or_raise_value_error(self, path, value):
+        doc = json.loads(VALID_CHECKPOINT)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is KeyError:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        try:
+            load_checkpoint(json.dumps(doc).encode())
+        except ValueError:
+            pass
 
     def test_undeclared_hidden_width_rejected(self):
         # weights for h=3 but arch says h=2

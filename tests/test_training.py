@@ -75,14 +75,21 @@ class TestCosineDistance:
         e = np.ones(50)
         bad = e.copy()
         bad[3] = np.inf
-        with pytest.raises(ValueError):
-            cosine_distance(bad, e)
-        with pytest.raises(ValueError):
-            cosine_distance(e, bad * np.nan)
+        # the gradient routine validates its inputs the same way
+        for fn in (cosine_distance, cosine_distance_grads):
+            with pytest.raises(ValueError):
+                fn(bad, e)
+            with pytest.raises(ValueError):
+                fn(e, bad * np.nan)
+            with pytest.raises(ValueError, match="non-finite"):
+                fn([np.nan, 1.0], [1.0, 2.0])
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine_distance(np.ones(50), np.ones(49))
+        for fn in (cosine_distance, cosine_distance_grads):
+            with pytest.raises(ValueError):
+                fn(np.ones(50), np.ones(49))
+            with pytest.raises(ValueError, match="vector"):
+                fn(np.ones((2, 50)), np.ones((2, 50)))
 
 
 class TestCosineDistanceGrads:
@@ -419,8 +426,6 @@ class TestConfigAndPairValidation:
             TrainConfig(adam_beta1=1.0)
         with pytest.raises(ValueError):
             TrainConfig(adam_epsilon=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(loss_reduction="median")
         with pytest.raises(ValueError):
             TrainConfig(seed=-1)
 
