@@ -177,14 +177,10 @@ class SynthConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-def _doc_error(exc) -> ValueError:
-    return ValueError(f"malformed pose/pair file: {exc}")
-
-
 def _load_json(data: bytes, what: str) -> dict:
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"malformed {what} file: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"malformed {what} file: top level must be an object")
@@ -225,7 +221,7 @@ def parse_pose_file(data: bytes) -> list[PoseRecord]:
                 category=raw.get("category"),
                 quality_score=raw.get("quality_score"),
             ))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"record {rec_id!r}: {exc}") from exc
     return records
 
@@ -272,7 +268,7 @@ def parse_pair_file(data: bytes) -> PairFile:
             entries.append(PairEntry(a=raw.get("a"), b=raw.get("b"),
                                      y=raw.get("y"),
                                      magnitude=raw.get("magnitude")))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"pair at index {i}: {exc}") from exc
     return PairFile(poses=poses, entries=tuple(entries))
 

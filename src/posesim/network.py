@@ -136,10 +136,6 @@ def init_model(h: int = 2, seed: int = 0) -> EmbeddingModel:
     return EmbeddingModel(gcn_weights, mlp_layers, ArchMeta(gcn_hidden=h, seed=seed))
 
 
-def copy_model(model: EmbeddingModel) -> EmbeddingModel:
-    return EmbeddingModel(model.gcn_weights, model.mlp_layers, model.arch)
-
-
 def check_variant(variant: str) -> None:
     """Raise ValueError unless variant names one of the two embeddings."""
     if variant not in (GCN_VARIANT, MLP_VARIANT):
@@ -175,36 +171,59 @@ class ForwardCache:
         )
 
 
+def _run_layers(gcn_weights, mlp_layers, topo: SkeletonTopology | None,
+                h: np.ndarray, cache: ForwardCache | None = None) -> np.ndarray:
+    """Run the given graph layers, then the given MLP layers, on h.
+
+    The graph layers are ReLU, (A_norm @ H) @ W per pose, and their 15x2
+    output is flattened node-major, [x0, y0, x1, y1, ...]; the MLP layers
+    are ReLU but for the last, the identity output layer. Passing the
+    model's layers from some layer on, with h that layer's input, runs the
+    forward pass from there. A weight or bias may instead be a stack
+    (P, 1, *shape) of P variants of it: from its layer on, every value then
+    carries a leading copy axis, (P, n, ...), copy j running with variant j.
+    Every product keeps the single-pose shape, the MLP head as (1, k) @ W,
+    so each pose of each copy is bit for bit its own single-pose forward; a
+    flat (n, k) @ W GEMM would round differently. cache, if given, receives
+    each layer's values.
+    """
+    for w in gcn_weights:
+        z = topo.adjacency_norm @ h @ w
+        h = np.maximum(z, 0.0)
+        if cache is not None:
+            cache.gcn_pre.append(z)
+            cache.gcn_post.append(h)
+    if gcn_weights:
+        h = h.reshape(h.shape[:-2] + (FLAT_DIM,))
+        if cache is not None:
+            cache.flat = h
+    last = len(mlp_layers) - 1
+    for i, layer in enumerate(mlp_layers):
+        z = (h[..., None, :] @ layer.w)[..., 0, :] + layer.b
+        h = z if i == last else np.maximum(z, 0.0)
+        if cache is not None:
+            cache.mlp_pre.append(z)
+            cache.mlp_post.append(h)
+    return h
+
+
 def embed(model: EmbeddingModel, x: np.ndarray, topo: SkeletonTopology | None,
           variant: str) -> tuple[np.ndarray, ForwardCache]:
     """Embed a stack of normalized poses, x of shape (n, 15, 2).
 
     Returns the (n, 50) embeddings and the stacked cache of intermediates.
-    The gcn variant runs both ReLU graph layers, (A_norm @ H) @ W per pose,
-    and flattens each pose's 15x2 output node-major, [x0, y0, x1, y1, ...];
-    the mlp variant flattens x itself (topo may then be None). Row i is bit
-    for bit the embedding of x[i] alone, whatever n: every product is a
-    per-pose matmul of the single-pose shape, the MLP head as
-    (n, 1, k) @ W; a flat (n, k) @ W GEMM would round differently.
+    The gcn variant runs every layer; the mlp variant feeds x, flattened,
+    straight into the MLP head (topo may then be None). Row i is bit for bit
+    the embedding of x[i] alone, whatever n; see _run_layers.
     """
     check_variant(variant)
     cache = ForwardCache(x=x, gcn_pre=[], gcn_post=[], flat=None,
                          mlp_pre=[], mlp_post=[])
-    h = x
-    if variant == GCN_VARIANT:
-        for w in model.gcn_weights:
-            z = topo.adjacency_norm @ h @ w
-            h = np.maximum(z, 0.0)
-            cache.gcn_pre.append(z)
-            cache.gcn_post.append(h)
-    cache.flat = h.reshape(len(x), FLAT_DIM)
-    a = cache.flat[:, None, :]
-    for i, layer in enumerate(model.mlp_layers):
-        z = a @ layer.w + layer.b
-        a = z if i == len(model.mlp_layers) - 1 else np.maximum(z, 0.0)
-        cache.mlp_pre.append(z[:, 0])
-        cache.mlp_post.append(a[:, 0])
-    return a[:, 0], cache
+    gcn_weights, h = model.gcn_weights, x
+    if variant == MLP_VARIANT:
+        gcn_weights, h = (), x.reshape(len(x), FLAT_DIM)
+        cache.flat = h
+    return _run_layers(gcn_weights, model.mlp_layers, topo, h, cache), cache
 
 
 def forward_variant(model: EmbeddingModel, pose: NormalizedPose,
@@ -252,8 +271,11 @@ def load_checkpoint(data: bytes) -> EmbeddingModel:
         raise ValueError(f"malformed checkpoint: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("malformed checkpoint: top level must be an object")
+    # the version decides which fields a document has, so it is read first
+    version = doc.get("format_version")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint format_version {version!r}")
     try:
-        version = doc["format_version"]
         arch_doc = doc["arch"]
         layout = {key: arch_doc[key] for key in LAYOUT}
         # a JSON number such as 1e400 parses as inf, which int() overflows
@@ -266,8 +288,6 @@ def load_checkpoint(data: bytes) -> EmbeddingModel:
                            for entry in doc["mlp"])
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed checkpoint: missing or invalid field ({exc})") from exc
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version {version!r}")
     if layout != LAYOUT:
         raise ValueError(f"unsupported checkpoint layout {layout!r}, "
                          f"expected {LAYOUT!r}")

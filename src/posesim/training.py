@@ -16,7 +16,7 @@ batch is trained rather than dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from posesim.network import (
     MLP_VARIANT,
     EmbeddingModel,
     ForwardCache,
+    _run_layers,
     check_variant,
-    copy_model,
     embed,
     init_model,
     parameter_list,
@@ -46,6 +46,9 @@ DEFAULT_MARGIN = 1.35
 
 # Pairs whose per-twin gradients exist at once in _BatchGradient
 PAIRS_PER_CHUNK = 8
+
+# Coordinates gradient_check perturbs in one stacked pass (2 copies each)
+COORDS_PER_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -416,36 +419,64 @@ def gradient_check(model: EmbeddingModel, topo: SkeletonTopology,
     """Max relative error between analytic and central-difference gradients.
 
     The analytic side is pair_backward, the trainer's own backward pass. The
-    denominator is max(|analytic|, |numeric|, 1e-8) per coordinate. The
-    model is not modified; differencing runs on a private copy.
+    numeric side differences the pair's loss at every parameter coordinate
+    +-fd_epsilon; the denominator is max(|analytic|, |numeric|, 1e-8) per
+    coordinate, and a NaN coordinate error makes the result NaN.
+
+    The model is never modified. The pair is embedded once; perturbing a
+    parameter of layer k reruns only layers k.. from the cached input of
+    layer k, with COORDS_PER_CHUNK coordinates' +- copies of the parameter
+    stacked along a copy axis. Every loss is bit for bit the one a full
+    forward pass with the parameter perturbed in place would give. The mlp
+    variant never reads the graph weights, so their differences, exact
+    zeros, are skipped.
     """
     check_variant(variant)
-    if not fd_epsilon > 0:
-        raise ValueError("fd_epsilon must be > 0")
-    work = copy_model(model)
-    _, analytic = pair_backward(work, topo, pair, cfg, variant)
+    if not (fd_epsilon > 0 and np.isfinite(fd_epsilon)):
+        raise ValueError("fd_epsilon must be finite and > 0")
+    _, analytic = pair_backward(model, topo, pair, cfg, variant)
     x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
+    _, cache = embed(model, x, topo, variant)
 
-    def loss_at_current():
-        emb, _ = embed(work, x, topo, variant)
-        d = float(cosine_distances(emb)[0])
-        return float(_pair_losses(d, pair.label_y, cfg.margin_m)[0])
-
-    worst = 0.0
-    for p, ga in zip(parameter_list(work), analytic):
+    def differences(p, run):
+        """The central difference at every coordinate of p; run(stack)
+        embeds the pair with p replaced by a (P, 1, *p.shape) stack."""
         flat = p.reshape(-1)
-        gflat = ga.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + fd_epsilon
-            up = loss_at_current()
-            flat[i] = orig - fd_epsilon
-            down = loss_at_current()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * fd_epsilon)
-            denom = max(abs(gflat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(gflat[i] - numeric) / denom)
-    return float(worst)
+        # rows 2j and 2j + 1: coordinate j of a chunk moved up and down
+        stack = np.repeat(p[None], 2 * COORDS_PER_CHUNK, axis=0)
+        rows = stack.reshape(len(stack), -1)
+        out = np.empty(p.size)
+        for start in range(0, p.size, COORDS_PER_CHUNK):
+            coords = np.arange(start, min(start + COORDS_PER_CHUNK, p.size))
+            n = len(coords)
+            up, down = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
+            rows[up, coords] = flat[coords] + fd_epsilon
+            rows[down, coords] = flat[coords] - fd_epsilon
+            emb = run(stack[:2 * n, None])
+            d = cosine_distances(emb.reshape(-1, emb.shape[-1]))
+            loss = _pair_losses(d, pair.label_y, cfg.margin_m)[0]
+            out[start:start + n] = (loss[0::2] - loss[1::2]) / (2.0 * fd_epsilon)
+            rows[up, coords] = rows[down, coords] = flat[coords]
+        return out
+
+    gcn = model.gcn_weights if variant == GCN_VARIANT else ()
+    mlp = model.mlp_layers
+    numeric = []
+    # each parameter's layers are rerun from its own, on that layer's cached input
+    for i, w in enumerate(gcn):
+        h = cache.x if i == 0 else cache.gcn_post[i - 1]
+        numeric.append(differences(
+            w, lambda s: _run_layers((s, *gcn[i + 1:]), mlp, topo, h)))
+    for j, layer in enumerate(mlp):
+        h = cache.flat if j == 0 else cache.mlp_post[j - 1]
+        for name in ("w", "b"):
+            numeric.append(differences(getattr(layer, name), lambda s: _run_layers(
+                (), (replace(layer, **{name: s}), *mlp[j + 1:]), topo, h)))
+    skipped = len(model.gcn_weights) - len(gcn)
+    ga = np.concatenate([g.reshape(-1) for g in analytic[skipped:]])
+    gn = np.concatenate(numeric)
+    denom = np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-8)
+    return float(np.max(np.abs(ga - gn) / denom))
 
 
 def _fd_friendly(model, topo, pair: PosePair, x) -> bool:

@@ -83,14 +83,15 @@ def pipeline():
 class TestCriterion1:
     def test_gradients_match_finite_differences(self):
         start = time.perf_counter()
-        worst = 0.0
+        errs = []
         labels = set()
         for k in range(20):
             variant = ("gcn", "mlp")[(k // 2) % 2]
             model, pair = random_check_instance(k)
             labels.add((pair.label_y, variant))
-            worst = max(worst, gradient_check(model, TOPO, pair,
-                                              variant=variant))
+            errs.append(gradient_check(model, TOPO, pair, variant=variant))
+        # np.max, unlike max(), keeps a NaN error, which then fails the check
+        worst = float(np.max(errs))
         elapsed = time.perf_counter() - start
         ok = worst < 1e-4 and elapsed < 30.0
         report(1, ok, f"20 instances, max rel err {worst:.3e}, {elapsed:.1f}s")

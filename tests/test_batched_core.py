@@ -1,8 +1,9 @@
 """The stacked array core against its single-pose and single-pair calls.
 
 Stacking must not change a single bit: a pose's normalized features and
-embedding are the same whatever stack it sits in, and a batch's summed
-gradient is the sequential sum of its pairs' pair_backward results.
+embedding are the same whatever stack it sits in, a batch's summed
+gradient is the sequential sum of its pairs' pair_backward results, and the
+stacked gradient check equals the per-coordinate loop it replaced.
 """
 
 import numpy as np
@@ -10,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posesim.network import embed, forward_variant, init_model
+from posesim.network import (
+    EmbeddingModel,
+    embed,
+    forward_variant,
+    init_model,
+    parameter_list,
+)
 from posesim.scoring import evaluate, score_pair
 from posesim.skeleton import (
     NUM_KEYPOINTS,
@@ -24,9 +31,12 @@ from posesim.training import (
     PosePair,
     TrainConfig,
     _BatchGradient,
+    _pair_losses,
     cosine_distance,
+    cosine_distances,
     gradient_check,
     pair_backward,
+    random_check_instance,
     train,
 )
 
@@ -104,6 +114,63 @@ def test_batch_gradient_is_sequential_sum_of_pair_backward(kp, labels_seed,
             t += g
     for got, want in zip(core.grads, total):
         assert got.tobytes() == want.tobytes()
+
+
+def loop_gradient_check(model, topo, pair, cfg, variant, fd_epsilon):
+    """The per-coordinate loop gradient_check replaced: each coordinate of a
+    private copy is moved in place and both twins are embedded from scratch.
+    Python's max() drops a NaN error here; gradient_check returns NaN."""
+    work = EmbeddingModel(model.gcn_weights, model.mlp_layers, model.arch)
+    _, analytic = pair_backward(work, topo, pair, cfg, variant)
+    x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
+
+    def loss_at_current():
+        emb, _ = embed(work, x, topo, variant)
+        d = float(cosine_distances(emb)[0])
+        return float(_pair_losses(d, pair.label_y, cfg.margin_m)[0])
+
+    worst = 0.0
+    for p, ga in zip(parameter_list(work), analytic):
+        flat = p.reshape(-1)
+        gflat = ga.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + fd_epsilon
+            up = loss_at_current()
+            flat[i] = orig - fd_epsilon
+            down = loss_at_current()
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * fd_epsilon)
+            denom = max(abs(gflat[i]), abs(numeric), 1e-8)
+            worst = max(worst, abs(gflat[i] - numeric) / denom)
+    return float(worst)
+
+
+@settings(max_examples=12, deadline=None)
+@given(h=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       label=st.integers(0, 1), variant=st.sampled_from(VARIANTS),
+       margin=st.floats(0.05, 2.0),
+       fd_epsilon=st.floats(1e-8, 1e-3))
+def test_gradient_check_matches_per_coordinate_loop(h, seed, label, variant,
+                                                    margin, fd_epsilon):
+    rng = np.random.default_rng(seed)
+    model = init_model(h=h, seed=seed)
+    pair = PosePair(Pose(rng.uniform(-3.0, 3.0, size=(NUM_KEYPOINTS, 2))),
+                    Pose(rng.uniform(-3.0, 3.0, size=(NUM_KEYPOINTS, 2))), label)
+    cfg = TrainConfig(margin_m=margin)
+    got = gradient_check(model, TOPO, pair, cfg, variant, fd_epsilon)
+    want = loop_gradient_check(model, TOPO, pair, cfg, variant, fd_epsilon)
+    assert repr(got) == repr(want)
+
+
+def test_gradient_check_leaves_model_buffers_untouched():
+    model, pair = random_check_instance(7)
+    buffers = parameter_list(model)
+    before = [p.tobytes() for p in buffers]
+    for variant in VARIANTS:
+        gradient_check(model, TOPO, pair, variant=variant)
+    assert all(a is b for a, b in zip(parameter_list(model), buffers))
+    assert [p.tobytes() for p in buffers] == before
 
 
 MODEL = init_model(h=2, seed=4)

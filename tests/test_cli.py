@@ -1,11 +1,9 @@
 import json
 import re
 
-import numpy as np
 import pytest
 
 from posesim.cli import main
-from posesim.corpus import parse_pose_file
 from posesim.network import init_model, load_checkpoint, save_checkpoint
 
 
@@ -92,6 +90,30 @@ class TestTrain:
     def test_missing_pair_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--pairs",
                            str(tmp_path / "nope.json"), "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error:")
+
+    # path None: the whole file becomes JSON nested too deep to parse;
+    # otherwise that field becomes an integer too large for a float
+    @pytest.mark.parametrize("name, path", [
+        ("pairs.json", None),
+        ("pairs.json", ("pairs", 0, "magnitude")),
+        ("poses.json", ("records", 0, "keypoints", 0, 0)),
+    ], ids=["deep-nesting", "huge-magnitude", "huge-keypoint"])
+    def test_unparseable_corpus_fails(self, tmp_path, capsys, name, path):
+        corpus = gen_small(tmp_path, capsys)
+        target = corpus / name
+        data = b"[" * 100_000
+        if path is not None:
+            doc = json.loads(target.read_bytes())
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = 10 ** 400
+            data = json.dumps(doc).encode()
+        target.write_bytes(data)
+        code, _, err = run(capsys, "train", "--pairs", str(corpus / "pairs.json"),
+                           "--out", str(tmp_path / "run"))
         assert code == 1
         assert err.startswith("error:")
 
@@ -214,6 +236,16 @@ class TestGradcheck:
         assert code == 1
         assert "gradient check failed" in err
         assert "max_rel_err=" in stdout
+
+    def test_nan_instance_error_fails(self, capsys, monkeypatch):
+        errs = iter([1e-6, float("nan"), 1e-6])
+        monkeypatch.setattr("posesim.cli.gradient_check",
+                            lambda *args, **kwargs: next(errs))
+        code, stdout, err = run(capsys, "gradcheck", "--instances", "3",
+                                "--seed", "11")
+        assert code == 1
+        assert "max_rel_err=nan" in stdout
+        assert "gradient check failed" in err
 
     def test_instances_validated(self, capsys):
         code, _, err = run(capsys, "gradcheck", "--instances", "0")

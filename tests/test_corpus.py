@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posesim.corpus import (
     PairEntry,
@@ -24,6 +26,60 @@ from posesim.skeleton import KEYPOINT_NAMES, NUM_KEYPOINTS
 
 def random_record(rng, rec_id, **kw):
     return PoseRecord(id=rec_id, keypoints=rng.uniform(-2, 2, (15, 2)), **kw)
+
+
+_RNG = np.random.Generator(np.random.PCG64(5))
+VALID_POSE_FILE = write_pose_file([
+    random_record(_RNG, "a", confidences=(0.5,) * NUM_KEYPOINTS,
+                  category="standing", quality_score=0.25),
+    random_record(_RNG, "b"),
+])
+VALID_PAIR_FILE = write_pair_file(PairFile(poses="poses.json", entries=(
+    PairEntry(a="a", b="b", y=1, magnitude=0.03),
+    PairEntry(a="b", b="a", y=0),
+)))
+
+# Fields of each file, as paths of keys and indices, for the properties below
+POSE_FILE_PATHS = (
+    ("format_version",), ("keypoint_order",), ("keypoint_order", 3),
+    ("records",), ("records", 0), ("records", 0, "id"), ("records", 1, "id"),
+    ("records", 0, "keypoints"), ("records", 0, "keypoints", 4),
+    ("records", 0, "keypoints", 4, 1), ("records", 0, "confidences"),
+    ("records", 0, "confidences", 2), ("records", 0, "category"),
+    ("records", 0, "quality_score"),
+)
+PAIR_FILE_PATHS = (
+    ("format_version",), ("poses",), ("pairs",), ("pairs", 0),
+    ("pairs", 0, "a"), ("pairs", 1, "b"), ("pairs", 0, "y"),
+    ("pairs", 0, "magnitude"),
+)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10 ** 308, 10 ** 400)
+    | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8)
+
+
+def replaced(data: bytes, path, value) -> bytes:
+    """data with the field at path set to value, or deleted for KeyError."""
+    doc = json.loads(data)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is KeyError:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc).encode()
+
+
+def parses_or_raises_value_error(parse, data: bytes) -> None:
+    try:
+        parse(data)
+    except ValueError:
+        pass
 
 
 class TestPoseRecord:
@@ -202,6 +258,38 @@ class TestPairFile:
                "pairs": [{"a": "x", "b": "y", "y": 3}]}
         with pytest.raises(ValueError, match="pair at index 0"):
             parse_pair_file(json.dumps(raw).encode())
+
+
+class TestParserProperties:
+    """Any input either parses or raises ValueError, never anything else."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=256),
+           parse=st.sampled_from([parse_pose_file, parse_pair_file]))
+    @example(data=b"[" * 100_000, parse=parse_pose_file)
+    @example(data=b"[" * 100_000, parse=parse_pair_file)
+    def test_arbitrary_bytes_parse_or_raise_value_error(self, data, parse):
+        parses_or_raises_value_error(parse, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(path=st.sampled_from(POSE_FILE_PATHS),
+           value=json_values | st.just(KeyError))
+    @example(path=("records", 0, "keypoints", 4, 1), value=10 ** 400)
+    @example(path=("records", 0, "confidences", 2), value=10 ** 400)
+    @example(path=("records", 0, "quality_score"), value=10 ** 400)
+    def test_pose_field_replacements_parse_or_raise_value_error(self, path,
+                                                                value):
+        parses_or_raises_value_error(
+            parse_pose_file, replaced(VALID_POSE_FILE, path, value))
+
+    @settings(max_examples=150, deadline=None)
+    @given(path=st.sampled_from(PAIR_FILE_PATHS),
+           value=json_values | st.just(KeyError))
+    @example(path=("pairs", 0, "magnitude"), value=10 ** 400)
+    def test_pair_field_replacements_parse_or_raise_value_error(self, path,
+                                                                value):
+        parses_or_raises_value_error(
+            parse_pair_file, replaced(VALID_PAIR_FILE, path, value))
 
 
 class TestBuildPosePairs:

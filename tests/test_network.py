@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from posesim.network import (
     AffineLayer,
     EmbeddingModel,
-    copy_model,
     forward_variant,
     init_model,
     load_checkpoint,
@@ -20,7 +19,6 @@ from posesim.network import (
 )
 from posesim.skeleton import (
     NUM_KEYPOINTS,
-    NormalizedPose,
     Pose,
     build_skeleton_topology,
     normalize_pose,
@@ -164,12 +162,6 @@ class TestModelValidation:
                                  model.mlp_layers, model.arch)
         w0[0, 0] = 99.0
         assert rebuilt.gcn_weights[0][0, 0] != 99.0
-
-    def test_copy_model_is_independent(self):
-        model = init_model(h=2, seed=0)
-        dup = copy_model(model)
-        dup.gcn_weights[0][0, 0] = 42.0
-        assert model.gcn_weights[0][0, 0] != 42.0
 
 
 class TestForward:
@@ -317,6 +309,11 @@ class TestCheckpoint:
         doc["format_version"] = 2
         with pytest.raises(ValueError, match="format_version"):
             load_checkpoint(json.dumps(doc).encode())
+
+    def test_version_checked_before_any_field(self):
+        with pytest.raises(ValueError,
+                           match="unsupported checkpoint format_version 2"):
+            load_checkpoint(b'{"format_version": 2, "weights": []}')
 
     def test_shape_mismatch_rejected(self):
         doc = json.loads(save_checkpoint(init_model(h=2, seed=0)))

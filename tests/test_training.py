@@ -7,7 +7,6 @@ import pytest
 from posesim.network import forward_variant, init_model, parameter_list
 from posesim.skeleton import NUM_KEYPOINTS, Pose, build_skeleton_topology, normalize_pose
 from posesim.training import (
-    AdamState,
     PosePair,
     TrainConfig,
     adam_step,
@@ -196,6 +195,21 @@ class TestPairBackward:
             err = gradient_check(model, TOPO, pair, TrainConfig(),
                                  variant="gcn", fd_epsilon=eps)
             assert err < 1e-4
+
+    @pytest.mark.parametrize("eps", [float("inf"), float("nan"), 0.0, -1e-6])
+    def test_gradient_check_rejects_bad_step(self, eps):
+        model, pair = random_check_instance(42)
+        with pytest.raises(ValueError, match="fd_epsilon"):
+            gradient_check(model, TOPO, pair, fd_epsilon=eps)
+
+    @pytest.mark.parametrize("variant", ["gcn", "mlp"])
+    def test_gradient_check_nan_coordinate_makes_result_nan(self, variant):
+        # a step this large overflows some losses, and inf - inf is nan
+        model, pair = random_check_instance(42)
+        with np.errstate(all="ignore"):
+            err = gradient_check(model, TOPO, pair, variant=variant,
+                                 fd_epsilon=1e300)
+        assert np.isnan(err)
 
     def test_inactive_negative_has_zero_gradients(self):
         # a margin at half the pair's actual distance keeps the hinge
