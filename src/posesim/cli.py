@@ -2,9 +2,9 @@
 and gradient checking.
 
 Every subcommand is deterministic given its flags, diagnostics go to stderr,
-and data goes to files or stdout. Flag defaults reproduce the reference
-configuration (lr 1e-4, batch 64, 50 epochs, margin 1.35, sigma 100, u 0.3,
-hidden width 2), so the zero-flag path is the canonical run.
+and data goes to files or stdout. Flag defaults are the field defaults of the
+config dataclasses (SynthConfig, TrainConfig, ScoreParams, ArchMeta), the
+reference configuration, so the zero-flag path is the canonical run.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from posesim.corpus import (
     write_pair_file,
     write_pose_file,
 )
-from posesim.network import init_model, load_checkpoint, save_checkpoint
+from posesim.network import ArchMeta, init_model, load_checkpoint, save_checkpoint
 from posesim.scoring import (
     ScoreParams,
     evaluate,
@@ -60,11 +60,6 @@ def _parse_jitter(text: str) -> tuple:
         return tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad --jitter list {text!r}: {exc}") from exc
-
-
-def _load_model(path: str):
-    data = Path(path).read_bytes()
-    return load_checkpoint(data)
 
 
 def cmd_gen(args) -> int:
@@ -109,7 +104,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    model = _load_model(args.checkpoint)
+    model = load_checkpoint(Path(args.checkpoint).read_bytes())
     records = parse_pose_file(Path(args.poses).read_bytes())
     by_id = {rec.id: rec for rec in records}
     for ref in (args.id_a, args.id_b):
@@ -131,7 +126,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _load_model(args.checkpoint)
+    model = load_checkpoint(Path(args.checkpoint).read_bytes())
     pairs, ids = load_corpus(args.pairs)
     topo = build_skeleton_topology()
     report = evaluate(model, topo, pairs, variant=args.variant, pair_ids=ids)
@@ -173,11 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     gen = sub.add_parser("gen", help="synthesize a labelled pose corpus")
-    gen.add_argument("--templates", type=int, default=8)
-    gen.add_argument("--pairs-per-template", type=int, default=32)
-    gen.add_argument("--jitter", default="0.01,0.03,0.05,0.10",
+    gen.add_argument("--templates", type=int, default=SynthConfig.template_count)
+    gen.add_argument("--pairs-per-template", type=int,
+                     default=SynthConfig.pairs_per_template)
+    gen.add_argument("--jitter",
+                     default=",".join(map(repr, SynthConfig.jitter_levels)),
                      help="comma-separated jitter levels, ascending")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, default=SynthConfig.seed)
     gen.add_argument("--out", required=True,
                      help=f"output directory ({POSE_FILE}, {PAIR_FILE})")
     gen.set_defaults(func=cmd_gen)
@@ -187,12 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", required=True,
                     help=f"output directory ({CHECKPOINT_FILE}, {HISTORY_FILE})")
     tr.add_argument("--variant", choices=("gcn", "mlp"), default="gcn")
-    tr.add_argument("--lr", type=float, default=1e-4)
-    tr.add_argument("--batch-size", type=int, default=64)
-    tr.add_argument("--epochs", type=int, default=50)
-    tr.add_argument("--margin", type=float, default=1.35)
-    tr.add_argument("--hidden", type=int, default=2)
-    tr.add_argument("--seed", type=int, default=0,
+    tr.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    tr.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    tr.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    tr.add_argument("--margin", type=float, default=TrainConfig.margin_m)
+    tr.add_argument("--hidden", type=int, default=ArchMeta.gcn_hidden)
+    tr.add_argument("--seed", type=int, default=TrainConfig.seed,
                     help="epoch shuffling seed")
     tr.add_argument("--init-seed", type=int, default=DEFAULT_INIT_SEED,
                     help="weight initialization seed")
@@ -204,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--a", dest="id_a", required=True, help="first pose id")
     sc.add_argument("--b", dest="id_b", required=True, help="second pose id")
     sc.add_argument("--variant", choices=("gcn", "mlp"), default="gcn")
-    sc.add_argument("--sigma", type=float, default=100.0)
-    sc.add_argument("--width", type=float, default=0.3)
+    sc.add_argument("--sigma", type=float, default=ScoreParams.amplitude_sigma)
+    sc.add_argument("--width", type=float, default=ScoreParams.width_u)
     sc.add_argument("--round", action="store_true",
                     help="round the printed score; files stay full precision")
     sc.add_argument("--out", default=None, help="optional CSV path")

@@ -10,15 +10,15 @@ deterministically from one seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from posesim.skeleton import KEYPOINT_NAMES, NUM_KEYPOINTS, Pose
-from posesim.training import PosePair
+from posesim.network import read_document, write_document
+from posesim.skeleton import KEYPOINT_NAMES, NUM_KEYPOINTS, Pose, _validated_coords
+from posesim.training import PosePair, checked_label
 
 FILE_VERSION = 1
 
@@ -96,14 +96,8 @@ class PoseRecord:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise ValueError(f"record id must be a nonempty string, got {self.id!r}")
-        pts = np.array(self.keypoints, dtype=np.float64)
-        if pts.shape != (NUM_KEYPOINTS, 2):
-            raise ValueError(f"record {self.id!r}: keypoints must be "
-                             f"{NUM_KEYPOINTS}x2, got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError(f"record {self.id!r}: non-finite keypoint")
-        pts.flags.writeable = False
-        object.__setattr__(self, "keypoints", pts)
+        object.__setattr__(self, "keypoints", _validated_coords(
+            self.keypoints, f"record {self.id!r}: keypoints"))
         if self.confidences is not None:
             conf = tuple(float(c) for c in self.confidences)
             if len(conf) != NUM_KEYPOINTS:
@@ -138,13 +132,11 @@ class PairEntry:
             v = getattr(self, name)
             if not isinstance(v, str) or not v:
                 raise ValueError(f"pair field {name} must be a nonempty string, got {v!r}")
-        if self.y not in (0, 1):
-            raise ValueError(f"pair {self.a!r}/{self.b!r}: y must be 0 or 1")
-        if self.magnitude is not None:
-            mag = float(self.magnitude)
-            if not (math.isfinite(mag) and mag >= 0.0):
-                raise ValueError(f"pair {self.a!r}/{self.b!r}: magnitude must be >= 0")
-            object.__setattr__(self, "magnitude", mag)
+        try:
+            mag = checked_label(self.y, self.magnitude)
+        except ValueError as exc:
+            raise ValueError(f"pair {self.a!r}/{self.b!r}: {exc}") from exc
+        object.__setattr__(self, "magnitude", mag)
 
 
 @dataclass(frozen=True)
@@ -177,25 +169,12 @@ class SynthConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-def _load_json(data: bytes, what: str) -> dict:
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"malformed {what} file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"malformed {what} file: top level must be an object")
-    version = doc.get("format_version")
-    if version != FILE_VERSION:
-        raise ValueError(f"unsupported {what} file format_version {version!r}")
-    return doc
-
-
 def parse_pose_file(data: bytes) -> list[PoseRecord]:
     """Parse and validate a pose file; record order is preserved.
 
     Errors name the offending record wherever an id is available.
     """
-    doc = _load_json(data, "pose")
+    doc = read_document(data, "pose file", FILE_VERSION)
     if doc.get("keypoint_order") != list(KEYPOINT_NAMES):
         raise ValueError("pose file keypoint_order does not match the "
                          "15-joint skeleton layout")
@@ -244,16 +223,12 @@ def write_pose_file(records) -> bytes:
         if rec.quality_score is not None:
             row["quality_score"] = rec.quality_score
         out.append(row)
-    doc = {
-        "format_version": FILE_VERSION,
-        "keypoint_order": list(KEYPOINT_NAMES),
-        "records": out,
-    }
-    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
+    return write_document({"keypoint_order": list(KEYPOINT_NAMES),
+                           "records": out}, FILE_VERSION)
 
 
 def parse_pair_file(data: bytes) -> PairFile:
-    doc = _load_json(data, "pair")
+    doc = read_document(data, "pair file", FILE_VERSION)
     poses = doc.get("poses")
     if not isinstance(poses, str) or not poses:
         raise ValueError("pair file must reference a pose file in 'poses'")
@@ -280,23 +255,19 @@ def write_pair_file(pair_file: PairFile) -> bytes:
         if e.magnitude is not None:
             row["magnitude"] = e.magnitude
         rows.append(row)
-    doc = {
-        "format_version": FILE_VERSION,
-        "poses": pair_file.poses,
-        "pairs": rows,
-    }
-    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
+    return write_document({"poses": pair_file.poses, "pairs": rows},
+                          FILE_VERSION)
 
 
 def build_pose_pairs(records, entries):
     """Join pair entries against records; returns (pairs, pair_ids)."""
-    by_id = {rec.id: rec for rec in records}
+    poses = {rec.id: rec.pose() for rec in records}
     pairs, ids = [], []
     for e in entries:
         for ref in (e.a, e.b):
-            if ref not in by_id:
+            if ref not in poses:
                 raise ValueError(f"pair references unknown pose id {ref!r}")
-        pairs.append(PosePair(by_id[e.a].pose(), by_id[e.b].pose(), e.y,
+        pairs.append(PosePair(poses[e.a], poses[e.b], e.y,
                               magnitude=e.magnitude))
         ids.append(f"{e.a}:{e.b}")
     return pairs, ids

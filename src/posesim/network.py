@@ -1,4 +1,5 @@
-"""The pose embedding network and its checkpoint format.
+"""The pose embedding network, its checkpoint format, and the versioned-JSON
+codec that checkpoints, pose files and pair files share.
 
 Two graph convolution layers propagate normalized keypoint features over the
 skeleton graph, the 15x2 result is flattened node-major into a 30-vector, and
@@ -239,22 +240,42 @@ def forward_variant(model: EmbeddingModel, pose: NormalizedPose,
     return embedding[0], cache.take(0)
 
 
-def save_checkpoint(model: EmbeddingModel) -> bytes:
-    """Serialize a model to UTF-8 JSON.
+def read_document(data: bytes, what: str, version: int) -> dict:
+    """Decode JSON whose top level is an object with format_version the int
+    `version` itself (not true, not 1.0); ValueError naming `what` for any
+    other bytes. The version decides which fields a document has, so it is
+    checked before the caller reads any other field."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"malformed {what}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed {what}: top level must be an object")
+    found = doc.get("format_version")
+    if type(found) is not int or found != version:
+        raise ValueError(f"unsupported {what} format_version {found!r}")
+    return doc
 
-    Floats keep full round-trip precision, so load(save(m)) reproduces the
-    parameters bit for bit. Keys are sorted, making the output byte-stable.
-    """
-    doc = {
-        "format_version": CHECKPOINT_VERSION,
+
+def write_document(doc: dict, version: int) -> bytes:
+    """The canonical UTF-8 JSON of doc stamped with format_version: sorted
+    keys, indent 1, a trailing newline. Floats keep full round-trip
+    precision, so the bytes are stable and read_document inverts them."""
+    doc = {"format_version": version, **doc}
+    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
+
+
+def save_checkpoint(model: EmbeddingModel) -> bytes:
+    """Serialize a model to canonical JSON; load(save(m)) reproduces the
+    parameters bit for bit and save(load(b)) the bytes."""
+    return write_document({
         "arch": {"gcn_hidden": model.arch.gcn_hidden, **LAYOUT},
         "seed": model.arch.seed,
         "gcn_w0": model.gcn_weights[0].tolist(),
         "gcn_w1": model.gcn_weights[1].tolist(),
         "mlp": [{"w": layer.w.tolist(), "b": layer.b.tolist()}
                 for layer in model.mlp_layers],
-    }
-    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
+    }, CHECKPOINT_VERSION)
 
 
 def load_checkpoint(data: bytes) -> EmbeddingModel:
@@ -265,16 +286,7 @@ def load_checkpoint(data: bytes) -> EmbeddingModel:
     layout other than LAYOUT, shape mismatches against the declared
     architecture, or non-finite parameters.
     """
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"malformed checkpoint: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("malformed checkpoint: top level must be an object")
-    # the version decides which fields a document has, so it is read first
-    version = doc.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version {version!r}")
+    doc = read_document(data, "checkpoint", CHECKPOINT_VERSION)
     try:
         arch_doc = doc["arch"]
         layout = {key: arch_doc[key] for key in LAYOUT}

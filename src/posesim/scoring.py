@@ -22,7 +22,7 @@ from posesim.skeleton import (
     distinct_poses,
     normalize_stack,
 )
-from posesim.training import PosePair, cosine_distances
+from posesim.training import cosine_distances
 
 # Distinct poses evaluate() embeds per call; the chunk bounds the memory its
 # intermediates take on a large corpus.

@@ -56,10 +56,13 @@ SKELETON_EDGES = (
 _SAFE_MAGNITUDE = 2.0 ** 1023
 
 
-def _validated_coords(values, shape, what: str) -> np.ndarray:
+def _validated_coords(values, what: str) -> np.ndarray:
+    """values as a read-only 15x2 float64 array of finite coordinates whose
+    per-axis extents are finite too; ValueError, naming what, otherwise."""
     arr = np.array(values, dtype=np.float64)
-    if arr.shape != shape:
-        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    if arr.shape != (NUM_KEYPOINTS, 2):
+        raise ValueError(f"{what} must have shape {NUM_KEYPOINTS}x2, "
+                         f"got {arr.shape}")
     if not np.abs(arr).max() < _SAFE_MAGNITUDE:  # also catches nan
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{what} contains non-finite values")
@@ -84,7 +87,7 @@ class Pose:
     keypoints: np.ndarray
 
     def __post_init__(self):
-        kp = _validated_coords(self.keypoints, (NUM_KEYPOINTS, 2), "keypoints")
+        kp = _validated_coords(self.keypoints, "keypoints")
         object.__setattr__(self, "keypoints", kp)
 
 
@@ -100,7 +103,7 @@ class NormalizedPose:
     features: np.ndarray
 
     def __post_init__(self):
-        f = _validated_coords(self.features, (NUM_KEYPOINTS, 2), "features")
+        f = _validated_coords(self.features, "features")
         if f.min() < 0.0 or f.max() > 1.0:
             raise ValueError("normalized features must lie in [0, 1]")
         object.__setattr__(self, "features", f)
@@ -115,8 +118,6 @@ class SkeletonTopology:
     convolution layer. Instances are immutable and shareable.
     """
 
-    node_count: int
-    edges: tuple[tuple[int, int], ...]
     adjacency_raw: np.ndarray
     adjacency_norm: np.ndarray
 
@@ -164,12 +165,7 @@ def build_skeleton_topology() -> SkeletonTopology:
     a_norm = symmetric_normalize(c_hat)
     c_hat.flags.writeable = False
     a_norm.flags.writeable = False
-    return SkeletonTopology(
-        node_count=NUM_KEYPOINTS,
-        edges=SKELETON_EDGES,
-        adjacency_raw=c_hat,
-        adjacency_norm=a_norm,
-    )
+    return SkeletonTopology(adjacency_raw=c_hat, adjacency_norm=a_norm)
 
 
 def distinct_poses(poses) -> tuple[np.ndarray, np.ndarray]:
@@ -196,21 +192,18 @@ def normalize_stack(keypoints) -> np.ndarray:
     """Min-max normalize a (n, 15, 2) stack of poses per pose and axis.
 
     Row i equals normalize_pose of pose i bit for bit: the same per-element
-    subtraction and division, with 0.5 on an axis of zero extent. Raises
-    ValueError for a wrongly shaped or non-finite stack.
+    subtraction and division, with 0.5 on an axis of zero extent.
+
+    Precondition, not checked here: every pose is the keypoints of a Pose,
+    so its coordinates and per-axis extents are finite. Every feature then
+    lies in [0, 1], since rounding is monotone: lo <= p <= hi gives
+    0 <= p - lo <= hi - lo and so a quotient in [0, 1].
     """
     kp = np.asarray(keypoints, dtype=np.float64)
-    if kp.ndim != 3 or kp.shape[1:] != (NUM_KEYPOINTS, 2):
-        raise ValueError(f"keypoint stack must have shape (n, {NUM_KEYPOINTS}, 2), "
-                         f"got {kp.shape}")
-    if not np.all(np.isfinite(kp)):
-        raise ValueError("pose contains non-finite coordinates")
     lo = kp.min(axis=1, keepdims=True)
     extent = kp.max(axis=1, keepdims=True) - lo
     features = np.full_like(kp, 0.5)
     np.divide(kp - lo, extent, out=features, where=extent != 0.0)
-    if features.min() < 0.0 or features.max() > 1.0:
-        raise ValueError("normalized features must lie in [0, 1]")
     return features
 
 

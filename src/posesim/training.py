@@ -16,6 +16,7 @@ batch is trained rather than dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,11 +45,32 @@ NORM_FLOOR = 1e-12
 
 DEFAULT_MARGIN = 1.35
 
+# Adam's moment decay rates and denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 # Pairs whose per-twin gradients exist at once in _BatchGradient
 PAIRS_PER_CHUNK = 8
 
 # Coordinates gradient_check perturbs in one stacked pass (2 copies each)
 COORDS_PER_CHUNK = 16
+
+
+def checked_label(y, magnitude):
+    """The rule for a pair's label and magnitude, wherever a pair enters.
+
+    y must be the int 0 or 1 (a bool is not a label); magnitude, if given,
+    a finite number >= 0. Returns magnitude as a float, or None.
+    """
+    if type(y) is not int or y not in (0, 1):
+        raise ValueError(f"y must be 0 or 1 (an int), got {y!r}")
+    if magnitude is None:
+        return None
+    mag = float(magnitude)
+    if not (math.isfinite(mag) and mag >= 0.0):
+        raise ValueError(f"magnitude must be finite and >= 0, got {magnitude!r}")
+    return mag
 
 
 @dataclass(frozen=True)
@@ -65,10 +87,8 @@ class PosePair:
     magnitude: float | None = None
 
     def __post_init__(self):
-        if self.label_y not in (0, 1):
-            raise ValueError(f"label_y must be 0 or 1, got {self.label_y!r}")
-        if self.magnitude is not None and not self.magnitude >= 0.0:
-            raise ValueError(f"magnitude must be >= 0, got {self.magnitude!r}")
+        object.__setattr__(self, "magnitude",
+                           checked_label(self.label_y, self.magnitude))
 
 
 @dataclass(frozen=True)
@@ -76,10 +96,7 @@ class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 64
     epochs: int = 50
-    margin_m: float = 1.35
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
+    margin_m: float = DEFAULT_MARGIN
     seed: int = 0
 
     def __post_init__(self):
@@ -91,11 +108,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not 0 < self.margin_m <= 2:
             raise ValueError("margin_m must be in (0, 2]")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 < getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in (0, 1)")
-        if not self.adam_epsilon > 0:
-            raise ValueError("adam_epsilon must be > 0")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -350,7 +362,7 @@ def adam_step(model: EmbeddingModel, grads, state: AdamState,
     if len(grads) != len(params):
         raise ValueError(f"expected {len(params)} gradients, got {len(grads)}")
     state.t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -360,7 +372,7 @@ def adam_step(model: EmbeddingModel, grads, state: AdamState,
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_epsilon)
+        p -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPSILON)
     return model, state
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 
+from posesim.cli import DEFAULT_INIT_SEED as INIT_SEED
 from posesim.cli import main as cli_main
 from posesim.corpus import (
     SynthConfig,
@@ -44,10 +45,10 @@ from posesim.training import (
 
 TOPO = build_skeleton_topology()
 
-# end-to-end fixture: corpus draw seed, shuffle-split seed, weight init seed
+# end-to-end fixture: corpus draw seed, shuffle-split seed; the weight init
+# seed is the CLI's default
 CORPUS_SEED = 1
 SPLIT_SEED = 7
-INIT_SEED = 4
 
 
 def report(num, ok, detail):
@@ -104,7 +105,7 @@ class TestCriterion2:
     def test_embedding_invariant_to_per_axis_affine_maps(self):
         rng = np.random.Generator(np.random.PCG64(2))
         model = init_model(h=2, seed=INIT_SEED)
-        worst = 0.0
+        deviations = []
         for _ in range(100):
             pts = rng.uniform(-3.0, 3.0, (NUM_KEYPOINTS, 2))
             scale = rng.uniform(0.1, 10.0, 2)
@@ -114,7 +115,9 @@ class TestCriterion2:
                        lambda p: forward_variant(model, p, None, "mlp")[0]):
                 e1 = fn(normalize_pose(Pose(pts)))
                 e2 = fn(normalize_pose(Pose(moved)))
-                worst = max(worst, float(np.max(np.abs(e1 - e2))))
+                deviations.append(np.max(np.abs(e1 - e2)))
+        # np.max, unlike max(), keeps a NaN deviation, which then fails
+        worst = float(np.max(deviations))
         ok = worst < 1e-12
         report(2, ok, f"100 poses, both variants, max deviation {worst:.3e}")
         assert worst < 1e-12
@@ -186,12 +189,12 @@ class TestCriterion5:
         return cov / math.sqrt(vx * vy)
 
     def test_exact_agreement_with_rank_pearson_oracle(self):
-        worst = 0.0
+        diffs = []
         checked = 0
         for n in range(2, 7):
             xs = list(range(n))
             for perm in itertools.permutations(range(n)):
-                worst = max(worst, abs(spearman_rho(xs, perm) - self.oracle(xs, perm)))
+                diffs.append(abs(spearman_rho(xs, perm) - self.oracle(xs, perm)))
                 checked += 1
         rng = np.random.Generator(np.random.PCG64(5))
         tied = 0
@@ -201,8 +204,9 @@ class TestCriterion5:
             ys = rng.integers(0, 6, n).astype(float)
             if np.ptp(xs) == 0 or np.ptp(ys) == 0:
                 continue
-            worst = max(worst, abs(spearman_rho(xs, ys) - self.oracle(xs, ys)))
+            diffs.append(abs(spearman_rho(xs, ys) - self.oracle(xs, ys)))
             tied += 1
+        worst = float(np.max(diffs))  # a NaN difference stays NaN and fails
         ok = worst <= 1e-12
         report(5, ok, f"{checked} permutations + 1000 tied lists, "
                       f"max |diff| {worst:.3e}")

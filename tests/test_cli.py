@@ -1,10 +1,20 @@
 import json
 import re
+from dataclasses import astuple
 
 import pytest
 
-from posesim.cli import main
-from posesim.network import init_model, load_checkpoint, save_checkpoint
+from posesim.cli import _parse_jitter, build_parser, main
+from posesim.corpus import (
+    SynthConfig,
+    parse_pair_file,
+    parse_pose_file,
+    write_pair_file,
+    write_pose_file,
+)
+from posesim.network import ArchMeta, init_model, load_checkpoint, save_checkpoint
+from posesim.scoring import ScoreParams
+from posesim.training import TrainConfig
 
 
 def run(capsys, *argv):
@@ -87,29 +97,44 @@ class TestTrain:
         b = train_small(tmp_path, capsys, corpus, variant="mlp")
         assert (a / "model.json").read_bytes() != (b / "model.json").read_bytes()
 
+    def test_written_files_round_trip_canonically(self, tmp_path, capsys):
+        corpus = gen_small(tmp_path, capsys)
+        out = train_small(tmp_path, capsys, corpus)
+        for path, parse, write in [
+            (corpus / "poses.json", parse_pose_file, write_pose_file),
+            (corpus / "pairs.json", parse_pair_file, write_pair_file),
+            (out / "model.json", load_checkpoint, save_checkpoint),
+        ]:
+            data = path.read_bytes()
+            assert write(parse(data)) == data
+
     def test_missing_pair_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--pairs",
                            str(tmp_path / "nope.json"), "--out", str(tmp_path))
         assert code == 1
         assert err.startswith("error:")
 
-    # path None: the whole file becomes JSON nested too deep to parse;
-    # otherwise that field becomes an integer too large for a float
-    @pytest.mark.parametrize("name, path", [
+    # edits None: the whole file becomes JSON nested too deep to parse;
+    # otherwise each (path, value) edit sets that field
+    @pytest.mark.parametrize("name, edits", [
         ("pairs.json", None),
-        ("pairs.json", ("pairs", 0, "magnitude")),
-        ("poses.json", ("records", 0, "keypoints", 0, 0)),
-    ], ids=["deep-nesting", "huge-magnitude", "huge-keypoint"])
-    def test_unparseable_corpus_fails(self, tmp_path, capsys, name, path):
+        ("pairs.json", [(("pairs", 0, "magnitude"), 10 ** 400)]),
+        ("poses.json", [(("records", 0, "keypoints", 0, 0), 10 ** 400)]),
+        ("poses.json", [(("records", 0, "keypoints", 0, 0), -1e308),
+                        (("records", 0, "keypoints", 1, 0), 1e308)]),
+    ], ids=["deep-nesting", "huge-magnitude", "huge-keypoint",
+            "overflowing-extent"])
+    def test_unparseable_corpus_fails(self, tmp_path, capsys, name, edits):
         corpus = gen_small(tmp_path, capsys)
         target = corpus / name
         data = b"[" * 100_000
-        if path is not None:
+        if edits is not None:
             doc = json.loads(target.read_bytes())
-            parent = doc
-            for key in path[:-1]:
-                parent = parent[key]
-            parent[path[-1]] = 10 ** 400
+            for path, value in edits:
+                parent = doc
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = value
             data = json.dumps(doc).encode()
         target.write_bytes(data)
         code, _, err = run(capsys, "train", "--pairs", str(corpus / "pairs.json"),
@@ -257,6 +282,19 @@ class TestParser:
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_zero_flag_defaults_are_the_config_defaults(self):
+        parse = build_parser().parse_args
+        gen = parse(["gen", "--out", "o"])
+        assert astuple(SynthConfig()) == (gen.templates, gen.pairs_per_template,
+                                          _parse_jitter(gen.jitter), gen.seed)
+        tr = parse(["train", "--pairs", "p", "--out", "o"])
+        assert astuple(TrainConfig()) == (tr.lr, tr.batch_size, tr.epochs,
+                                          tr.margin, tr.seed)
+        assert tr.hidden == ArchMeta().gcn_hidden
+        sc = parse(["score", "--checkpoint", "c", "--poses", "p",
+                    "--a", "x", "--b", "y"])
+        assert astuple(ScoreParams()) == (sc.sigma, sc.width)
 
     def test_rejects_unknown_variant(self, capsys):
         with pytest.raises(SystemExit):

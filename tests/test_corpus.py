@@ -227,6 +227,13 @@ class TestPoseFileErrors:
         with pytest.raises(ValueError, match="index 0"):
             parse_pose_file(self.as_bytes(doc))
 
+    def test_overflowing_extent_names_record(self):
+        doc = self.good_doc()
+        doc["records"][0]["keypoints"][0][0] = -1e308
+        doc["records"][0]["keypoints"][1][0] = 1e308
+        with pytest.raises(ValueError, match="record 'a'.* x extent .* overflows"):
+            parse_pose_file(self.as_bytes(doc))
+
     def test_bad_confidences_names_record(self):
         doc = self.good_doc()
         doc["records"][0]["confidences"] = [2.0] * 15
@@ -253,11 +260,25 @@ class TestPairFile:
         with pytest.raises(ValueError, match="'poses'"):
             parse_pair_file(json.dumps({"format_version": 1, "pairs": []}).encode())
 
+    def test_bool_label_names_pair(self):
+        data = replaced(VALID_PAIR_FILE, ("pairs", 1, "y"), True)
+        with pytest.raises(ValueError, match="pair 'b'/'a': y must be 0 or 1"):
+            parse_pair_file(data)
+
     def test_bad_pair_indexed(self):
         raw = {"format_version": 1, "poses": "p.json",
                "pairs": [{"a": "x", "b": "y", "y": 3}]}
         with pytest.raises(ValueError, match="pair at index 0"):
             parse_pair_file(json.dumps(raw).encode())
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+@pytest.mark.parametrize("parse, data", [
+    (parse_pose_file, VALID_POSE_FILE), (parse_pair_file, VALID_PAIR_FILE),
+], ids=["pose", "pair"])
+def test_format_version_must_be_the_int_itself(parse, data, version):
+    with pytest.raises(ValueError, match="format_version"):
+        parse(replaced(data, ("format_version",), version))
 
 
 class TestParserProperties:

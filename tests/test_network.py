@@ -263,6 +263,31 @@ class TestForward:
         np.testing.assert_allclose(emb, want, atol=1e-10)
 
 
+# Integer coordinates up to 2^10, scaled by 2^k with |k| <= 20 and shifted by
+# an integer up to 2^20, need at most 51 significant bits: every moved
+# coordinate, difference and extent is exact in float64, so min-max
+# normalization must give the very same features and embeddings.
+@settings(max_examples=60, deadline=None)
+@given(coords=st.lists(st.integers(-2 ** 10, 2 ** 10),
+                       min_size=2 * NUM_KEYPOINTS, max_size=2 * NUM_KEYPOINTS),
+       exponents=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+       offset=st.tuples(st.integers(-2 ** 20, 2 ** 20),
+                        st.integers(-2 ** 20, 2 ** 20)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_exact_affine_maps_leave_features_and_embeddings_bit_identical(
+        coords, exponents, offset, seed):
+    kp = np.array(coords, dtype=np.float64).reshape(NUM_KEYPOINTS, 2)
+    moved = kp * np.ldexp(1.0, exponents) + np.array(offset, dtype=np.float64)
+    base, other = normalize_pose(Pose(kp)), normalize_pose(Pose(moved))
+    assert base.features.tobytes() == other.features.tobytes()
+    topo = build_skeleton_topology()
+    model = init_model(h=2, seed=seed)
+    for variant, t in (("gcn", topo), ("mlp", None)):
+        want, _ = forward_variant(model, base, t, variant)
+        got, _ = forward_variant(model, other, t, variant)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self):
         model = init_model(h=2, seed=17)
@@ -308,6 +333,13 @@ class TestCheckpoint:
         doc = json.loads(save_checkpoint(init_model(h=2, seed=0)))
         doc["format_version"] = 2
         with pytest.raises(ValueError, match="format_version"):
+            load_checkpoint(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_the_int_itself(self, version):
+        doc = json.loads(save_checkpoint(init_model(h=2, seed=0)))
+        doc["format_version"] = version
+        with pytest.raises(ValueError, match="unsupported checkpoint format_version"):
             load_checkpoint(json.dumps(doc).encode())
 
     def test_version_checked_before_any_field(self):

@@ -7,6 +7,9 @@ import pytest
 from posesim.network import forward_variant, init_model, parameter_list
 from posesim.skeleton import NUM_KEYPOINTS, Pose, build_skeleton_topology, normalize_pose
 from posesim.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     PosePair,
     TrainConfig,
     adam_step,
@@ -258,11 +261,11 @@ class TestAdam:
         """Textbook per-coordinate reference."""
         w, m, v = 0.0, 0.0, 0.0
         for t, g in enumerate(grad_seq, start=1):
-            m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
-            v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * g * g
-            mhat = m / (1 - cfg.adam_beta1 ** t)
-            vhat = v / (1 - cfg.adam_beta2 ** t)
-            w -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_epsilon)
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+            mhat = m / (1 - ADAM_BETA1 ** t)
+            vhat = v / (1 - ADAM_BETA2 ** t)
+            w -= cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
         return w
 
     def zeroed_model(self):
@@ -427,6 +430,16 @@ class TestConfigAndPairValidation:
             PosePair(a, a, 1, magnitude=-0.5)
         PosePair(a, a, 1, magnitude=0.0)  # boundary is legal
 
+    @pytest.mark.parametrize("label, magnitude", [
+        (True, None), (False, None), (1.0, None),
+        (1, float("inf")), (1, float("nan")),
+    ])
+    def test_pose_pair_rejects_non_int_label_and_non_finite_magnitude(
+            self, label, magnitude):
+        a = Pose(np.zeros((NUM_KEYPOINTS, 2)))
+        with pytest.raises(ValueError):
+            PosePair(a, a, label, magnitude=magnitude)
+
     def test_train_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
@@ -436,10 +449,6 @@ class TestConfigAndPairValidation:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(margin_m=2.5)
-        with pytest.raises(ValueError):
-            TrainConfig(adam_beta1=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(adam_epsilon=0.0)
         with pytest.raises(ValueError):
             TrainConfig(seed=-1)
 
