@@ -29,8 +29,6 @@ from posesim.network import (
     forward_variant,
     init_model,
     load_checkpoint,
-    parameter_count,
-    parameter_list,
     save_checkpoint,
 )
 from posesim.scoring import (
@@ -53,7 +51,6 @@ from posesim.skeleton import (
     SkeletonTopology,
     build_skeleton_topology,
     normalize_pose,
-    symmetric_normalize,
 )
 from posesim.training import (
     PosePair,
@@ -99,8 +96,6 @@ __all__ = [
     "load_checkpoint",
     "load_corpus",
     "normalize_pose",
-    "parameter_count",
-    "parameter_list",
     "parse_pair_file",
     "parse_pose_file",
     "random_check_instance",
@@ -111,7 +106,6 @@ __all__ = [
     "similarity_score",
     "spearman_rho",
     "split_corpus",
-    "symmetric_normalize",
     "train",
     "write_pair_file",
     "write_pose_file",

@@ -24,7 +24,8 @@ from posesim.corpus import (
     write_pair_file,
     write_pose_file,
 )
-from posesim.network import ArchMeta, init_model, load_checkpoint, save_checkpoint
+from posesim.network import (VARIANTS, ArchMeta, init_model, load_checkpoint,
+                              save_checkpoint)
 from posesim.scoring import (
     ScoreParams,
     evaluate,
@@ -112,8 +113,8 @@ def cmd_score(args) -> int:
             raise ValueError(f"unknown pose id {ref!r}")
     topo = build_skeleton_topology()
     params = ScoreParams(amplitude_sigma=args.sigma, width_u=args.width)
-    d_c, score = score_pair(model, topo, by_id[args.id_a].pose(),
-                            by_id[args.id_b].pose(), params,
+    d_c, score = score_pair(model, topo, by_id[args.id_a].pose,
+                            by_id[args.id_b].pose, params,
                             variant=args.variant)
     if args.round:
         print(f"d_c={d_c:.4f} score={score:.0f}")
@@ -183,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--pairs", required=True, help="pair file path")
     tr.add_argument("--out", required=True,
                     help=f"output directory ({CHECKPOINT_FILE}, {HISTORY_FILE})")
-    tr.add_argument("--variant", choices=("gcn", "mlp"), default="gcn")
+    tr.add_argument("--variant", choices=VARIANTS, default="gcn")
     tr.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     tr.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     tr.add_argument("--epochs", type=int, default=TrainConfig.epochs)
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--poses", required=True, help="pose file path")
     sc.add_argument("--a", dest="id_a", required=True, help="first pose id")
     sc.add_argument("--b", dest="id_b", required=True, help="second pose id")
-    sc.add_argument("--variant", choices=("gcn", "mlp"), default="gcn")
+    sc.add_argument("--variant", choices=VARIANTS, default="gcn")
     sc.add_argument("--sigma", type=float, default=ScoreParams.amplitude_sigma)
     sc.add_argument("--width", type=float, default=ScoreParams.width_u)
     sc.add_argument("--round", action="store_true",
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--pairs", required=True, help="pair file path")
     ev.add_argument("--out", required=True,
                     help=f"output directory ({REPORT_FILE}, {SUMMARY_FILE})")
-    ev.add_argument("--variant", choices=("gcn", "mlp"), default="gcn")
+    ev.add_argument("--variant", choices=VARIANTS, default="gcn")
     ev.set_defaults(func=cmd_eval)
 
     gc = sub.add_parser("gradcheck",
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--instances", type=int, default=20)
     gc.add_argument("--seed", type=int, default=0)
     gc.add_argument("--threshold", type=float, default=1e-4)
-    gc.add_argument("--variant", choices=("gcn", "mlp"), default="gcn")
+    gc.add_argument("--variant", choices=VARIANTS, default="gcn")
     gc.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from posesim.network import read_document, write_document
-from posesim.skeleton import KEYPOINT_NAMES, NUM_KEYPOINTS, Pose, _validated_coords
+from posesim.network import json_number, read_document, write_document
+from posesim.skeleton import KEYPOINT_NAMES, NUM_KEYPOINTS, Pose
 from posesim.training import PosePair, checked_label
 
 FILE_VERSION = 1
@@ -85,10 +85,15 @@ _PARENT = {0: 1, 1: 2, 2: 3, 4: 3, 5: 4, 6: 5, 10: 3, 9: 10, 11: 10,
 
 @dataclass(frozen=True)
 class PoseRecord:
-    """One named pose; confidences are carried through but never modeled."""
+    """One named pose; confidences are carried through but never modeled.
+
+    pose is the validated Pose itself, so its keypoints are checked once,
+    where the Pose is built. confidences and quality_score take JSON numbers
+    only (ints or floats, not bools or strings).
+    """
 
     id: str
-    keypoints: np.ndarray
+    pose: Pose
     confidences: tuple | None = None
     category: str | None = None
     quality_score: float | None = None
@@ -96,26 +101,24 @@ class PoseRecord:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise ValueError(f"record id must be a nonempty string, got {self.id!r}")
-        object.__setattr__(self, "keypoints", _validated_coords(
-            self.keypoints, f"record {self.id!r}: keypoints"))
+        if not isinstance(self.pose, Pose):
+            raise TypeError(f"pose must be a Pose, got {type(self.pose).__name__}")
         if self.confidences is not None:
-            conf = tuple(float(c) for c in self.confidences)
+            conf = tuple(json_number(c) for c in self.confidences)
             if len(conf) != NUM_KEYPOINTS:
-                raise ValueError(f"record {self.id!r}: confidences must have "
-                                 f"length {NUM_KEYPOINTS}, got {len(conf)}")
-            if not all(math.isfinite(c) and 0.0 <= c <= 1.0 for c in conf):
-                raise ValueError(f"record {self.id!r}: confidences must lie in [0, 1]")
+                raise ValueError(f"confidences must have length "
+                                 f"{NUM_KEYPOINTS}, got {len(conf)}")
+            if not all(c is not None and 0.0 <= c <= 1.0 for c in conf):
+                raise ValueError("confidences must be numbers in [0, 1]")
             object.__setattr__(self, "confidences", conf)
         if self.category is not None and not isinstance(self.category, str):
-            raise ValueError(f"record {self.id!r}: category must be a string")
+            raise ValueError("category must be a string")
         if self.quality_score is not None:
-            qs = float(self.quality_score)
-            if not math.isfinite(qs):
-                raise ValueError(f"record {self.id!r}: quality_score must be finite")
+            qs = json_number(self.quality_score)
+            if qs is None or not math.isfinite(qs):
+                raise ValueError(f"quality_score must be a finite number, "
+                                 f"got {self.quality_score!r}")
             object.__setattr__(self, "quality_score", qs)
-
-    def pose(self) -> Pose:
-        return Pose(self.keypoints)
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,8 @@ class SynthConfig:
 def parse_pose_file(data: bytes) -> list[PoseRecord]:
     """Parse and validate a pose file; record order is preserved.
 
-    Errors name the offending record wherever an id is available.
+    Errors name the offending record wherever an id is available; each
+    record's Pose is built once, here.
     """
     doc = read_document(data, "pose file", FILE_VERSION)
     if doc.get("keypoint_order") != list(KEYPOINT_NAMES):
@@ -195,7 +199,7 @@ def parse_pose_file(data: bytes) -> list[PoseRecord]:
         try:
             records.append(PoseRecord(
                 id=rec_id,
-                keypoints=raw.get("keypoints"),
+                pose=Pose(raw.get("keypoints")),
                 confidences=raw.get("confidences"),
                 category=raw.get("category"),
                 quality_score=raw.get("quality_score"),
@@ -215,7 +219,7 @@ def write_pose_file(records) -> bytes:
         if rec.id in seen:
             raise ValueError(f"duplicate record id {rec.id!r}")
         seen.add(rec.id)
-        row = {"id": rec.id, "keypoints": rec.keypoints.tolist()}
+        row = {"id": rec.id, "keypoints": rec.pose.keypoints.tolist()}
         if rec.confidences is not None:
             row["confidences"] = list(rec.confidences)
         if rec.category is not None:
@@ -260,8 +264,11 @@ def write_pair_file(pair_file: PairFile) -> bytes:
 
 
 def build_pose_pairs(records, entries):
-    """Join pair entries against records; returns (pairs, pair_ids)."""
-    poses = {rec.id: rec.pose() for rec in records}
+    """Join pair entries against records; returns (pairs, pair_ids).
+
+    Each pair holds its records' own Pose objects.
+    """
+    poses = {rec.id: rec.pose for rec in records}
     pairs, ids = [], []
     for e in entries:
         for ref in (e.a, e.b):
@@ -323,7 +330,7 @@ def generate_corpus_files(cfg: SynthConfig = SynthConfig()):
     records, entries = [], []
     templates = _template_poses(cfg, rng)
     for i, (name, points) in enumerate(templates):
-        records.append(PoseRecord(id=f"t{i:02d}", keypoints=points,
+        records.append(PoseRecord(id=f"t{i:02d}", pose=Pose(points),
                                   category=name))
     for i, (name, points) in enumerate(templates):
         diag = _extent_diagonal(points)
@@ -336,7 +343,7 @@ def generate_corpus_files(cfg: SynthConfig = SynthConfig()):
                 sigma = level * diag / math.sqrt(2.0)
                 jittered = points + rng.normal(scale=sigma, size=points.shape)
             rec_id = f"t{i:02d}_p{k:03d}"
-            records.append(PoseRecord(id=rec_id, keypoints=jittered,
+            records.append(PoseRecord(id=rec_id, pose=Pose(jittered),
                                       category=name))
             entries.append(PairEntry(a=f"t{i:02d}", b=rec_id, y=1,
                                      magnitude=level))

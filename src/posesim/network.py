@@ -36,6 +36,7 @@ LAYOUT = {
 
 GCN_VARIANT = "gcn"
 MLP_VARIANT = "mlp"
+VARIANTS = (GCN_VARIANT, MLP_VARIANT)
 
 
 @dataclass(frozen=True)
@@ -118,10 +119,8 @@ def init_model(h: int = 2, seed: int = 0) -> EmbeddingModel:
 
     Weight matrices are drawn in canonical order from a PCG64 generator
     seeded with `seed`, each uniform in +-sqrt(6 / (fan_in + fan_out)), so
-    the result is fully determined by (h, seed).
+    the result is fully determined by (h, seed). ArchMeta rejects h < 1.
     """
-    if h < 1:
-        raise ValueError("gcn hidden width must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def glorot(fan_in: int, fan_out: int) -> np.ndarray:
@@ -139,7 +138,7 @@ def init_model(h: int = 2, seed: int = 0) -> EmbeddingModel:
 
 def check_variant(variant: str) -> None:
     """Raise ValueError unless variant names one of the two embeddings."""
-    if variant not in (GCN_VARIANT, MLP_VARIANT):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected 'gcn' or 'mlp'")
 
 
@@ -240,6 +239,20 @@ def forward_variant(model: EmbeddingModel, pose: NormalizedPose,
     return embedding[0], cache.take(0)
 
 
+def json_number(value, kind: type = float):
+    """value as a JSON number of the kind, or None if it is not one.
+
+    An int field takes the int itself (not true, not 1.0); a float field
+    takes an int or a float, returned as a float. Neither takes a bool or a
+    string. Range rules stay with each field.
+    """
+    if kind is int:
+        return value if type(value) is int else None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return None
+
+
 def read_document(data: bytes, what: str, version: int) -> dict:
     """Decode JSON whose top level is an object with format_version the int
     `version` itself (not true, not 1.0); ValueError naming `what` for any
@@ -252,7 +265,7 @@ def read_document(data: bytes, what: str, version: int) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"malformed {what}: top level must be an object")
     found = doc.get("format_version")
-    if type(found) is not int or found != version:
+    if json_number(found, int) != version:
         raise ValueError(f"unsupported {what} format_version {found!r}")
     return doc
 
@@ -290,9 +303,11 @@ def load_checkpoint(data: bytes) -> EmbeddingModel:
     try:
         arch_doc = doc["arch"]
         layout = {key: arch_doc[key] for key in LAYOUT}
-        # a JSON number such as 1e400 parses as inf, which int() overflows
-        arch = ArchMeta(gcn_hidden=int(arch_doc["gcn_hidden"]),
-                        seed=int(doc["seed"]))
+        hidden, seed = arch_doc["gcn_hidden"], doc["seed"]
+        if json_number(hidden, int) is None or json_number(seed, int) is None:
+            raise TypeError(f"gcn_hidden and seed must be ints, got "
+                            f"{hidden!r} and {seed!r}")
+        arch = ArchMeta(gcn_hidden=hidden, seed=seed)
         gcn_weights = (np.asarray(doc["gcn_w0"], dtype=np.float64),
                        np.asarray(doc["gcn_w1"], dtype=np.float64))
         mlp_layers = tuple(AffineLayer(w=np.asarray(entry["w"], dtype=np.float64),

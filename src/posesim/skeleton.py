@@ -111,61 +111,33 @@ class NormalizedPose:
 
 @dataclass(frozen=True)
 class SkeletonTopology:
-    """The fixed skeleton graph with its precomputed normalized adjacency.
-
-    adjacency_raw is the binary adjacency with self-loops. adjacency_norm is
-    its symmetric degree normalization, the operator applied by every graph
-    convolution layer. Instances are immutable and shareable.
+    """The fixed skeleton graph as the operator every graph convolution layer
+    applies: adjacency_norm, the renormalized adjacency D^-1/2 (A + I) D^-1/2.
+    Instances are immutable and shareable.
     """
 
-    adjacency_raw: np.ndarray
     adjacency_norm: np.ndarray
-
-
-def symmetric_normalize(c_hat) -> np.ndarray:
-    """Apply symmetric degree normalization to a binary adjacency matrix.
-
-    Args:
-        c_hat: square symmetric 0/1 matrix, self-loops already included.
-
-    Returns:
-        The matrix scaled entrywise by 1/sqrt(deg_i * deg_j); symmetric, with
-        all eigenvalues in [-1, 1].
-
-    Raises:
-        ValueError: if the matrix is not square, symmetric and binary, or if
-            any row sums to zero (an isolated node without a self-loop).
-    """
-    c = np.asarray(c_hat, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {c.shape}")
-    if not np.array_equal(c, c.T):
-        raise ValueError("adjacency must be symmetric")
-    if not np.all((c == 0.0) | (c == 1.0)):
-        raise ValueError("adjacency must be binary")
-    degrees = c.sum(axis=1)
-    if np.any(degrees == 0.0):
-        raise ValueError("adjacency has a zero row sum (isolated node)")
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    # outer() keeps the result exactly symmetric
-    return np.outer(inv_sqrt, inv_sqrt) * c
 
 
 @lru_cache(maxsize=1)
 def build_skeleton_topology() -> SkeletonTopology:
     """Construct the fixed 15-node skeleton graph.
 
-    Deterministic and constant; repeated calls return the same shared
-    instance.
+    Entry (i, j) of the result is 1/sqrt(deg_i * deg_j) where i and j are
+    joined by a bone or equal, and 0 elsewhere; deg counts the self-loop, so
+    no degree is zero. The matrix is symmetric with all eigenvalues in
+    [-1, 1]. Deterministic and constant; repeated calls return the same
+    shared instance.
     """
     c_hat = np.eye(NUM_KEYPOINTS, dtype=np.float64)
     for i, j in SKELETON_EDGES:
         c_hat[i, j] = 1.0
         c_hat[j, i] = 1.0
-    a_norm = symmetric_normalize(c_hat)
-    c_hat.flags.writeable = False
+    inv_sqrt = 1.0 / np.sqrt(c_hat.sum(axis=1))
+    # outer() keeps the result exactly symmetric
+    a_norm = np.outer(inv_sqrt, inv_sqrt) * c_hat
     a_norm.flags.writeable = False
-    return SkeletonTopology(adjacency_raw=c_hat, adjacency_norm=a_norm)
+    return SkeletonTopology(adjacency_norm=a_norm)
 
 
 def distinct_poses(poses) -> tuple[np.ndarray, np.ndarray]:

@@ -23,13 +23,14 @@ import numpy as np
 
 from posesim.network import (
     GCN_VARIANT,
-    MLP_VARIANT,
+    VARIANTS,
     EmbeddingModel,
     ForwardCache,
     _run_layers,
     check_variant,
     embed,
     init_model,
+    json_number,
     parameter_list,
 )
 from posesim.skeleton import (
@@ -56,20 +57,24 @@ PAIRS_PER_CHUNK = 8
 # Coordinates gradient_check perturbs in one stacked pass (2 copies each)
 COORDS_PER_CHUNK = 16
 
+# gradient_check's central-difference step; _fd_friendly vets instances for it
+FD_EPSILON = 1e-6
+
 
 def checked_label(y, magnitude):
     """The rule for a pair's label and magnitude, wherever a pair enters.
 
     y must be the int 0 or 1 (a bool is not a label); magnitude, if given,
-    a finite number >= 0. Returns magnitude as a float, or None.
+    a finite JSON number >= 0 (an int or a float, not a bool or a string).
+    Returns magnitude as a float, or None.
     """
     if type(y) is not int or y not in (0, 1):
         raise ValueError(f"y must be 0 or 1 (an int), got {y!r}")
     if magnitude is None:
         return None
-    mag = float(magnitude)
-    if not (math.isfinite(mag) and mag >= 0.0):
-        raise ValueError(f"magnitude must be finite and >= 0, got {magnitude!r}")
+    mag = json_number(magnitude)
+    if mag is None or not (math.isfinite(mag) and mag >= 0.0):
+        raise ValueError(f"magnitude must be a finite number >= 0, got {magnitude!r}")
     return mag
 
 
@@ -239,8 +244,7 @@ def _pair_losses(d, y, m: float):
 
 
 def contrastive_loss(d_c: float, y: int, m: float = DEFAULT_MARGIN) -> float:
-    if y not in (0, 1):
-        raise ValueError(f"y must be 0 or 1, got {y!r}")
+    checked_label(y, None)
     if not m > 0:
         raise ValueError("margin must be > 0")
     loss, _ = _pair_losses(float(d_c), y, m)
@@ -296,15 +300,16 @@ class _BatchGradient:
     pairs add to the running total one at a time in batch order, so the
     total is bit-identical to summing pair_backward results in a loop.
     Pairs with dL/dd == 0 would add exact zeros and are skipped. Twin
-    gradients are built `chunk` pairs at a time in one buffer allocated
-    once: materializing a whole batch makes the reduction page-fault bound.
+    gradients are built PAIRS_PER_CHUNK pairs at a time in one buffer
+    allocated once: materializing a whole batch makes the reduction
+    page-fault bound.
     """
 
-    def __init__(self, model: EmbeddingModel, chunk: int = PAIRS_PER_CHUNK):
+    def __init__(self, model: EmbeddingModel):
         params = parameter_list(model)
         size = sum(p.size for p in params)
         # row 0: the running total; rows 2j + 1, 2j + 2: pair j's twins
-        self.rows = np.empty((2 * chunk + 1, size))
+        self.rows = np.empty((2 * PAIRS_PER_CHUNK + 1, size))
         self.total = np.zeros(size)
         self.twin_grads = _split(self.rows[1:], params)
         self.grads = _split(self.total, params)
@@ -341,7 +346,7 @@ def pair_backward(model: EmbeddingModel, topo: SkeletonTopology,
 
     A batch of one through the trainer's own gradient code.
     """
-    grads = _BatchGradient(model, chunk=1)
+    grads = _BatchGradient(model)
     x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
     loss, _ = grads.compute(model, topo, x, np.array([pair.label_y]),
                             cfg.margin_m, variant)
@@ -427,12 +432,12 @@ def train(model: EmbeddingModel, topo: SkeletonTopology, pairs,
 
 def gradient_check(model: EmbeddingModel, topo: SkeletonTopology,
                    pair: PosePair, cfg: TrainConfig = TrainConfig(),
-                   variant: str = "gcn", fd_epsilon: float = 1e-6) -> float:
+                   variant: str = "gcn") -> float:
     """Max relative error between analytic and central-difference gradients.
 
     The analytic side is pair_backward, the trainer's own backward pass. The
     numeric side differences the pair's loss at every parameter coordinate
-    +-fd_epsilon; the denominator is max(|analytic|, |numeric|, 1e-8) per
+    +-FD_EPSILON; the denominator is max(|analytic|, |numeric|, 1e-8) per
     coordinate, and a NaN coordinate error makes the result NaN.
 
     The model is never modified. The pair is embedded once; perturbing a
@@ -444,8 +449,6 @@ def gradient_check(model: EmbeddingModel, topo: SkeletonTopology,
     zeros, are skipped.
     """
     check_variant(variant)
-    if not (fd_epsilon > 0 and np.isfinite(fd_epsilon)):
-        raise ValueError("fd_epsilon must be finite and > 0")
     _, analytic = pair_backward(model, topo, pair, cfg, variant)
     x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
     _, cache = embed(model, x, topo, variant)
@@ -462,12 +465,12 @@ def gradient_check(model: EmbeddingModel, topo: SkeletonTopology,
             coords = np.arange(start, min(start + COORDS_PER_CHUNK, p.size))
             n = len(coords)
             up, down = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
-            rows[up, coords] = flat[coords] + fd_epsilon
-            rows[down, coords] = flat[coords] - fd_epsilon
+            rows[up, coords] = flat[coords] + FD_EPSILON
+            rows[down, coords] = flat[coords] - FD_EPSILON
             emb = run(stack[:2 * n, None])
             d = cosine_distances(emb.reshape(-1, emb.shape[-1]))
             loss = _pair_losses(d, pair.label_y, cfg.margin_m)[0]
-            out[start:start + n] = (loss[0::2] - loss[1::2]) / (2.0 * fd_epsilon)
+            out[start:start + n] = (loss[0::2] - loss[1::2]) / (2.0 * FD_EPSILON)
             rows[up, coords] = rows[down, coords] = flat[coords]
         return out
 
@@ -492,7 +495,7 @@ def gradient_check(model: EmbeddingModel, topo: SkeletonTopology,
 
 
 def _fd_friendly(model, topo, pair: PosePair, x) -> bool:
-    """Whether central differencing at step 1e-6 is trustworthy at this point.
+    """Whether central differencing at step FD_EPSILON is trustworthy here.
 
     Differencing needs the loss smooth within the step and the comparison
     clear of the float64 noise floor (about machine epsilon times the loss
@@ -503,7 +506,7 @@ def _fd_friendly(model, topo, pair: PosePair, x) -> bool:
     condition reads only analytic magnitudes, so it cannot hide a wrong
     gradient from the comparison. x holds the pair's two normalized twins.
     """
-    for variant in (GCN_VARIANT, MLP_VARIANT):
+    for variant in VARIANTS:
         emb, cache = embed(model, x, topo, variant)
         cos, raw, _, _ = _pair_cosines(emb)
         if raw.min() < 1e-3:

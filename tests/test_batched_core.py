@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posesim.network import (
+    VARIANTS,
     EmbeddingModel,
     embed,
     forward_variant,
@@ -27,6 +28,7 @@ from posesim.skeleton import (
     normalize_stack,
 )
 from posesim.training import (
+    FD_EPSILON,
     PAIRS_PER_CHUNK,
     PosePair,
     TrainConfig,
@@ -41,7 +43,6 @@ from posesim.training import (
 )
 
 TOPO = build_skeleton_topology()
-VARIANTS = ("gcn", "mlp")
 
 
 @st.composite
@@ -116,7 +117,7 @@ def test_batch_gradient_is_sequential_sum_of_pair_backward(kp, labels_seed,
         assert got.tobytes() == want.tobytes()
 
 
-def loop_gradient_check(model, topo, pair, cfg, variant, fd_epsilon):
+def loop_gradient_check(model, topo, pair, cfg, variant):
     """The per-coordinate loop gradient_check replaced: each coordinate of a
     private copy is moved in place and both twins are embedded from scratch.
     Python's max() drops a NaN error here; gradient_check returns NaN."""
@@ -135,12 +136,12 @@ def loop_gradient_check(model, topo, pair, cfg, variant, fd_epsilon):
         gflat = ga.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + fd_epsilon
+            flat[i] = orig + FD_EPSILON
             up = loss_at_current()
-            flat[i] = orig - fd_epsilon
+            flat[i] = orig - FD_EPSILON
             down = loss_at_current()
             flat[i] = orig
-            numeric = (up - down) / (2.0 * fd_epsilon)
+            numeric = (up - down) / (2.0 * FD_EPSILON)
             denom = max(abs(gflat[i]), abs(numeric), 1e-8)
             worst = max(worst, abs(gflat[i] - numeric) / denom)
     return float(worst)
@@ -149,17 +150,16 @@ def loop_gradient_check(model, topo, pair, cfg, variant, fd_epsilon):
 @settings(max_examples=12, deadline=None)
 @given(h=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
        label=st.integers(0, 1), variant=st.sampled_from(VARIANTS),
-       margin=st.floats(0.05, 2.0),
-       fd_epsilon=st.floats(1e-8, 1e-3))
+       margin=st.floats(0.05, 2.0))
 def test_gradient_check_matches_per_coordinate_loop(h, seed, label, variant,
-                                                    margin, fd_epsilon):
+                                                    margin):
     rng = np.random.default_rng(seed)
     model = init_model(h=h, seed=seed)
     pair = PosePair(Pose(rng.uniform(-3.0, 3.0, size=(NUM_KEYPOINTS, 2))),
                     Pose(rng.uniform(-3.0, 3.0, size=(NUM_KEYPOINTS, 2))), label)
     cfg = TrainConfig(margin_m=margin)
-    got = gradient_check(model, TOPO, pair, cfg, variant, fd_epsilon)
-    want = loop_gradient_check(model, TOPO, pair, cfg, variant, fd_epsilon)
+    got = gradient_check(model, TOPO, pair, cfg, variant)
+    want = loop_gradient_check(model, TOPO, pair, cfg, variant)
     assert repr(got) == repr(want)
 
 
@@ -179,8 +179,7 @@ ENTRY_POINTS = {
     "train": lambda v: train(MODEL, TOPO, [], TrainConfig(), variant=v),
     "evaluate": lambda v: evaluate(MODEL, TOPO, [], variant=v),
     "score_pair": lambda v: score_pair(MODEL, TOPO, None, None, variant=v),
-    "gradient_check": lambda v: gradient_check(MODEL, TOPO, None, variant=v,
-                                               fd_epsilon=-1.0),
+    "gradient_check": lambda v: gradient_check(MODEL, TOPO, None, variant=v),
 }
 
 

@@ -21,11 +21,11 @@ from posesim.corpus import (
     write_pair_file,
     write_pose_file,
 )
-from posesim.skeleton import KEYPOINT_NAMES, NUM_KEYPOINTS
+from posesim.skeleton import KEYPOINT_NAMES, NUM_KEYPOINTS, Pose
 
 
 def random_record(rng, rec_id, **kw):
-    return PoseRecord(id=rec_id, keypoints=rng.uniform(-2, 2, (15, 2)), **kw)
+    return PoseRecord(id=rec_id, pose=Pose(rng.uniform(-2, 2, (15, 2))), **kw)
 
 
 _RNG = np.random.Generator(np.random.PCG64(5))
@@ -82,36 +82,40 @@ def parses_or_raises_value_error(parse, data: bytes) -> None:
         pass
 
 
+ZERO_POSE = Pose(np.zeros((15, 2)))
+
+
 class TestPoseRecord:
     def test_validates_and_freezes_keypoints(self):
-        rec = PoseRecord(id="a", keypoints=np.zeros((15, 2)))
-        assert rec.keypoints.flags.writeable is False
+        rec = PoseRecord(id="a", pose=ZERO_POSE)
+        assert rec.pose is ZERO_POSE
+        assert rec.pose.keypoints.flags.writeable is False
         assert rec.confidences is None and rec.category is None
+        # the keypoints enter only through a Pose, which checks them
+        with pytest.raises(TypeError, match="must be a Pose"):
+            PoseRecord(id="a", pose=np.zeros((15, 2)))
 
     def test_bad_shape(self):
         with pytest.raises(ValueError, match="15x2"):
-            PoseRecord(id="a", keypoints=np.zeros((14, 2)))
+            PoseRecord(id="a", pose=Pose(np.zeros((14, 2))))
 
     def test_nonfinite(self):
         pts = np.zeros((15, 2))
         pts[3, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            PoseRecord(id="a", keypoints=pts)
+            PoseRecord(id="a", pose=Pose(pts))
 
     def test_empty_id(self):
         with pytest.raises(ValueError, match="nonempty"):
-            PoseRecord(id="", keypoints=np.zeros((15, 2)))
+            PoseRecord(id="", pose=ZERO_POSE)
 
     def test_confidence_bounds(self):
-        ok = PoseRecord(id="a", keypoints=np.zeros((15, 2)),
-                        confidences=[0.5] * 15)
+        ok = PoseRecord(id="a", pose=ZERO_POSE, confidences=[0.5] * 15)
         assert ok.confidences == (0.5,) * 15
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            PoseRecord(id="a", keypoints=np.zeros((15, 2)),
-                       confidences=[1.5] * 15)
+            PoseRecord(id="a", pose=ZERO_POSE, confidences=[1.5] * 15)
         with pytest.raises(ValueError, match="length 15"):
-            PoseRecord(id="a", keypoints=np.zeros((15, 2)),
-                       confidences=[0.5] * 14)
+            PoseRecord(id="a", pose=ZERO_POSE, confidences=[0.5] * 14)
 
 
 class TestPairEntry:
@@ -143,7 +147,7 @@ class TestPoseFileRoundTrip:
         back = parse_pose_file(write_pose_file(records))
         assert [r.id for r in back] == ["p0", "p1", "p2"]
         for orig, rec in zip(records, back):
-            np.testing.assert_array_equal(orig.keypoints, rec.keypoints)
+            np.testing.assert_array_equal(orig.pose.keypoints, rec.pose.keypoints)
             assert orig.confidences == rec.confidences
             assert orig.category == rec.category
             assert orig.quality_score == rec.quality_score
@@ -151,8 +155,8 @@ class TestPoseFileRoundTrip:
     def test_full_float_precision_survives(self):
         pts = np.full((15, 2), 1.0) / 3.0
         pts[0, 0] = math.pi
-        back = parse_pose_file(write_pose_file([PoseRecord(id="a", keypoints=pts)]))
-        np.testing.assert_array_equal(back[0].keypoints, pts)
+        back = parse_pose_file(write_pose_file([PoseRecord(id="a", pose=Pose(pts))]))
+        np.testing.assert_array_equal(back[0].pose.keypoints, pts)
 
     def test_bytes_stable_across_runs(self):
         rng1 = np.random.Generator(np.random.PCG64(3))
@@ -162,7 +166,7 @@ class TestPoseFileRoundTrip:
         assert a == b
 
     def test_layout_matches_format(self):
-        doc = json.loads(write_pose_file([PoseRecord(id="a", keypoints=np.zeros((15, 2)))]))
+        doc = json.loads(write_pose_file([PoseRecord(id="a", pose=ZERO_POSE)]))
         assert doc["format_version"] == 1
         assert doc["keypoint_order"] == list(KEYPOINT_NAMES)
         assert doc["records"][0]["id"] == "a"
@@ -170,7 +174,7 @@ class TestPoseFileRoundTrip:
         assert "confidences" not in doc["records"][0]
 
     def test_write_rejects_duplicate_ids(self):
-        rec = PoseRecord(id="dup", keypoints=np.zeros((15, 2)))
+        rec = PoseRecord(id="dup", pose=ZERO_POSE)
         with pytest.raises(ValueError, match="duplicate record id 'dup'"):
             write_pose_file([rec, rec])
 
@@ -178,7 +182,7 @@ class TestPoseFileRoundTrip:
 class TestPoseFileErrors:
     def good_doc(self):
         return json.loads(write_pose_file(
-            [PoseRecord(id="a", keypoints=np.zeros((15, 2)))]))
+            [PoseRecord(id="a", pose=ZERO_POSE)]))
 
     def as_bytes(self, doc):
         return json.dumps(doc).encode("utf-8")
@@ -212,8 +216,9 @@ class TestPoseFileErrors:
     def test_bad_keypoint_count_names_record(self):
         doc = self.good_doc()
         doc["records"][0]["keypoints"] = doc["records"][0]["keypoints"][:-1]
-        with pytest.raises(ValueError, match="record 'a'"):
+        with pytest.raises(ValueError, match="record 'a'.* shape 15x2") as info:
             parse_pose_file(self.as_bytes(doc))
+        assert str(info.value).count("record 'a'") == 1
 
     def test_nonfinite_keypoint_names_record(self):
         doc = self.good_doc()
@@ -237,8 +242,9 @@ class TestPoseFileErrors:
     def test_bad_confidences_names_record(self):
         doc = self.good_doc()
         doc["records"][0]["confidences"] = [2.0] * 15
-        with pytest.raises(ValueError, match="record 'a'"):
+        with pytest.raises(ValueError, match="record 'a'") as info:
             parse_pose_file(self.as_bytes(doc))
+        assert str(info.value).count("record 'a'") == 1
 
 
 class TestPairFile:
@@ -281,6 +287,36 @@ def test_format_version_must_be_the_int_itself(parse, data, version):
         parse(replaced(data, ("format_version",), version))
 
 
+@pytest.mark.parametrize("parse, data, path, value, message", [
+    (parse_pair_file, VALID_PAIR_FILE, ("pairs", 0, "magnitude"), "0.5",
+     "magnitude must be a finite number"),
+    (parse_pair_file, VALID_PAIR_FILE, ("pairs", 0, "magnitude"), True,
+     "magnitude must be a finite number"),
+    (parse_pose_file, VALID_POSE_FILE, ("records", 0, "quality_score"), "0.5",
+     "quality_score must be a finite number"),
+    (parse_pose_file, VALID_POSE_FILE, ("records", 0, "quality_score"), True,
+     "quality_score must be a finite number"),
+    (parse_pose_file, VALID_POSE_FILE, ("records", 0, "confidences"),
+     [True] * NUM_KEYPOINTS, "confidences must be numbers"),
+    (parse_pose_file, VALID_POSE_FILE, ("records", 0, "confidences", 3), "0.5",
+     "confidences must be numbers"),
+], ids=["magnitude-str", "magnitude-bool", "quality-str", "quality-bool",
+        "confidences-bool", "confidence-str"])
+def test_float_fields_take_json_numbers_only(parse, data, path, value, message):
+    with pytest.raises(ValueError, match=message):
+        parse(replaced(data, path, value))
+
+
+def test_int_values_of_float_fields_parse_as_floats():
+    pairs = parse_pair_file(replaced(VALID_PAIR_FILE, ("pairs", 0, "magnitude"), 0))
+    assert type(pairs.entries[0].magnitude) is float
+    data = replaced(VALID_POSE_FILE, ("records", 0, "confidences"),
+                    [1] * NUM_KEYPOINTS)
+    rec = parse_pose_file(replaced(data, ("records", 0, "quality_score"), 3))[0]
+    assert rec.confidences == (1.0,) * NUM_KEYPOINTS
+    assert type(rec.quality_score) is float and rec.quality_score == 3.0
+
+
 class TestParserProperties:
     """Any input either parses or raises ValueError, never anything else."""
 
@@ -321,8 +357,9 @@ class TestBuildPosePairs:
         pairs, ids = build_pose_pairs(records, entries)
         assert ids == ["p0:p1"]
         assert pairs[0].label_y == 1 and pairs[0].magnitude == 0.01
-        np.testing.assert_array_equal(pairs[0].pose_a.keypoints, records[0].keypoints)
-        np.testing.assert_array_equal(pairs[0].pose_b.keypoints, records[1].keypoints)
+        # the records' own Pose objects, checked once when they were built
+        assert pairs[0].pose_a is records[0].pose
+        assert pairs[0].pose_b is records[1].pose
 
     def test_unknown_reference(self):
         rng = np.random.Generator(np.random.PCG64(0))
@@ -376,8 +413,8 @@ class TestGenerator:
         records, entries = generate_corpus_files(cfg)
         pairs, _ = build_pose_pairs(records, entries)
         by_id = {r.id: r for r in records}
-        np.testing.assert_array_equal(by_id["t00"].keypoints,
-                                      by_id["t00_p000"].keypoints)
+        np.testing.assert_array_equal(by_id["t00"].pose.keypoints,
+                                      by_id["t00_p000"].pose.keypoints)
         positive = next(p for p in pairs if p.label_y == 1)
         np.testing.assert_array_equal(positive.pose_a.keypoints,
                                       positive.pose_b.keypoints)
@@ -402,18 +439,18 @@ class TestGenerator:
         assert ea == eb
         for x, y in zip(ra, rb):
             assert x.id == y.id
-            np.testing.assert_array_equal(x.keypoints, y.keypoints)
+            np.testing.assert_array_equal(x.pose.keypoints, y.pose.keypoints)
         _, other = generate_corpus_files(SynthConfig(pairs_per_template=3, seed=12))
         assert other != ea or any(
-            not np.array_equal(x.keypoints, y.keypoints)
+            not np.array_equal(x.pose.keypoints, y.pose.keypoints)
             for x, y in zip(ra, generate_corpus_files(SynthConfig(pairs_per_template=3, seed=12))[0]))
 
     def test_extended_templates_vary(self):
         cfg = SynthConfig(template_count=12, pairs_per_template=1, seed=2)
         records, _ = generate_corpus_files(cfg)
         assert records[8].category == "standing_v1"
-        base = records[0].keypoints
-        variant = records[8].keypoints
+        base = records[0].pose.keypoints
+        variant = records[8].pose.keypoints
         assert not np.allclose(base, variant)
         # pelvis is the rotation root, so it stays put
         np.testing.assert_allclose(base[3], variant[3], atol=1e-12)
@@ -428,8 +465,8 @@ class TestGenerator:
             for e in entries:
                 if e.y != 1 or e.magnitude != level:
                     continue
-                base = by_id[e.a].keypoints
-                jit = by_id[e.b].keypoints
+                base = by_id[e.a].pose.keypoints
+                jit = by_id[e.b].pose.keypoints
                 spans = base.max(axis=0) - base.min(axis=0)
                 diag = math.hypot(spans[0], spans[1])
                 mean_disp = float(np.mean(np.linalg.norm(jit - base, axis=1)))

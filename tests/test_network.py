@@ -342,6 +342,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unsupported checkpoint format_version"):
             load_checkpoint(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 7.9), ("seed", "7"), ("seed", 7.0), ("seed", True),
+        ("gcn_hidden", 2.0), ("gcn_hidden", "2"), ("gcn_hidden", True),
+    ], ids=["seed-7.9", "seed-str", "seed-7.0", "seed-bool", "hidden-2.0",
+            "hidden-str", "hidden-bool"])
+    def test_int_fields_must_be_the_int_itself(self, field, value):
+        doc = json.loads(save_checkpoint(init_model(h=2, seed=0)))
+        (doc["arch"] if field == "gcn_hidden" else doc)[field] = value
+        with pytest.raises(ValueError, match="malformed checkpoint.*must be ints"):
+            load_checkpoint(json.dumps(doc).encode())
+
     def test_version_checked_before_any_field(self):
         with pytest.raises(ValueError,
                            match="unsupported checkpoint format_version 2"):

@@ -11,7 +11,6 @@ from posesim.skeleton import (
     build_skeleton_topology,
     normalize_pose,
     normalize_stack,
-    symmetric_normalize,
 )
 
 
@@ -26,6 +25,11 @@ def brute_force_normalized_adjacency(edges, n):
     return np.array(out)
 
 
+def pattern(topo):
+    """The 0/1 nonzero pattern of the normalized adjacency."""
+    return (topo.adjacency_norm != 0.0).astype(np.float64)
+
+
 def random_pose(rng):
     return Pose(rng.uniform(0.0, 300.0, size=(NUM_KEYPOINTS, 2)))
 
@@ -36,17 +40,16 @@ class TestTopology:
 
     def test_self_loops(self):
         topo = build_skeleton_topology()
-        assert np.all(np.diag(topo.adjacency_raw) == 1.0)
+        assert np.all(np.diag(topo.adjacency_norm) > 0.0)
 
     def test_raw_adjacency_symmetric_binary(self):
-        topo = build_skeleton_topology()
-        c = topo.adjacency_raw
+        # the nonzero pattern of the normalized adjacency is A + I
+        c = pattern(build_skeleton_topology())
         assert np.array_equal(c, c.T)
         assert np.all((c == 0.0) | (c == 1.0))
 
     def test_off_diagonal_matches_edge_list(self):
-        topo = build_skeleton_topology()
-        c = topo.adjacency_raw
+        c = pattern(build_skeleton_topology())
         edge_set = {frozenset(e) for e in SKELETON_EDGES}
         for i in range(NUM_KEYPOINTS):
             for j in range(NUM_KEYPOINTS):
@@ -55,8 +58,8 @@ class TestTopology:
                 assert c[i, j] == (1.0 if frozenset((i, j)) in edge_set else 0.0)
 
     def test_degrees_match_kinematic_tree(self):
-        topo = build_skeleton_topology()
-        degrees = topo.adjacency_raw.sum(axis=1) - 1.0  # minus self-loop
+        c = pattern(build_skeleton_topology())
+        degrees = c.sum(axis=1) - 1.0  # minus self-loop
         # leaf joints: ankles, wrists, head
         for leaf in (0, 6, 7, 13, 14):
             assert degrees[leaf] == 1.0
@@ -93,55 +96,15 @@ class TestTopology:
 
 
 class TestSymmetricNormalize:
-    def test_identity_maps_to_identity(self):
-        eye = np.eye(4)
-        np.testing.assert_array_equal(symmetric_normalize(eye), eye)
-
-    def test_two_node_single_edge(self):
-        # degree matrix diag(2, 2), every entry becomes 1/2
-        c = np.ones((2, 2))
-        np.testing.assert_allclose(symmetric_normalize(c), np.full((2, 2), 0.5), atol=0.0)
-
     def test_skeleton_matrix_matches_oracle(self):
-        topo = build_skeleton_topology()
-        result = symmetric_normalize(np.array(topo.adjacency_raw))
-        oracle = brute_force_normalized_adjacency(SKELETON_EDGES, NUM_KEYPOINTS)
-        np.testing.assert_allclose(result, oracle, rtol=0.0, atol=1e-12)
-
-    def test_output_symmetric_for_random_graphs(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            n = int(rng.integers(2, 10))
-            c = (rng.random((n, n)) < 0.4).astype(np.float64)
-            c = np.maximum(c, c.T)
-            np.fill_diagonal(c, 1.0)
-            a = symmetric_normalize(c)
-            assert np.array_equal(a, a.T)
-            eigenvalues = np.linalg.eigvalsh(a)
-            assert eigenvalues.min() >= -1.0 - 1e-12
-            assert eigenvalues.max() <= 1.0 + 1e-12
-
-    def test_rejects_zero_row_sum(self):
-        c = np.zeros((3, 3))
-        c[0, 0] = 1.0
-        c[1, 1] = 1.0
-        with pytest.raises(ValueError, match="zero row sum"):
-            symmetric_normalize(c)
-
-    def test_rejects_asymmetric(self):
-        c = np.eye(3)
-        c[0, 1] = 1.0
-        with pytest.raises(ValueError, match="symmetric"):
-            symmetric_normalize(c)
-
-    def test_rejects_non_binary(self):
-        c = np.eye(3) * 2.0
-        with pytest.raises(ValueError, match="binary"):
-            symmetric_normalize(c)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            symmetric_normalize(np.ones((2, 3)))
+        # the matrix form D^-1/2 (A + I) D^-1/2, built with numpy from the edges
+        c = np.eye(NUM_KEYPOINTS)
+        for i, j in SKELETON_EDGES:
+            c[i, j] = c[j, i] = 1.0
+        d_inv_sqrt = np.diag(c.sum(axis=1) ** -0.5)
+        np.testing.assert_allclose(build_skeleton_topology().adjacency_norm,
+                                   d_inv_sqrt @ c @ d_inv_sqrt,
+                                   rtol=0.0, atol=1e-15)
 
 
 class TestNormalizePose:

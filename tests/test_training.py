@@ -4,7 +4,13 @@ hand-rolled replica of the documented loop is the trainer oracle."""
 import numpy as np
 import pytest
 
-from posesim.network import forward_variant, init_model, parameter_list
+from posesim.network import (
+    AffineLayer,
+    EmbeddingModel,
+    forward_variant,
+    init_model,
+    parameter_list,
+)
 from posesim.skeleton import NUM_KEYPOINTS, Pose, build_skeleton_topology, normalize_pose
 from posesim.training import (
     ADAM_BETA1,
@@ -175,8 +181,10 @@ class TestContrastiveLoss:
         assert all(b <= a for a, b in zip(neg, neg[1:]))
 
     def test_rejects_bad_label_and_margin(self):
-        with pytest.raises(ValueError):
-            contrastive_loss(0.5, 2, 1.35)
+        # the label is the int 0 or 1 itself, as checked_label requires
+        for y in (2, True, 1.0, np.int64(1)):
+            with pytest.raises(ValueError, match="y must be 0 or 1"):
+                contrastive_loss(0.5, y, 1.35)
         with pytest.raises(ValueError):
             contrastive_loss(0.5, 1, 0.0)
 
@@ -192,26 +200,17 @@ class TestPairBackward:
         err = gradient_check(model, TOPO, pair, TrainConfig(), variant="mlp")
         assert err < 1e-4
 
-    def test_gradient_check_step_size_stability(self):
-        model, pair = random_check_instance(44)
-        for eps in (1e-6, 1e-5):
-            err = gradient_check(model, TOPO, pair, TrainConfig(),
-                                 variant="gcn", fd_epsilon=eps)
-            assert err < 1e-4
-
-    @pytest.mark.parametrize("eps", [float("inf"), float("nan"), 0.0, -1e-6])
-    def test_gradient_check_rejects_bad_step(self, eps):
-        model, pair = random_check_instance(42)
-        with pytest.raises(ValueError, match="fd_epsilon"):
-            gradient_check(model, TOPO, pair, fd_epsilon=eps)
-
     @pytest.mark.parametrize("variant", ["gcn", "mlp"])
     def test_gradient_check_nan_coordinate_makes_result_nan(self, variant):
-        # a step this large overflows some losses, and inf - inf is nan
+        # weights this large overflow the embeddings, and inf - inf is nan
         model, pair = random_check_instance(42)
+        huge = EmbeddingModel(
+            tuple(w * 1e200 for w in model.gcn_weights),
+            tuple(AffineLayer(w=layer.w * 1e200, b=layer.b * 1e200)
+                  for layer in model.mlp_layers),
+            model.arch)
         with np.errstate(all="ignore"):
-            err = gradient_check(model, TOPO, pair, variant=variant,
-                                 fd_epsilon=1e300)
+            err = gradient_check(huge, TOPO, pair, variant=variant)
         assert np.isnan(err)
 
     def test_inactive_negative_has_zero_gradients(self):
