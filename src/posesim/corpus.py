@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from posesim.network import json_number, read_document, write_document
-from posesim.skeleton import KEYPOINT_NAMES, NUM_KEYPOINTS, Pose
+from posesim.skeleton import KEYPOINT_NAMES, NUM_KEYPOINTS, Pose, number_array
 from posesim.training import PosePair, checked_label
 
 FILE_VERSION = 1
@@ -185,6 +185,15 @@ def parse_pose_file(data: bytes) -> list[PoseRecord]:
     raw_records = doc.get("records")
     if not isinstance(raw_records, list):
         raise ValueError("pose file must carry a 'records' array")
+    # One conversion and element check for every record's keypoints; if it
+    # fails, each record's own Pose check names the faulty record
+    keypoints = [raw.get("keypoints") if isinstance(raw, dict) else None
+                 for raw in raw_records]
+    try:
+        keypoints = number_array(keypoints, (len(keypoints), NUM_KEYPOINTS, 2),
+                                 "keypoints")
+    except ValueError:
+        pass
     records = []
     seen = set()
     for i, raw in enumerate(raw_records):
@@ -199,7 +208,7 @@ def parse_pose_file(data: bytes) -> list[PoseRecord]:
         try:
             records.append(PoseRecord(
                 id=rec_id,
-                pose=Pose(raw.get("keypoints")),
+                pose=Pose(keypoints[i]),
                 confidences=raw.get("confidences"),
                 category=raw.get("category"),
                 quality_score=raw.get("quality_score"),

@@ -8,8 +8,8 @@ a three-layer MLP head (30 -> 40 -> 50 -> 50) projects it to the final
 feeds the flattened coordinates straight into the MLP head.
 
 Models are value objects: construction copies and validates every parameter
-array, and all forward passes are pure, so a model can be shared read-only
-across threads.
+array into one flat vector, of which the model's arrays are views, and all
+forward passes are pure, so a model can be shared read-only across threads.
 """
 
 from __future__ import annotations
@@ -20,7 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from posesim.skeleton import NUM_KEYPOINTS, NormalizedPose, SkeletonTopology
+from posesim.skeleton import (
+    NUM_KEYPOINTS,
+    NormalizedPose,
+    SkeletonTopology,
+    number_array,
+)
 
 FEATURE_DIM = 2
 FLAT_DIM = NUM_KEYPOINTS * FEATURE_DIM
@@ -47,7 +52,7 @@ class ArchMeta:
     layer always outputs width 2 so the per-node features can be flattened
     node-major into the 30-vector the MLP head expects. Graph layers carry no
     bias terms; MLP layers do. seed records the PRNG seed (PCG64) the initial
-    weights were drawn from.
+    weights were drawn from, so it lies in [0, 2**64) as PCG64 requires.
     """
 
     gcn_hidden: int = 2
@@ -56,52 +61,85 @@ class ArchMeta:
     def __post_init__(self):
         if self.gcn_hidden < 1:
             raise ValueError("gcn_hidden must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must fit in 64 unsigned bits")
+
+
+def parameter_shapes(h: int) -> list[tuple[str, tuple]]:
+    """(name, shape) of every parameter of a model of gcn_hidden h.
+
+    Canonical order: gcn weight 0, gcn weight 1, then (weight, bias) per MLP
+    layer. Parameter lists, gradient lists, optimizer state and the flat
+    parameter vector all follow it.
+    """
+    specs = [("gcn weight 0", (FEATURE_DIM, h)), ("gcn weight 1", (h, FEATURE_DIM))]
+    for i in range(len(MLP_WIDTHS) - 1):
+        fan_in, fan_out = MLP_WIDTHS[i], MLP_WIDTHS[i + 1]
+        specs += [(f"mlp weight {i}", (fan_in, fan_out)),
+                  (f"mlp bias {i}", (fan_out,))]
+    return specs
+
+
+def split_flat(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of the last axis of flat, one per shape, laid out in order."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[..., start:start + size].reshape(flat.shape[:-1] + shape))
+        start += size
+    return views
 
 
 def _param(values, shape, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.shape != shape:
-        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    arr = number_array(values, shape, what)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite values")
     return arr
 
 
-@dataclass
+@dataclass(frozen=True)
 class AffineLayer:
     w: np.ndarray
     b: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingModel:
-    """All trainable parameters plus architecture metadata."""
+    """All trainable parameters plus architecture metadata.
+
+    Construction validates the given arrays and copies them, in canonical
+    order, into one contiguous float64 vector, theta; gcn_weights and the
+    mlp_layers' w and b are views of it. Writing to theta updates every
+    parameter at once, which is how train applies its Adam step.
+    """
 
     gcn_weights: tuple[np.ndarray, np.ndarray]
     mlp_layers: tuple[AffineLayer, AffineLayer, AffineLayer]
     arch: ArchMeta = field(default_factory=ArchMeta)
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = self.arch.gcn_hidden
-        w0 = _param(self.gcn_weights[0], (FEATURE_DIM, h), "gcn weight 0")
-        w1 = _param(self.gcn_weights[1], (h, FEATURE_DIM), "gcn weight 1")
-        self.gcn_weights = (w0, w1)
-        layers = []
-        for i, layer in enumerate(self.mlp_layers):
-            fan_in, fan_out = MLP_WIDTHS[i], MLP_WIDTHS[i + 1]
-            layers.append(AffineLayer(
-                w=_param(layer.w, (fan_in, fan_out), f"mlp weight {i}"),
-                b=_param(layer.b, (fan_out,), f"mlp bias {i}"),
-            ))
-        self.mlp_layers = tuple(layers)
+        if len(self.gcn_weights) != 2 or len(self.mlp_layers) != 3:
+            raise ValueError(f"a model has 2 gcn weights and 3 mlp layers, got "
+                             f"{len(self.gcn_weights)} and {len(self.mlp_layers)}")
+        given = [*self.gcn_weights]
+        for layer in self.mlp_layers:
+            given += [layer.w, layer.b]
+        specs = parameter_shapes(self.arch.gcn_hidden)
+        arrays = [_param(values, shape, what)
+                  for (what, shape), values in zip(specs, given)]
+        theta = np.concatenate([a.reshape(-1) for a in arrays])
+        views = split_flat(theta, [shape for _, shape in specs])
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "gcn_weights", tuple(views[:2]))
+        object.__setattr__(self, "mlp_layers", tuple(
+            AffineLayer(w, b) for w, b in zip(views[2::2], views[3::2])))
 
 
 def parameter_list(model: EmbeddingModel) -> list[np.ndarray]:
-    """The model's parameter arrays in canonical traversal order.
+    """The model's parameter arrays in canonical order (parameter_shapes).
 
-    Order: gcn weight 0, gcn weight 1, then (weight, bias) per MLP layer.
-    Gradient lists and optimizer state follow this same order. The returned
-    arrays are the model's own buffers, not copies.
+    The returned arrays are views of model.theta, not copies.
     """
     params: list[np.ndarray] = list(model.gcn_weights)
     for layer in model.mlp_layers:
@@ -111,7 +149,7 @@ def parameter_list(model: EmbeddingModel) -> list[np.ndarray]:
 
 
 def parameter_count(model: EmbeddingModel) -> int:
-    return sum(p.size for p in parameter_list(model))
+    return model.theta.size
 
 
 def init_model(h: int = 2, seed: int = 0) -> EmbeddingModel:
@@ -296,8 +334,9 @@ def load_checkpoint(data: bytes) -> EmbeddingModel:
 
     Raises ValueError, and no other exception, for any payload that is not
     such a checkpoint: malformed JSON or fields, unsupported versions, a
-    layout other than LAYOUT, shape mismatches against the declared
-    architecture, or non-finite parameters.
+    layout other than LAYOUT, a seed outside [0, 2**64), shape mismatches
+    against the declared architecture, or parameters that are not finite
+    numbers (a bool or a string is not one).
     """
     doc = read_document(data, "checkpoint", CHECKPOINT_VERSION)
     try:
@@ -308,16 +347,12 @@ def load_checkpoint(data: bytes) -> EmbeddingModel:
             raise TypeError(f"gcn_hidden and seed must be ints, got "
                             f"{hidden!r} and {seed!r}")
         arch = ArchMeta(gcn_hidden=hidden, seed=seed)
-        gcn_weights = (np.asarray(doc["gcn_w0"], dtype=np.float64),
-                       np.asarray(doc["gcn_w1"], dtype=np.float64))
-        mlp_layers = tuple(AffineLayer(w=np.asarray(entry["w"], dtype=np.float64),
-                                       b=np.asarray(entry["b"], dtype=np.float64))
+        gcn_weights = (doc["gcn_w0"], doc["gcn_w1"])
+        mlp_layers = tuple(AffineLayer(w=entry["w"], b=entry["b"])
                            for entry in doc["mlp"])
-    except (KeyError, TypeError, IndexError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint: missing or invalid field ({exc})") from exc
     if layout != LAYOUT:
         raise ValueError(f"unsupported checkpoint layout {layout!r}, "
                          f"expected {LAYOUT!r}")
-    if len(mlp_layers) != 3:
-        raise ValueError(f"checkpoint must carry 3 mlp layers, got {len(mlp_layers)}")
     return EmbeddingModel(gcn_weights, mlp_layers, arch)

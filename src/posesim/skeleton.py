@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -56,13 +57,40 @@ SKELETON_EDGES = (
 _SAFE_MAGNITUDE = 2.0 ** 1023
 
 
+# numpy converts a bool, or a string that spells a number, to a float
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+
+
+def number_array(values, shape: tuple, what: str) -> np.ndarray:
+    """values, an array or nested sequences of numbers, as a new float64
+    array of the given shape; ValueError naming what otherwise.
+
+    An array must have an integer or float dtype; of a sequence, no element
+    may be a bool or a string.
+    """
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{what} must hold numbers ({exc})") from exc
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {'x'.join(map(str, shape))}, "
+                         f"got {arr.shape}")
+    if isinstance(values, np.ndarray):
+        numbers = values.dtype.kind in "iuf"
+    else:
+        for _ in range(arr.ndim - 1):
+            values = chain.from_iterable(values)
+        numbers = not any(issubclass(kind, _NOT_NUMBERS)
+                          for kind in set(map(type, values)))
+    if not numbers:
+        raise ValueError(f"{what} must hold numbers, not bools or strings")
+    return arr
+
+
 def _validated_coords(values, what: str) -> np.ndarray:
     """values as a read-only 15x2 float64 array of finite coordinates whose
     per-axis extents are finite too; ValueError, naming what, otherwise."""
-    arr = np.array(values, dtype=np.float64)
-    if arr.shape != (NUM_KEYPOINTS, 2):
-        raise ValueError(f"{what} must have shape {NUM_KEYPOINTS}x2, "
-                         f"got {arr.shape}")
+    arr = number_array(values, (NUM_KEYPOINTS, 2), what)
     if not np.abs(arr).max() < _SAFE_MAGNITUDE:  # also catches nan
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{what} contains non-finite values")

@@ -32,6 +32,7 @@ from posesim.network import (
     init_model,
     json_number,
     parameter_list,
+    split_flat,
 )
 from posesim.skeleton import (
     NUM_KEYPOINTS,
@@ -51,11 +52,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
-# Pairs whose per-twin gradients exist at once in _BatchGradient
-PAIRS_PER_CHUNK = 8
+# Pairs whose per-twin gradients exist at once in _BatchGradient; at 16 its
+# buffer, 33 rows of every parameter, is 1.5 MB and stays in a 2 MB L2
+PAIRS_PER_CHUNK = 16
 
 # Coordinates gradient_check perturbs in one stacked pass (2 copies each)
-COORDS_PER_CHUNK = 16
+COORDS_PER_CHUNK = 32
 
 # gradient_check's central-difference step; _fd_friendly vets instances for it
 FD_EPSILON = 1e-6
@@ -283,49 +285,41 @@ def _backward(model: EmbeddingModel, topo: SkeletonTopology,
             gh = a_norm.T @ (gh @ model.gcn_weights[i].T)
 
 
-def _split(flat: np.ndarray, params) -> list:
-    """Per-parameter views of the last axis of flat, in canonical order."""
-    views, start = [], 0
-    for p in params:
-        views.append(flat[..., start:start + p.size]
-                     .reshape(flat.shape[:-1] + p.shape))
-        start += p.size
-    return views
-
-
 class _BatchGradient:
     """The summed parameter gradient of a batch of pairs.
 
     A pair's gradient is the sum of its two twins' backward passes, and the
     pairs add to the running total one at a time in batch order, so the
-    total is bit-identical to summing pair_backward results in a loop.
-    Pairs with dL/dd == 0 would add exact zeros and are skipped. Twin
-    gradients are built PAIRS_PER_CHUNK pairs at a time in one buffer
-    allocated once: materializing a whole batch makes the reduction
-    page-fault bound.
+    total is bit-identical to summing pair_backward results in a loop. Every
+    pair is backpropagated: a pair with dL/dd == 0 scales its twins'
+    gradients to exact +-0.0, and adding +-0.0 changes no bit of a total
+    that starts at +0.0 while every product is finite. Twin gradients are
+    built PAIRS_PER_CHUNK pairs at a time in one buffer, sized to the pairs
+    a call takes and reused by later calls: materializing a whole batch
+    makes the reduction page-fault bound. The total has the layout of the
+    model's flat theta; grads views it per parameter.
     """
 
     def __init__(self, model: EmbeddingModel):
-        params = parameter_list(model)
-        size = sum(p.size for p in params)
-        # row 0: the running total; rows 2j + 1, 2j + 2: pair j's twins
-        self.rows = np.empty((2 * PAIRS_PER_CHUNK + 1, size))
-        self.total = np.zeros(size)
-        self.twin_grads = _split(self.rows[1:], params)
-        self.grads = _split(self.total, params)
+        self.shapes = [p.shape for p in parameter_list(model)]
+        self.rows = np.empty((0, model.theta.size))
+        self.total = np.zeros(model.theta.size)
+        self.grads = split_flat(self.total, self.shapes)
 
     def compute(self, model, topo, x, labels, margin, variant):
         """Sum the gradients of the pairs whose twins are x[2k], x[2k + 1].
 
-        Leaves the sum in self.grads; returns each pair's loss and distance.
+        Leaves the sum in self.total; returns each pair's loss and distance.
         """
+        needed = 2 * min(PAIRS_PER_CHUNK, len(labels)) + 1
+        if len(self.rows) < needed:
+            # row 0: the running total; rows 2j + 1, 2j + 2: pair j's twins
+            self.rows = np.empty((needed, self.total.size))
+            self.twin_grads = split_flat(self.rows[1:], self.shapes)
         emb, cache = embed(model, x, topo, variant)
         d, g = _cosine_distance_grads(emb)
         loss, dl_dd = _pair_losses(d, labels, margin)
-        active = np.flatnonzero(dl_dd)
-        cache = cache.take((2 * active[:, None] + np.arange(2)).reshape(-1))
-        g = g.reshape(len(d), 2, -1)[active] * dl_dd[active, None, None]
-        g = g.reshape(2 * len(active), emb.shape[1])
+        g *= np.repeat(dl_dd, 2)[:, None]
         self.total[...] = 0.0
         step = len(self.rows) - 1
         for start in range(0, len(g), step):
@@ -359,41 +353,50 @@ def init_adam_state(model: EmbeddingModel) -> AdamState:
                      v=[np.zeros_like(p) for p in params], t=0)
 
 
+def _adam_update(p, g, m, v, t: int, lr: float) -> None:
+    """The Adam rule: step t of bias-corrected Adam at learning rate lr,
+    applied in place to p, m and v from gradient g. It is elementwise, so
+    one pass over flat vectors and one pass per parameter give the same
+    bits."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    p -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + ADAM_EPSILON)
+
+
 def adam_step(model: EmbeddingModel, grads, state: AdamState,
               cfg: TrainConfig):
-    """One bias-corrected Adam update, applied in place to the model's
-    parameter buffers and the state; both are also returned."""
+    """One bias-corrected Adam update of per-parameter gradients, applied in
+    place to the model's parameter buffers and the state; both are also
+    returned. train applies the same rule to the flat theta in one pass."""
     params = parameter_list(model)
     if len(grads) != len(params):
         raise ValueError(f"expected {len(params)} gradients, got {len(grads)}")
-    state.t += 1
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    bias1 = 1.0 - b1 ** state.t
-    bias2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g in zip(params, grads):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter {p.shape}")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPSILON)
+    state.t += 1
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        _adam_update(p, g, m, v, state.t, cfg.learning_rate)
     return model, state
 
 
 def train(model: EmbeddingModel, topo: SkeletonTopology, pairs,
           cfg: TrainConfig = TrainConfig(), variant: str = "gcn"):
-    """Fit the model on labelled pairs; returns (model, TrainHistory).
+    """Fit the model in place on labelled pairs; returns (model, TrainHistory).
 
     Per epoch: shuffle with the run-level seeded generator, split into
     batches of cfg.batch_size keeping the final short batch, accumulate
     per-pair gradients in shuffled index order, take their mean, then take
-    one adam_step per batch. Fully determined by (model, pairs order, cfg).
+    one Adam step per batch. Fully determined by (model, pairs order, cfg).
 
     Each distinct pose is normalized once per call, a batch's twins are
-    embedded in one stacked call, and only pairs with a nonzero dL/dd are
-    backpropagated. The result is bit-identical to looping pair_backward
-    over each batch in shuffled order.
+    embedded in one stacked call and backpropagated PAIRS_PER_CHUNK pairs at
+    a time, and each Adam step is one elementwise pass over the model's flat
+    theta and flat moments. The result is bit-identical to looping
+    pair_backward over each batch in shuffled order and calling adam_step.
     """
     check_variant(variant)
     pairs = list(pairs)
@@ -405,7 +408,8 @@ def train(model: EmbeddingModel, topo: SkeletonTopology, pairs,
     twins = index.reshape(-1, 2)
     labels = np.array([pair.label_y for pair in pairs])
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    state = init_adam_state(model)
+    theta = model.theta
+    m, v, t = np.zeros_like(theta), np.zeros_like(theta), 0
     batch_grad = _BatchGradient(model)
     history = TrainHistory()
     for _ in range(cfg.epochs):
@@ -420,7 +424,8 @@ def train(model: EmbeddingModel, topo: SkeletonTopology, pairs,
             dists.append(d)
             # multiply by the reciprocal: a division would round differently
             batch_grad.total *= 1.0 / len(batch)
-            adam_step(model, batch_grad.grads, state, cfg)
+            t += 1
+            _adam_update(theta, batch_grad.total, m, v, t, cfg.learning_rate)
         dists = np.concatenate(dists)
         visited = labels[order]
         pos_d, neg_d = dists[visited == 1], dists[visited == 0]

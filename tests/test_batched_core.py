@@ -8,7 +8,7 @@ stacked gradient check equals the per-coordinate loop it replaced.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from posesim.network import (
@@ -115,6 +115,45 @@ def test_batch_gradient_is_sequential_sum_of_pair_backward(kp, labels_seed,
             t += g
     for got, want in zip(core.grads, total):
         assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(kp=keypoint_stacks(max_poses=2 * (2 * PAIRS_PER_CHUNK + 1)),
+       extra=keypoint_stacks(max_poses=8),
+       seed=st.integers(0, 2 ** 32 - 1), variant=st.sampled_from(VARIANTS))
+def test_inactive_pairs_leave_batch_gradient_unchanged(kp, extra, seed,
+                                                       variant):
+    # inactive pairs (label 0, d >= margin) have dL/dd == 0: inserting them
+    # anywhere must leave the summed gradient byte-identical
+    if len(kp) % 2:
+        kp = np.concatenate([kp, kp[:1]])
+    if len(extra) % 2:
+        extra = np.concatenate([extra, extra[:1]])
+    rng = np.random.default_rng(seed)
+    model = init_model(h=2, seed=seed)
+    x, x_extra = normalize_stack(kp), normalize_stack(extra)
+    d_extra = cosine_distances(embed(model, x_extra, TOPO, variant)[0])
+    margin = float(d_extra.min())
+    assume(0.0 < margin <= 2.0)
+    labels = rng.integers(0, 2, size=len(kp) // 2)
+
+    core = _BatchGradient(model)
+    loss, d = core.compute(model, TOPO, x, labels, margin, variant)
+    want = core.total.tobytes()
+
+    slots = np.sort(rng.integers(0, len(labels) + 1, size=len(d_extra)))
+    pairs = np.insert(x.reshape(len(labels), 2, NUM_KEYPOINTS, 2), slots,
+                      x_extra.reshape(-1, 2, NUM_KEYPOINTS, 2), axis=0)
+    mixed_labels = np.insert(labels, slots, 0)
+    mixed_loss, mixed_d = core.compute(model, TOPO,
+                                       pairs.reshape(-1, NUM_KEYPOINTS, 2),
+                                       mixed_labels, margin, variant)
+    kept = np.ones(len(mixed_labels), dtype=bool)
+    kept[slots + np.arange(len(slots))] = False
+    assert np.all(mixed_loss[~kept] == 0.0)
+    assert mixed_loss[kept].tobytes() == loss.tobytes()
+    assert mixed_d[kept].tobytes() == d.tobytes()
+    assert core.total.tobytes() == want
 
 
 def loop_gradient_check(model, topo, pair, cfg, variant):

@@ -220,6 +220,14 @@ class TestPoseFileErrors:
             parse_pose_file(self.as_bytes(doc))
         assert str(info.value).count("record 'a'") == 1
 
+    @pytest.mark.parametrize("leaf", ["0.5", True])
+    def test_bool_or_string_keypoint_names_record(self, leaf):
+        doc = self.good_doc()
+        doc["records"][0]["keypoints"][2][1] = leaf
+        with pytest.raises(ValueError, match="record 'a': keypoints must hold "
+                                             "numbers, not bools or strings"):
+            parse_pose_file(self.as_bytes(doc))
+
     def test_nonfinite_keypoint_names_record(self):
         doc = self.good_doc()
         doc["records"][0]["keypoints"][2][1] = None

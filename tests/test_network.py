@@ -155,6 +155,27 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="non-finite"):
             EmbeddingModel((w0, model.gcn_weights[1]), model.mlp_layers, model.arch)
 
+    def test_parameters_are_views_of_one_flat_vector(self):
+        model = load_checkpoint(save_checkpoint(init_model(h=3, seed=5)))
+        params = parameter_list(model)
+        assert model.theta.flags.c_contiguous and model.theta.dtype == np.float64
+        assert all(p.base is model.theta for p in params)
+        assert sum(p.size for p in params) == model.theta.size
+        model.theta[:] = np.arange(model.theta.size)
+        flat = np.concatenate([p.reshape(-1) for p in params])
+        np.testing.assert_array_equal(flat, np.arange(model.theta.size))
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((2, 2), dtype=bool), np.full((2, 2), "0.5"),
+        [[0.5, True], [0.5, 0.5]], [["0.5", 0.5], [0.5, 0.5]],
+        [np.array([0.5, 0.5]), np.array([True, False])],
+    ], ids=["bool-array", "str-array", "bool-leaf", "str-leaf", "bool-row"])
+    def test_bool_and_string_elements_rejected(self, bad):
+        model = init_model(h=2, seed=0)
+        with pytest.raises(ValueError, match="gcn weight 0 must hold numbers"):
+            EmbeddingModel((bad, model.gcn_weights[1]), model.mlp_layers,
+                           model.arch)
+
     def test_constructor_copies_arrays(self):
         model = init_model(h=2, seed=0)
         w0 = model.gcn_weights[0].copy()
@@ -352,6 +373,41 @@ class TestCheckpoint:
         (doc["arch"] if field == "gcn_hidden" else doc)[field] = value
         with pytest.raises(ValueError, match="malformed checkpoint.*must be ints"):
             load_checkpoint(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("seed", [-5, -1, 2 ** 64, 10 ** 30])
+    def test_seed_must_fit_64_unsigned_bits(self, seed):
+        doc = json.loads(save_checkpoint(init_model(h=2, seed=0)))
+        doc["seed"] = seed
+        with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
+            load_checkpoint(json.dumps(doc).encode())
+
+    def test_largest_seed_loads(self):
+        doc = json.loads(save_checkpoint(init_model(h=2, seed=0)))
+        doc["seed"] = 2 ** 64 - 1
+        assert load_checkpoint(json.dumps(doc).encode()).arch.seed == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("path, value", [
+        (("gcn_w0", 0, 1), "0.5"), (("gcn_w1", 1, 0), True),
+        (("mlp", 1, "w", 3, 7), "1e-3"), (("mlp", 2, "b", 0), True),
+        (("mlp", 0, "b", 5), False),
+    ], ids=["weight-str", "weight-bool", "mlp-weight-str", "bias-true",
+            "bias-false"])
+    def test_bool_and_string_parameters_rejected(self, path, value):
+        doc = json.loads(save_checkpoint(init_model(h=2, seed=0)))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ValueError, match="must hold numbers, not bools or strings"):
+            load_checkpoint(json.dumps(doc).encode())
+
+    def test_int_parameters_load_as_floats(self):
+        doc = json.loads(save_checkpoint(init_model(h=2, seed=0)))
+        doc["mlp"][0]["b"] = [0] * 40
+        doc["gcn_w0"][0][0] = 1
+        model = load_checkpoint(json.dumps(doc).encode())
+        assert model.gcn_weights[0][0, 0] == 1.0
+        assert model.theta.dtype == np.float64
 
     def test_version_checked_before_any_field(self):
         with pytest.raises(ValueError,

@@ -173,6 +173,23 @@ class TestPoseValidation:
         with pytest.raises(ValueError, match="non-finite"):
             Pose(kp)
 
+    @pytest.mark.parametrize("leaf", ["0.5", True, False, np.True_, b"1"])
+    def test_bool_and_string_coordinates_rejected(self, leaf):
+        kp = np.zeros((NUM_KEYPOINTS, 2)).tolist()
+        kp[3][1] = leaf
+        with pytest.raises(ValueError, match="must hold numbers, not bools or strings"):
+            Pose(kp)
+
+    @pytest.mark.parametrize("dtype", [bool, str, object])
+    def test_non_numeric_array_dtype_rejected(self, dtype):
+        with pytest.raises(ValueError, match="must hold numbers"):
+            Pose(np.zeros((NUM_KEYPOINTS, 2)).astype(dtype))
+
+    def test_int_coordinates_accepted(self):
+        kp = np.arange(2 * NUM_KEYPOINTS).reshape(NUM_KEYPOINTS, 2)
+        for values in (kp, kp.tolist(), list(kp)):
+            assert Pose(values).keypoints.tobytes() == kp.astype(float).tobytes()
+
     def test_keypoints_are_read_only(self):
         pose = Pose(np.zeros((NUM_KEYPOINTS, 2)))
         with pytest.raises(ValueError):

@@ -366,6 +366,19 @@ class TestTrain:
         for p1, p2 in zip(parameter_list(m1), parameter_list(m2)):
             np.testing.assert_array_equal(p1, p2)
 
+    def test_updates_callers_model_in_place(self):
+        pairs = self.small_corpus(np.random.default_rng(66), 4, 4)
+        cfg = TrainConfig(epochs=2, batch_size=3, seed=1)
+        model = init_model(h=2, seed=4)
+        theta, params = model.theta, parameter_list(model)
+        before = theta.copy()
+        trained, _ = train(model, TOPO, pairs, cfg)
+        assert trained is model and model.theta is theta
+        assert all(a is b for a, b in zip(parameter_list(model), params))
+        assert not np.array_equal(theta, before)
+        copy, _ = train(init_model(h=2, seed=4), TOPO, pairs, cfg)
+        assert copy.theta.tobytes() == theta.tobytes()
+
     def test_matches_manual_loop_replica(self):
         # re-derive the documented loop from public pieces: seeded shuffle,
         # short batch kept, mean reduction, one adam step per batch
