@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from posesim.network import json_number, read_document, write_document
+from posesim.network import check_seed, json_number, read_document, write_document
 from posesim.skeleton import KEYPOINT_NAMES, NUM_KEYPOINTS, Pose, number_array
 from posesim.training import PosePair, checked_label
 
@@ -168,8 +168,7 @@ class SynthConfig:
         if list(levels) != sorted(levels):
             raise ValueError("jitter levels must be sorted ascending")
         object.__setattr__(self, "jitter_levels", levels)
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
 
 
 def parse_pose_file(data: bytes) -> list[PoseRecord]:
@@ -378,6 +377,7 @@ def split_corpus(items, train_fraction: float, seed: int = 0):
         raise ValueError("nothing to split")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(len(items))
     cut = int(round(len(items) * train_fraction))

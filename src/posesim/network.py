@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +47,14 @@ MLP_VARIANT = "mlp"
 VARIANTS = (GCN_VARIANT, MLP_VARIANT)
 
 
+def check_seed(seed) -> None:
+    """Raise ValueError unless seed is an int in [0, 2**64), a PCG64 seed."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= seed < 2 ** 64):
+        raise ValueError(f"seed must fit in 64 unsigned bits: an int in "
+                         f"[0, 2**64), got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ArchMeta:
     """Architecture metadata; fixed at model creation.
@@ -61,8 +72,7 @@ class ArchMeta:
     def __post_init__(self):
         if self.gcn_hidden < 1:
             raise ValueError("gcn_hidden must be >= 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
 
 
 def parameter_shapes(h: int) -> list[tuple[str, tuple]]:
@@ -103,6 +113,23 @@ class AffineLayer:
     b: np.ndarray
 
 
+class Layers(NamedTuple):
+    """The layers of one model, or of K models stacked on a leading copy
+    axis, as embed and training._backward read them (an EmbeddingModel has
+    the same two fields)."""
+
+    gcn_weights: tuple
+    mlp_layers: tuple
+
+
+def layers_of(theta: np.ndarray, h: int) -> Layers:
+    """Views of flat parameters theta, shape (..., size), as layers; every
+    array keeps theta's leading axes."""
+    views = split_flat(theta, [shape for _, shape in parameter_shapes(h)])
+    return Layers(tuple(views[:2]), tuple(
+        AffineLayer(w, b) for w, b in zip(views[2::2], views[3::2])))
+
+
 @dataclass(frozen=True)
 class EmbeddingModel:
     """All trainable parameters plus architecture metadata.
@@ -129,11 +156,10 @@ class EmbeddingModel:
         arrays = [_param(values, shape, what)
                   for (what, shape), values in zip(specs, given)]
         theta = np.concatenate([a.reshape(-1) for a in arrays])
-        views = split_flat(theta, [shape for _, shape in specs])
+        layers = layers_of(theta, self.arch.gcn_hidden)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "gcn_weights", tuple(views[:2]))
-        object.__setattr__(self, "mlp_layers", tuple(
-            AffineLayer(w, b) for w, b in zip(views[2::2], views[3::2])))
+        object.__setattr__(self, "gcn_weights", layers.gcn_weights)
+        object.__setattr__(self, "mlp_layers", layers.mlp_layers)
 
 
 def parameter_list(model: EmbeddingModel) -> list[np.ndarray]:
@@ -152,26 +178,50 @@ def parameter_count(model: EmbeddingModel) -> int:
     return model.theta.size
 
 
-def init_model(h: int = 2, seed: int = 0) -> EmbeddingModel:
-    """Create a model with Glorot-uniform weights and zero biases.
+@lru_cache(maxsize=None)
+def _glorot_spans(h: int) -> tuple:
+    """(start, stop, low, high - low) of every weight matrix's slice of the
+    flat vector of gcn_hidden h and its Glorot interval, in canonical order;
+    the number of weights; the vector's size."""
+    spans, start = [], 0
+    for _, shape in parameter_shapes(h):
+        stop = start + math.prod(shape)
+        if len(shape) == 2:
+            bound = math.sqrt(6.0 / sum(shape))
+            spans.append((start, stop, -bound, 2.0 * bound))
+        start = stop
+    return tuple(spans), sum(stop - start for start, stop, _, _ in spans), start
+
+
+def init_theta(h: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
+    """init_model's parameters as one flat vector, written into out if given.
 
     Weight matrices are drawn in canonical order from a PCG64 generator
-    seeded with `seed`, each uniform in +-sqrt(6 / (fan_in + fan_out)), so
-    the result is fully determined by (h, seed). ArchMeta rejects h < 1.
+    seeded with `seed`, each uniform in +-sqrt(6 / (fan_in + fan_out)) and
+    filled row-major, and biases are zero, so the result is fully
+    determined by (h, seed).
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    spans, weights, size = _glorot_spans(h)
+    theta = np.empty(size) if out is None else out
+    theta.fill(0.0)
+    # Generator.uniform(low, high, n) is low + (high - low) * u for the n
+    # values u of Generator.random(n), each product and sum rounded on its
+    # own; one random() call and two passes per matrix give those values
+    u = np.random.Generator(np.random.PCG64(seed)).random(weights)
+    drawn = 0
+    for start, stop, low, width in spans:
+        matrix = theta[start:stop]
+        np.multiply(u[drawn:drawn + stop - start], width, out=matrix)
+        matrix += low
+        drawn += stop - start
+    return theta
 
-    def glorot(fan_in: int, fan_out: int) -> np.ndarray:
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
-    gcn_weights = (glorot(FEATURE_DIM, h), glorot(h, FEATURE_DIM))
-    mlp_layers = tuple(
-        AffineLayer(w=glorot(MLP_WIDTHS[i], MLP_WIDTHS[i + 1]),
-                    b=np.zeros(MLP_WIDTHS[i + 1]))
-        for i in range(3)
-    )
-    return EmbeddingModel(gcn_weights, mlp_layers, ArchMeta(gcn_hidden=h, seed=seed))
+def init_model(h: int = 2, seed: int = 0) -> EmbeddingModel:
+    """Create a model with Glorot-uniform weights and zero biases drawn by
+    init_theta; ArchMeta rejects h < 1 and a seed PCG64 cannot take."""
+    arch = ArchMeta(gcn_hidden=h, seed=seed)
+    return EmbeddingModel(*layers_of(init_theta(h, seed), h), arch)
 
 
 def check_variant(variant: str) -> None:
@@ -187,7 +237,9 @@ class ForwardCache:
     gcn_pre/gcn_post hold each graph layer's pre- and post-activation node
     matrices (empty for the MLP-only variant); mlp_pre/mlp_post the same per
     MLP layer. flat is the MLP input. Every array carries the pose axis
-    first; forward_variant() returns the single pose's slice, take(0).
+    first, or the model axis and then the pose axis when K stacked models
+    are embedded; forward_variant() returns the single pose's slice,
+    take(0).
     """
 
     x: np.ndarray
@@ -198,7 +250,8 @@ class ForwardCache:
     mlp_post: list[np.ndarray]
 
     def take(self, index) -> "ForwardCache":
-        """The cache of the poses selected by a numpy index along axis 0."""
+        """The cache of the poses, or of the stacked models, selected by a
+        numpy index along axis 0."""
         return ForwardCache(
             x=self.x[index],
             gcn_pre=[z[index] for z in self.gcn_pre],
@@ -245,21 +298,24 @@ def _run_layers(gcn_weights, mlp_layers, topo: SkeletonTopology | None,
     return h
 
 
-def embed(model: EmbeddingModel, x: np.ndarray, topo: SkeletonTopology | None,
+def embed(model: EmbeddingModel | Layers, x: np.ndarray,
+          topo: SkeletonTopology | None,
           variant: str) -> tuple[np.ndarray, ForwardCache]:
     """Embed a stack of normalized poses, x of shape (n, 15, 2).
 
     Returns the (n, 50) embeddings and the stacked cache of intermediates.
     The gcn variant runs every layer; the mlp variant feeds x, flattened,
     straight into the MLP head (topo may then be None). Row i is bit for bit
-    the embedding of x[i] alone, whatever n; see _run_layers.
+    the embedding of x[i] alone, whatever n; see _run_layers. model may also
+    be the Layers of K models stacked (K, 1, *shape), with x (K, n, 15, 2):
+    every value then carries the leading axis, model k embedding x[k].
     """
     check_variant(variant)
     cache = ForwardCache(x=x, gcn_pre=[], gcn_post=[], flat=None,
                          mlp_pre=[], mlp_post=[])
     gcn_weights, h = model.gcn_weights, x
     if variant == MLP_VARIANT:
-        gcn_weights, h = (), x.reshape(len(x), FLAT_DIM)
+        gcn_weights, h = (), x.reshape(x.shape[:-2] + (FLAT_DIM,))
         cache.flat = h
     return _run_layers(gcn_weights, model.mlp_layers, topo, h, cache), cache
 
@@ -311,9 +367,11 @@ def read_document(data: bytes, what: str, version: int) -> dict:
 def write_document(doc: dict, version: int) -> bytes:
     """The canonical UTF-8 JSON of doc stamped with format_version: sorted
     keys, indent 1, a trailing newline. Floats keep full round-trip
-    precision, so the bytes are stable and read_document inverts them."""
+    precision, so the bytes are stable and read_document inverts them. A
+    NaN or infinite float, which JSON cannot hold, raises ValueError."""
     doc = {"format_version": version, **doc}
-    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
+    return (json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
+            + "\n").encode("utf-8")
 
 
 def save_checkpoint(model: EmbeddingModel) -> bytes:

@@ -36,10 +36,10 @@ class ScoreParams:
     width_u: float = 0.3
 
     def __post_init__(self):
-        if not self.amplitude_sigma > 0:
-            raise ValueError("amplitude_sigma must be > 0")
-        if not self.width_u > 0:
-            raise ValueError("width_u must be > 0")
+        for name in ("amplitude_sigma", "width_u"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def similarity_score(d_c: float, p: ScoreParams = ScoreParams()) -> float:

@@ -24,14 +24,19 @@ import numpy as np
 from posesim.network import (
     GCN_VARIANT,
     VARIANTS,
+    ArchMeta,
     EmbeddingModel,
     ForwardCache,
+    Layers,
     _run_layers,
+    check_seed,
     check_variant,
     embed,
-    init_model,
+    init_theta,
     json_number,
+    layers_of,
     parameter_list,
+    parameter_shapes,
     split_flat,
 )
 from posesim.skeleton import (
@@ -61,6 +66,10 @@ COORDS_PER_CHUNK = 32
 
 # gradient_check's central-difference step; _fd_friendly vets instances for it
 FD_EPSILON = 1e-6
+
+# Candidate instances random_check_instance vets at once, as one stack of
+# models; at 8 their parameters and twin gradients take 1.1 MB
+CANDIDATES_PER_BLOCK = 8
 
 
 def checked_label(y, magnitude):
@@ -107,16 +116,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got "
+                             f"{self.learning_rate!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not 0 < self.margin_m <= 2:
             raise ValueError("margin_m must be in (0, 2]")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -253,24 +262,27 @@ def contrastive_loss(d_c: float, y: int, m: float = DEFAULT_MARGIN) -> float:
     return float(loss)
 
 
-def _backward(model: EmbeddingModel, topo: SkeletonTopology,
+def _backward(model: EmbeddingModel | Layers, topo: SkeletonTopology,
               cache: ForwardCache, g: np.ndarray, out: list) -> None:
     """Backpropagate g = dL/d(embedding), shape (n, 50), through n twins.
 
     out holds one (n, *shape) stack per parameter, in canonical order; row t
-    receives twin t's own gradient. Every product is the one a single-twin
-    pass would make, so no sum runs across twins here. Every layer but the
-    identity MLP output is ReLU-gated.
+    receives twin t's own gradient. model may also be the Layers of K
+    models stacked (K, 1, *shape), with cache, g and out carrying the same
+    leading axis K: model k's twins then get model k's gradients. Every
+    product is the one a single-twin pass of a single model would make, so
+    no sum runs across twins or models here. Every layer but the identity
+    MLP output is ReLU-gated.
     """
     layers = model.mlp_layers
     for i in reversed(range(len(layers))):
         if i < len(layers) - 1:
             g = g * (cache.mlp_pre[i] > 0.0)
         a_prev = cache.flat if i == 0 else cache.mlp_post[i - 1]
-        np.einsum("ni,nj->nij", a_prev, g, out=out[2 + 2 * i])
+        np.einsum("...i,...j->...ij", a_prev, g, out=out[2 + 2 * i])
         out[3 + 2 * i][...] = g
         if i > 0 or cache.gcn_pre:
-            g = (layers[i].w @ g[:, :, None])[:, :, 0]
+            g = (layers[i].w @ g[..., None])[..., 0]
     if not cache.gcn_pre:
         for grad in out[:len(model.gcn_weights)]:
             grad[...] = 0.0
@@ -280,9 +292,9 @@ def _backward(model: EmbeddingModel, topo: SkeletonTopology,
     for i in reversed(range(len(model.gcn_weights))):
         gh = gh * (cache.gcn_pre[i] > 0.0)
         h_in = cache.x if i == 0 else cache.gcn_post[i - 1]
-        np.matmul((a_norm @ h_in).transpose(0, 2, 1), gh, out=out[i])
+        np.matmul((a_norm @ h_in).swapaxes(-1, -2), gh, out=out[i])
         if i > 0:
-            gh = a_norm.T @ (gh @ model.gcn_weights[i].T)
+            gh = a_norm.T @ (gh @ model.gcn_weights[i].swapaxes(-1, -2))
 
 
 class _BatchGradient:
@@ -412,20 +424,26 @@ def train(model: EmbeddingModel, topo: SkeletonTopology, pairs,
     m, v, t = np.zeros_like(theta), np.zeros_like(theta), 0
     batch_grad = _BatchGradient(model)
     history = TrainHistory()
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(pairs))
         losses, dists = [], []
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            loss, d = batch_grad.compute(model, topo,
-                                         features[twins[batch].reshape(-1)],
-                                         labels[batch], cfg.margin_m, variant)
-            losses.append(loss)
-            dists.append(d)
-            # multiply by the reciprocal: a division would round differently
-            batch_grad.total *= 1.0 / len(batch)
-            t += 1
-            _adam_update(theta, batch_grad.total, m, v, t, cfg.learning_rate)
+        # a diverging run overflows silently here and is stopped below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(order), cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                loss, d = batch_grad.compute(
+                    model, topo, features[twins[batch].reshape(-1)],
+                    labels[batch], cfg.margin_m, variant)
+                losses.append(loss)
+                dists.append(d)
+                # multiply by the reciprocal: a division would round
+                # differently
+                batch_grad.total *= 1.0 / len(batch)
+                t += 1
+                _adam_update(theta, batch_grad.total, m, v, t, cfg.learning_rate)
+        if not np.all(np.isfinite(theta)):
+            raise ValueError(f"training diverged in epoch {epoch}: the "
+                             f"parameters are no longer finite")
         dists = np.concatenate(dists)
         visited = labels[order]
         pos_d, neg_d = dists[visited == 1], dists[visited == 0]
@@ -499,35 +517,57 @@ def gradient_check(model: EmbeddingModel, topo: SkeletonTopology,
     return float(np.max(np.abs(ga - gn) / denom))
 
 
-def _fd_friendly(model, topo, pair: PosePair, x) -> bool:
-    """Whether central differencing at step FD_EPSILON is trustworthy here.
+def _fd_friendly(theta: np.ndarray, h: int, x: np.ndarray, label: int,
+                 topo: SkeletonTopology, out: np.ndarray) -> np.ndarray:
+    """Which of K candidate instances central differencing at step
+    FD_EPSILON is trustworthy on, as a boolean mask of shape (K,).
 
-    Differencing needs the loss smooth within the step and the comparison
-    clear of the float64 noise floor (about machine epsilon times the loss
-    over the step, ~1e-10 here). Checked per variant: embeddings off the
-    norm clamp, distance on the active side of and away from the hinge kink,
-    every relu pre-activation away from zero, and every nonzero analytic
-    gradient coordinate above the noise floor by a wide margin. The gradient
-    condition reads only analytic magnitudes, so it cannot hide a wrong
-    gradient from the comparison. x holds the pair's two normalized twins.
+    Candidate k is the model of gcn_hidden h whose flat parameters are
+    theta[k], on the pair whose normalized twins are x[k], shape (2, 15, 2),
+    with label `label`. Differencing needs the loss smooth within the step
+    and the comparison clear of the float64 noise floor (about machine
+    epsilon times the loss over the step, ~1e-10 here). Checked per variant:
+    embeddings off the norm clamp, distance on the active side of and away
+    from the hinge kink, every relu pre-activation away from zero, and every
+    nonzero analytic gradient coordinate above the noise floor by a wide
+    margin. The gradient condition reads only analytic magnitudes, so it
+    cannot hide a wrong gradient from the comparison.
+
+    The K models run as one stack (see embed and _backward), every value bit
+    for bit the one a single candidate would give. Both variants' forward
+    checks run on the whole block first; only the candidates that pass them
+    are backpropagated, their twin gradients going to out, a (K, 2, size)
+    buffer. Every check is the negation of its rejection, ~(x < t), so a
+    NaN never rejects a candidate. The mask is a conjunction, so the order
+    of the checks does not change it.
     """
+    layers = layers_of(theta[:, None], h)
+    ok = np.ones(len(theta), dtype=bool)
+    caches = []
     for variant in VARIANTS:
-        emb, cache = embed(model, x, topo, variant)
-        cos, raw, _, _ = _pair_cosines(emb)
-        if raw.min() < 1e-3:
-            return False
-        if 1.0 - cos[0] > DEFAULT_MARGIN - 1e-3:
-            return False
+        emb, cache = embed(layers, x, topo, variant)
+        cos, raw, _, _ = _pair_cosines(emb.reshape(-1, emb.shape[-1]))
+        ok &= ~(raw.reshape(-1, 2).min(axis=1) < 1e-3)
+        ok &= ~(1.0 - cos > DEFAULT_MARGIN - 1e-3)
         for z in (*cache.gcn_pre, *cache.mlp_pre[:-1]):  # identity head has no kink
-            if float(np.min(np.abs(z))) < 1e-4:
-                return False
-        _, grads = pair_backward(model, topo, pair, TrainConfig(), variant)
-        for g in grads:
-            mags = np.abs(g.reshape(-1))
-            nonzero = mags[mags > 0.0]
-            if nonzero.size and float(nonzero.min()) < 3e-6:
-                return False
-    return True
+            ok &= ~(np.abs(z).reshape(len(z), -1).min(axis=1) < 1e-4)
+        caches.append((emb, cache))
+    shapes = [shape for _, shape in parameter_shapes(h)]
+    for emb, cache in caches:
+        alive = np.flatnonzero(ok)
+        if not alive.size:
+            break
+        # pair_backward's gradient of each survivor, at the default margin
+        d, g = _cosine_distance_grads(emb[alive].reshape(-1, emb.shape[-1]))
+        g *= np.repeat(_pair_losses(d, label, DEFAULT_MARGIN)[1], 2)[:, None]
+        twins = out[:len(alive)]
+        _backward(layers_of(theta[alive, None], h), topo, cache.take(alive),
+                  g.reshape(len(alive), 2, -1), split_flat(twins, shapes))
+        # its pair gradient, 0.0 + (a + b), has the magnitude |a + b|
+        mags = np.add(twins[:, 0], twins[:, 1], out=twins[:, 0])
+        np.abs(mags, out=mags)
+        ok[alive] = ~np.any((mags > 0.0) & (mags < 3e-6), axis=1)
+    return ok
 
 
 def random_check_instance(seed: int):
@@ -535,16 +575,38 @@ def random_check_instance(seed: int):
 
     Alternates labels with the seed's parity so a sweep of consecutive seeds
     exercises both loss branches (the dissimilar side with its hinge active).
-    Candidates are redrawn until the point is one where finite differencing
-    is meaningful for both variants; see _fd_friendly.
+    Candidates come from the seed's PCG64 generator, each a model seed and
+    then its two poses' keypoints, uniform in [-3, 3]; the first candidate
+    in draw order at which finite differencing is meaningful for both
+    variants is returned (see _fd_friendly).
+
+    Candidates are vetted CANDIDATES_PER_BLOCK at a time as one stack of
+    models, each model's flat parameters drawn by init_theta as init_model
+    draws them; only the winner becomes an EmbeddingModel and a PosePair.
+    The generator is local, so drawing past the winner changes nothing.
     """
+    check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     topo = build_skeleton_topology()
+    h, label = 2, seed % 2
+    size = sum(math.prod(shape) for _, shape in parameter_shapes(h))
+    theta = np.empty((CANDIDATES_PER_BLOCK, size))
+    keypoints = np.empty((CANDIDATES_PER_BLOCK, 2, NUM_KEYPOINTS, 2))
+    twin_grads = np.empty((CANDIDATES_PER_BLOCK, 2, size))
+    seeds = [0] * CANDIDATES_PER_BLOCK
     while True:
-        model = init_model(h=2, seed=int(rng.integers(2 ** 32)))
-        pose_a = Pose(rng.uniform(-3.0, 3.0, size=(NUM_KEYPOINTS, 2)))
-        pose_b = Pose(rng.uniform(-3.0, 3.0, size=(NUM_KEYPOINTS, 2)))
-        pair = PosePair(pose_a, pose_b, label_y=seed % 2)
-        x = normalize_stack([pose_a.keypoints, pose_b.keypoints])
-        if _fd_friendly(model, topo, pair, x):
-            return model, pair
+        for k in range(CANDIDATES_PER_BLOCK):
+            seeds[k] = int(rng.integers(2 ** 32))
+            init_theta(h, seeds[k], out=theta[k])
+            # one draw of both poses takes the same values as two in a row
+            keypoints[k] = rng.uniform(-3.0, 3.0, size=(2, NUM_KEYPOINTS, 2))
+        # finite draws in [-3, 3] meet normalize_stack's precondition
+        x = normalize_stack(keypoints.reshape(-1, NUM_KEYPOINTS, 2))
+        mask = _fd_friendly(theta, h, x.reshape(keypoints.shape), label, topo,
+                            twin_grads)
+        if mask.any():
+            k = int(np.argmax(mask))
+            model = EmbeddingModel(*layers_of(theta[k], h),
+                                   ArchMeta(gcn_hidden=h, seed=seeds[k]))
+            return model, PosePair(Pose(keypoints[k, 0]), Pose(keypoints[k, 1]),
+                                   label_y=label)

@@ -2,9 +2,14 @@
 
 Stacking must not change a single bit: a pose's normalized features and
 embedding are the same whatever stack it sits in, a batch's summed
-gradient is the sequential sum of its pairs' pair_backward results, and the
-stacked gradient check equals the per-coordinate loop it replaced.
+gradient is the sequential sum of its pairs' pair_backward results, the
+stacked gradient check equals the per-coordinate loop it replaced, K models
+stacked give each model its own pair_backward gradients, and vetting a
+block of check-instance candidates accepts exactly the candidates the
+one-at-a-time vetting it replaced accepts.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,11 +18,16 @@ from hypothesis import strategies as st
 
 from posesim.network import (
     VARIANTS,
+    ArchMeta,
     EmbeddingModel,
     embed,
     forward_variant,
     init_model,
+    init_theta,
+    layers_of,
     parameter_list,
+    parameter_shapes,
+    split_flat,
 )
 from posesim.scoring import evaluate, score_pair
 from posesim.skeleton import (
@@ -28,11 +38,17 @@ from posesim.skeleton import (
     normalize_stack,
 )
 from posesim.training import (
+    CANDIDATES_PER_BLOCK,
+    DEFAULT_MARGIN,
     FD_EPSILON,
     PAIRS_PER_CHUNK,
     PosePair,
     TrainConfig,
+    _backward,
     _BatchGradient,
+    _cosine_distance_grads,
+    _fd_friendly,
+    _pair_cosines,
     _pair_losses,
     cosine_distance,
     cosine_distances,
@@ -227,3 +243,174 @@ ENTRY_POINTS = {
 def test_unknown_variant_rejected_before_any_work(entry, variant):
     with pytest.raises(ValueError, match="variant"):
         ENTRY_POINTS[entry](variant)
+
+
+H = 2
+SHAPES = [shape for _, shape in parameter_shapes(H)]
+SIZE = sum(math.prod(shape) for shape in SHAPES)
+
+
+def twin_inputs(seed, k):
+    """k models' flat parameters and k pairs' keypoints, (k, 2, 15, 2), drawn
+    from seed as random_check_instance draws its candidates."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    theta = np.empty((k, SIZE))
+    kp = np.empty((k, 2, NUM_KEYPOINTS, 2))
+    for i in range(k):
+        init_theta(H, int(rng.integers(2 ** 32)), out=theta[i])
+        kp[i] = rng.uniform(-3.0, 3.0, size=(2, NUM_KEYPOINTS, 2))
+    return theta, kp
+
+
+def solo_model(theta_row):
+    """A model holding theta_row as its parameters, NaN and inf included."""
+    model = EmbeddingModel(*layers_of(np.zeros(SIZE), H), ArchMeta(H, 0))
+    model.theta[...] = theta_row
+    return model
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 6),
+       label=st.integers(0, 1), variant=st.sampled_from(VARIANTS),
+       margin=st.floats(0.05, 2.0))
+def test_stacked_backward_gives_each_model_its_pair_backward(seed, k, label,
+                                                            variant, margin):
+    theta, kp = twin_inputs(seed, k)
+    x = normalize_stack(kp.reshape(-1, NUM_KEYPOINTS, 2)).reshape(kp.shape)
+    layers = layers_of(theta[:, None], H)
+    emb, cache = embed(layers, x, TOPO, variant)
+    d, g = _cosine_distance_grads(emb.reshape(-1, emb.shape[-1]))
+    loss, dl_dd = _pair_losses(d, label, margin)
+    g *= np.repeat(dl_dd, 2)[:, None]
+    twins = np.empty((k, 2, SIZE))
+    _backward(layers, TOPO, cache, g.reshape(k, 2, -1), split_flat(twins, SHAPES))
+    for i in range(k):
+        model = solo_model(theta[i])
+        solo_emb, solo_cache = embed(model, x[i], TOPO, variant)
+        solo_d, solo_g = _cosine_distance_grads(solo_emb)
+        solo_g *= _pair_losses(solo_d, label, margin)[1][0]
+        solo = np.empty((2, SIZE))
+        _backward(model, TOPO, solo_cache, solo_g, split_flat(solo, SHAPES))
+        assert twins[i].tobytes() == solo.tobytes()
+        pair = PosePair(Pose(kp[i, 0]), Pose(kp[i, 1]), label)
+        want_loss, want = pair_backward(model, TOPO, pair,
+                                        TrainConfig(margin_m=margin), variant)
+        assert loss[i] == want_loss
+        # pair_backward adds the twins to a total that starts at +0.0
+        got = 0.0 + (twins[i, 0] + twins[i, 1])
+        assert got.tobytes() == np.concatenate(
+            [w.reshape(-1) for w in want]).tobytes()
+
+
+def solo_rejections(model, topo, pair, x):
+    """The checks of the one-candidate vetting that _fd_friendly replaced,
+    each written as it was; returns the (variant, reason) of every check
+    that fails, so the old function returned True exactly when this is
+    empty. x holds the pair's normalized twins."""
+    reasons = []
+    for variant in VARIANTS:
+        emb, cache = embed(model, x, topo, variant)
+        cos, raw, _, _ = _pair_cosines(emb)
+        if raw.min() < 1e-3:
+            reasons.append((variant, "norm"))
+        if 1.0 - cos[0] > DEFAULT_MARGIN - 1e-3:
+            reasons.append((variant, "hinge"))
+        for z in (*cache.gcn_pre, *cache.mlp_pre[:-1]):
+            if float(np.min(np.abs(z))) < 1e-4:
+                reasons.append((variant, "kink"))
+                break
+        _, grads = pair_backward(model, topo, pair, TrainConfig(), variant)
+        for g in grads:
+            mags = np.abs(g.reshape(-1))
+            nonzero = mags[mags > 0.0]
+            if nonzero.size and float(nonzero.min()) < 3e-6:
+                reasons.append((variant, "gradient"))
+                break
+    return reasons
+
+
+EDITS = ("none", "kill", "oppose", "kink", "twin", "scale", "nan")
+
+
+def apply_edit(theta_row, kp_pair, kind, variant, u):
+    """Edit one candidate in place so that a chosen check tends to fail for
+    the variant; u in [0, 1) picks the details.
+
+    kill zeroes twin a's embedding (norm), oppose shifts both embeddings
+    toward opposite directions (hinge), kink puts one pre-activation of an
+    MLP layer 5e-5 from zero (kink), twin makes both poses equal (gradient),
+    scale multiplies every parameter by up to 1e300 (overflow to inf and
+    NaN), nan sets one parameter to NaN.
+    """
+    if kind == "twin":
+        kp_pair[1] = kp_pair[0]
+    layers = layers_of(theta_row, H)
+    emb, cache = embed(layers, normalize_stack(kp_pair), TOPO, variant)
+    head = layers.mlp_layers
+    if kind == "kill":
+        head[2].b[...] -= emb[0]
+    elif kind == "oppose":
+        head[2].b[...] -= (0.7 + 0.3 * u) * (emb[0] + emb[1]) / 2
+    elif kind == "kink":
+        layer = int(u * 2)
+        z = cache.mlp_pre[layer][0]
+        j = int(u * 1000) % len(z)
+        head[layer].b[j] -= z[j] - 5e-5
+    elif kind == "scale":
+        theta_row *= 10.0 ** (300 * u)
+    elif kind == "nan":
+        theta_row[int(u * SIZE)] = np.nan
+
+
+def vet_both_ways(theta, kp, label):
+    """_fd_friendly's mask for the block and solo_rejections per candidate."""
+    x = normalize_stack(kp.reshape(-1, NUM_KEYPOINTS, 2)).reshape(kp.shape)
+    # overflowing and NaN candidates must decide alike, without warnings
+    with np.errstate(all="ignore"):
+        mask = _fd_friendly(theta, H, x, label, TOPO,
+                            np.empty((len(theta), 2, SIZE)))
+        reasons = [solo_rejections(solo_model(theta[i]), TOPO,
+                                   PosePair(Pose(kp[i, 0]), Pose(kp[i, 1]),
+                                            label), x[i])
+                   for i in range(len(theta))]
+    return mask, reasons
+
+
+def test_block_vet_matches_solo_when_each_check_alone_fails():
+    # blocks of accepted instances, each candidate edited so that one check
+    # fails, plus plain draws: for both labels every check of both variants
+    # is the only failing one for some candidate
+    for label in (0, 1):
+        winners = [random_check_instance(s)
+                   for s in range(label, 2 * CANDIDATES_PER_BLOCK, 2)]
+        sole = set()
+        blocks = [twin_inputs(label, 64)]
+        for kind in ("kill", "oppose", "kink"):
+            for variant in VARIANTS:
+                for u in (0.2, 0.7):
+                    theta = np.stack([m.theta for m, _ in winners])
+                    kp = np.stack([[p.pose_a.keypoints, p.pose_b.keypoints]
+                                   for _, p in winners])
+                    for i in range(len(theta)):
+                        apply_edit(theta[i], kp[i], kind, variant, u)
+                    blocks.append((theta, kp))
+        for theta, kp in blocks:
+            mask, reasons = vet_both_ways(theta, kp, label)
+            assert mask.tolist() == [not r for r in reasons]
+            sole.update(r[0] for r in reasons if len(r) == 1)
+        assert sole == {(v, reason) for v in VARIANTS
+                        for reason in ("norm", "hinge", "kink", "gradient")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), label=st.integers(0, 1),
+       edits=st.lists(st.tuples(st.sampled_from(EDITS),
+                                st.sampled_from(VARIANTS),
+                                st.floats(0.0, 1.0, exclude_max=True)),
+                      min_size=1, max_size=CANDIDATES_PER_BLOCK))
+def test_block_vet_matches_solo_vetting(seed, label, edits):
+    theta, kp = twin_inputs(seed, len(edits))
+    for i, edit in enumerate(edits):
+        apply_edit(theta[i], kp[i], *edit)
+    mask, reasons = vet_both_ways(theta, kp, label)
+    assert mask.tolist() == [not r for r in reasons]

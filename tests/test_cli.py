@@ -97,6 +97,21 @@ class TestTrain:
         b = train_small(tmp_path, capsys, corpus, variant="mlp")
         assert (a / "model.json").read_bytes() != (b / "model.json").read_bytes()
 
+    @pytest.mark.parametrize("lr, message", [
+        ("inf", "learning_rate must be finite"),
+        ("nan", "learning_rate must be finite"),
+        ("1e300", "training diverged in epoch 2"),
+    ])
+    def test_divergent_learning_rate_fails_without_output(self, tmp_path,
+                                                          capsys, lr, message):
+        corpus = gen_small(tmp_path, capsys)
+        out = tmp_path / "run"
+        code, _, err = run(capsys, "train", "--pairs", str(corpus / "pairs.json"),
+                           "--out", str(out), "--epochs", "3", "--lr", lr)
+        assert code == 1
+        assert message in err
+        assert not out.exists()
+
     def test_written_files_round_trip_canonically(self, tmp_path, capsys):
         corpus = gen_small(tmp_path, capsys)
         out = train_small(tmp_path, capsys, corpus)
@@ -153,6 +168,19 @@ class TestScore:
                               "--a", "t00", "--b", "t00")
         assert code == 0
         assert "d_c=0.0 score=100.0" in stdout
+
+    @pytest.mark.parametrize("flag, field", [("--sigma", "amplitude_sigma"),
+                                             ("--width", "width_u")])
+    def test_infinite_params_fail(self, tmp_path, capsys, flag, field):
+        corpus = gen_small(tmp_path, capsys)
+        out = train_small(tmp_path, capsys, corpus)
+        code, stdout, err = run(capsys, "score",
+                                "--checkpoint", str(out / "model.json"),
+                                "--poses", str(corpus / "poses.json"),
+                                "--a", "t00", "--b", "t01", flag, "inf")
+        assert code == 1
+        assert f"{field} must be finite" in err
+        assert stdout == ""
 
     def test_round_is_display_only(self, tmp_path, capsys):
         corpus = gen_small(tmp_path, capsys)
@@ -276,6 +304,14 @@ class TestGradcheck:
         code, _, err = run(capsys, "gradcheck", "--instances", "0")
         assert code == 1
         assert "--instances" in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_64_bits_named(self, capsys, seed):
+        code, stdout, err = run(capsys, "gradcheck", "--seed", seed)
+        assert code == 1
+        assert f"seed must fit in 64 unsigned bits: an int in [0, 2**64), " \
+               f"got {seed}" in err
+        assert stdout == ""
 
 
 class TestParser:

@@ -107,3 +107,48 @@ def test_gradient_check_errors_match_pinned_values(variant):
         model, pair = random_check_instance(seed)
         got.append(repr(gradient_check(model, topo, pair, variant=variant)))
     assert tuple(got) == PINNED_GRADCHECK[variant]
+
+
+# sha256 over random_check_instance(k): the model's flat parameters, both
+# poses' keypoints, then repr((label, gcn_hidden, init seed)); recorded from
+# the one-candidate-at-a-time draw that vetted each candidate alone
+PINNED_INSTANCES = {
+    0: "743d91b639cc2f9e73830c87ebb3db19800b8ccd33dfc263030741b0e05d1b8d",
+    1: "1ee9bf01c62868787e8496b1512efa3064c53718aa44fe2c7358e20307b6a96e",
+    2: "19610ba47523fa856a216a9a0d5a1f5bfae5ab61ebbbb254020e4897f3dde8cd",
+    3: "84994665ed16b4b446f3165f6c5b82b966336feffd391f92ce91965dc5944248",
+    4: "af7e0ed42fb1bd3d9c76106b8558ee1f2e4e396eb4a0f725c01ca5f7204a9b6f",
+    5: "8d66101920be67dc64c963067c18df8c7498c18b9aaef67b141a39030e89de35",
+    6: "2948f7a3827ed489fb07f15a729c5aa1b86dcf5eb5572c7f82cf3134e22b8777",
+    7: "fecb8dd9e1a4f0649511a07726f4cbd67c7bde7ce1e979a9f5e7db481a988218",
+    8: "8616228d4c9f0893a122a2c6227a6d5f82fb3487150fe5f6c8c737d82f54a20c",
+    9: "1b0e559c9806e584e4743ed1473cdf1d4978eb551d9e41286ab4e4628adf8acf",
+    10: "f50d32da4533c0c14c5a8c035004bfe2b7cc75639d4292ff5669fa082f8ccc32",
+    11: "ad87552f617f6878464aa1bdf1c25c318988187a3be6820f01f474ee86f22ca4",
+    12: "466f4793da9ef671b4215c96de14235634bb1c0849d9146b1a9060214d768501",
+    13: "0b26f878e4f0c2c9d07872d5d5fa6cbad6b69911c7de02de76bf934611879438",
+    14: "4b6c3e1eb2e093b7f3154604e6ff9bd127c1e8b7d6d394cc16e4e803c03cffbf",
+    15: "192da6949c46170e599c1c0b927401ffc7cd33ba684e1a3d58487c8ff69b8e62",
+    16: "9b154d367fcdc299b8d4cb0799c8f2626a1aa0ebe65e04c1de46ad769dbc6921",
+    17: "072b3681bd079bfc974d22e2f31799971fc70587082e20c5377817e99bad39a9",
+    18: "2af5876f41c7882965a2c43f356fd0afb01c7da16e386821d73cef07e6d7dc76",
+    19: "ac91d70af34365f9c152d7a0b1c5a9f6c05ae4a887f33751999bf23277c5406b",
+    10000: "6965961a3c054f2cd04958c6e54b665c773348fe73213b12e60e2e75c4b21122",
+    10001: "1985c58ddfaa3f30475ee95b7ee9191b051ad7746668b58f40b2ff07d4e6242e",
+    10002: "f236eb3825f27ec233f4e3a2c21275f093fdcb4faffd371cf89fd45b22928e23",
+    10003: "4b57af0480df12163549b0ea2c2098d6581eb2c68bf0451e787b2f260dd8e830",
+}
+
+
+def instance_digest(model, pair):
+    h = hashlib.sha256()
+    for arr in (model.theta, pair.pose_a.keypoints, pair.pose_b.keypoints):
+        h.update(arr.tobytes())
+    h.update(repr((pair.label_y, model.arch.gcn_hidden,
+                   model.arch.seed)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_INSTANCES))
+def test_check_instances_match_pinned_digests(seed):
+    assert instance_digest(*random_check_instance(seed)) == PINNED_INSTANCES[seed]

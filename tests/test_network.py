@@ -1,6 +1,7 @@
 """Embedding network tests against a loop-based reference forward pass."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from posesim.network import (
     EmbeddingModel,
     forward_variant,
     init_model,
+    init_theta,
     load_checkpoint,
     parameter_count,
     parameter_list,
+    parameter_shapes,
     save_checkpoint,
 )
 from posesim.skeleton import (
@@ -324,6 +327,36 @@ class TestCheckpoint:
         model = init_model(h=2, seed=17)
         blob = save_checkpoint(model)
         assert blob == save_checkpoint(load_checkpoint(blob))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_is_not_saved(self, value):
+        # a model's theta can be written after construction, as train does
+        model = init_model(h=2, seed=17)
+        model.theta[100] = value
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_checkpoint(model)
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=st.integers(1, 8), seed=st.integers(0, 2 ** 64 - 1))
+    def test_init_theta_equals_per_matrix_uniform_draws(self, h, seed):
+        # the reference: one Generator.uniform call per weight matrix, in
+        # canonical order, and zero biases
+        rng = np.random.Generator(np.random.PCG64(seed))
+        want = []
+        for _, shape in parameter_shapes(h):
+            if len(shape) == 2:
+                bound = math.sqrt(6.0 / (shape[0] + shape[1]))
+                want.append(rng.uniform(-bound, bound, size=shape).reshape(-1))
+            else:
+                want.append(np.zeros(shape))
+        assert init_theta(h, seed).tobytes() == np.concatenate(want).tobytes()
+
+    def test_init_model_draws_init_theta(self):
+        model = init_model(h=3, seed=21)
+        assert model.theta.tobytes() == init_theta(3, 21).tobytes()
+        out = np.full(model.theta.size, np.nan)
+        assert init_theta(3, 21, out=out) is out
+        assert out.tobytes() == model.theta.tobytes()
 
     def test_checkpoint_is_valid_json_with_metadata(self):
         model = init_model(h=3, seed=9)

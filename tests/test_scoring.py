@@ -77,6 +77,12 @@ class TestSimilarityScore:
         with pytest.raises(ValueError):
             ScoreParams(width_u=-0.3)
 
+    @pytest.mark.parametrize("field", ["amplitude_sigma", "width_u"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_params_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ScoreParams(**{field: value})
+
 
 class TestSpearman:
     def test_identical_orderings(self):

@@ -1,11 +1,16 @@
 """Training-module tests: finite differences are the gradient oracle, a
 hand-rolled replica of the documented loop is the trainer oracle."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
+from posesim.corpus import SynthConfig, split_corpus
 from posesim.network import (
     AffineLayer,
+    ArchMeta,
     EmbeddingModel,
     forward_variant,
     init_model,
@@ -463,6 +468,42 @@ class TestConfigAndPairValidation:
             TrainConfig(margin_m=2.5)
         with pytest.raises(ValueError):
             TrainConfig(seed=-1)
+
+    @pytest.mark.parametrize("lr", [math.inf, -math.inf, math.nan])
+    def test_learning_rate_must_be_finite(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=lr)
+
+    def test_divergence_raises_naming_the_epoch(self):
+        rng = np.random.default_rng(3)
+        pairs = [random_pair(rng, k % 2) for k in range(8)]
+        model = init_model(h=2, seed=4)
+        cfg = TrainConfig(learning_rate=1e300, epochs=3, batch_size=4)
+        with pytest.raises(ValueError, match="diverged in epoch 1"):
+            train(model, TOPO, pairs, cfg)
+        assert not np.all(np.isfinite(model.theta))
+
+    # every place a seed enters takes the same rule
+    SEEDED = {
+        "ArchMeta": lambda s: ArchMeta(seed=s),
+        "init_model": lambda s: init_model(h=2, seed=s),
+        "TrainConfig": lambda s: TrainConfig(seed=s),
+        "SynthConfig": lambda s: SynthConfig(seed=s),
+        "split_corpus": lambda s: split_corpus([1, 2], 0.5, seed=s),
+        "random_check_instance": random_check_instance,
+    }
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True, "3"])
+    @pytest.mark.parametrize("entry", sorted(SEEDED))
+    def test_one_seed_rule_names_the_seed(self, entry, seed):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must fit in 64 unsigned bits: an int in [0, 2**64), "
+                f"got {seed!r}")):
+            self.SEEDED[entry](seed)
+
+    @pytest.mark.parametrize("entry", sorted(SEEDED))
+    def test_largest_seed_accepted(self, entry):
+        self.SEEDED[entry](2 ** 64 - 1)
 
     def test_random_check_instance_is_deterministic(self):
         m1, p1 = random_check_instance(33)
