@@ -24,8 +24,8 @@ from posesim.corpus import (
     write_pair_file,
     write_pose_file,
 )
-from posesim.network import (VARIANTS, ArchMeta, init_model, load_checkpoint,
-                              save_checkpoint)
+from posesim.network import (VARIANTS, ArchMeta, check_seed, init_model,
+                              load_checkpoint, save_checkpoint)
 from posesim.scoring import (
     ScoreParams,
     evaluate,
@@ -113,9 +113,10 @@ def cmd_score(args) -> int:
             raise ValueError(f"unknown pose id {ref!r}")
     topo = build_skeleton_topology()
     params = ScoreParams(amplitude_sigma=args.sigma, width_u=args.width)
-    d_c, score = score_pair(model, topo, by_id[args.id_a].pose,
-                            by_id[args.id_b].pose, params,
-                            variant=args.variant)
+    with np.errstate(over="raise", invalid="raise"):
+        d_c, score = score_pair(model, topo, by_id[args.id_a].pose,
+                                by_id[args.id_b].pose, params,
+                                variant=args.variant)
     if args.round:
         print(f"d_c={d_c:.4f} score={score:.0f}")
     else:
@@ -130,7 +131,8 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(Path(args.checkpoint).read_bytes())
     pairs, ids = load_corpus(args.pairs)
     topo = build_skeleton_topology()
-    report = evaluate(model, topo, pairs, variant=args.variant, pair_ids=ids)
+    with np.errstate(over="raise", invalid="raise"):
+        report = evaluate(model, topo, pairs, variant=args.variant, pair_ids=ids)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / REPORT_FILE).write_text(report_csv(report), encoding="utf-8")
@@ -146,6 +148,8 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.instances < 1:
         raise ValueError("--instances must be >= 1")
+    check_seed(args.seed)  # the first and the last instance seed, before any work
+    check_seed(args.seed + args.instances - 1)
     topo = build_skeleton_topology()
     errs = []
     for k in range(args.instances):
@@ -234,6 +238,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        # raised by score and eval: finite weights can overflow the forward pass
+        print(f"error: checkpoint {args.checkpoint}: its embeddings are not "
+              f"finite ({exc})", file=sys.stderr)
         return 1
 
 

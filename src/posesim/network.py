@@ -90,21 +90,31 @@ def parameter_shapes(h: int) -> list[tuple[str, tuple]]:
     return specs
 
 
-def split_flat(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Views of the last axis of flat, one per shape, laid out in order."""
-    views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[..., start:start + size].reshape(flat.shape[:-1] + shape))
-        start += size
-    return views
+class FlatLayout(NamedTuple):
+    """Where flat_layout puts each parameter of one gcn_hidden in theta."""
+
+    params: tuple  # (name, shape, slice of theta) per parameter, canonical order
+    glorot: tuple  # (start, stop, low, high - low) per weight matrix
+    weights: int  # coordinates of all weight matrices together
+    size: int  # theta's size
 
 
-def _param(values, shape, what: str) -> np.ndarray:
-    arr = number_array(values, shape, what)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite values")
-    return arr
+@lru_cache(maxsize=None)
+def flat_layout(h: int) -> FlatLayout:
+    """The layout of the flat parameter vector theta of gcn_hidden h and of
+    every buffer shaped like it, computed once per h: parameters in the
+    order of parameter_shapes, each filling its slice row-major, and each
+    weight matrix's Glorot interval +-sqrt(6 / (fan_in + fan_out))."""
+    params, glorot, start = [], [], 0
+    for name, shape in parameter_shapes(h):
+        stop = start + math.prod(shape)
+        params.append((name, shape, slice(start, stop)))
+        if len(shape) == 2:
+            bound = math.sqrt(6.0 / sum(shape))
+            glorot.append((start, stop, -bound, 2.0 * bound))
+        start = stop
+    return FlatLayout(tuple(params), tuple(glorot),
+                      sum(b - a for a, b, _, _ in glorot), start)
 
 
 @dataclass(frozen=True)
@@ -124,8 +134,10 @@ class Layers(NamedTuple):
 
 def layers_of(theta: np.ndarray, h: int) -> Layers:
     """Views of flat parameters theta, shape (..., size), as layers; every
-    array keeps theta's leading axes."""
-    views = split_flat(theta, [shape for _, shape in parameter_shapes(h)])
+    array keeps theta's leading axes. Any buffer of theta's layout is viewed
+    per parameter so: parameter_list(layers_of(buf, h))."""
+    views = [theta[..., part].reshape(theta.shape[:-1] + shape)
+             for _, shape, part in flat_layout(h).params]
     return Layers(tuple(views[:2]), tuple(
         AffineLayer(w, b) for w, b in zip(views[2::2], views[3::2])))
 
@@ -149,20 +161,19 @@ class EmbeddingModel:
         if len(self.gcn_weights) != 2 or len(self.mlp_layers) != 3:
             raise ValueError(f"a model has 2 gcn weights and 3 mlp layers, got "
                              f"{len(self.gcn_weights)} and {len(self.mlp_layers)}")
-        given = [*self.gcn_weights]
-        for layer in self.mlp_layers:
-            given += [layer.w, layer.b]
-        specs = parameter_shapes(self.arch.gcn_hidden)
-        arrays = [_param(values, shape, what)
-                  for (what, shape), values in zip(specs, given)]
-        theta = np.concatenate([a.reshape(-1) for a in arrays])
+        layout = flat_layout(self.arch.gcn_hidden)
+        theta = np.empty(layout.size)
+        for (what, shape, part), values in zip(layout.params, parameter_list(self)):
+            theta[part] = number_array(values, shape, what).reshape(-1)
+            if not np.all(np.isfinite(theta[part])):
+                raise ValueError(f"{what} contains non-finite values")
         layers = layers_of(theta, self.arch.gcn_hidden)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "gcn_weights", layers.gcn_weights)
         object.__setattr__(self, "mlp_layers", layers.mlp_layers)
 
 
-def parameter_list(model: EmbeddingModel) -> list[np.ndarray]:
+def parameter_list(model: EmbeddingModel | Layers) -> list[np.ndarray]:
     """The model's parameter arrays in canonical order (parameter_shapes).
 
     The returned arrays are views of model.theta, not copies.
@@ -178,21 +189,6 @@ def parameter_count(model: EmbeddingModel) -> int:
     return model.theta.size
 
 
-@lru_cache(maxsize=None)
-def _glorot_spans(h: int) -> tuple:
-    """(start, stop, low, high - low) of every weight matrix's slice of the
-    flat vector of gcn_hidden h and its Glorot interval, in canonical order;
-    the number of weights; the vector's size."""
-    spans, start = [], 0
-    for _, shape in parameter_shapes(h):
-        stop = start + math.prod(shape)
-        if len(shape) == 2:
-            bound = math.sqrt(6.0 / sum(shape))
-            spans.append((start, stop, -bound, 2.0 * bound))
-        start = stop
-    return tuple(spans), sum(stop - start for start, stop, _, _ in spans), start
-
-
 def init_theta(h: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
     """init_model's parameters as one flat vector, written into out if given.
 
@@ -201,15 +197,15 @@ def init_theta(h: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
     filled row-major, and biases are zero, so the result is fully
     determined by (h, seed).
     """
-    spans, weights, size = _glorot_spans(h)
-    theta = np.empty(size) if out is None else out
+    layout = flat_layout(h)
+    theta = np.empty(layout.size) if out is None else out
     theta.fill(0.0)
     # Generator.uniform(low, high, n) is low + (high - low) * u for the n
     # values u of Generator.random(n), each product and sum rounded on its
     # own; one random() call and two passes per matrix give those values
-    u = np.random.Generator(np.random.PCG64(seed)).random(weights)
+    u = np.random.Generator(np.random.PCG64(seed)).random(layout.weights)
     drawn = 0
-    for start, stop, low, width in spans:
+    for start, stop, low, width in layout.glorot:
         matrix = theta[start:stop]
         np.multiply(u[drawn:drawn + stop - start], width, out=matrix)
         matrix += low

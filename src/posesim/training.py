@@ -32,12 +32,11 @@ from posesim.network import (
     check_seed,
     check_variant,
     embed,
+    flat_layout,
     init_theta,
     json_number,
     layers_of,
     parameter_list,
-    parameter_shapes,
-    split_flat,
 )
 from posesim.skeleton import (
     NUM_KEYPOINTS,
@@ -130,8 +129,10 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    """Adam's moments, flat in the layout of theta, and its step count."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
@@ -162,22 +163,19 @@ def history_csv(history: TrainHistory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _finite_vector(e, what: str) -> np.ndarray:
-    arr = np.asarray(e, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{what} must be a vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite values")
-    return arr
-
-
 def _embedding_pair(e1, e2) -> np.ndarray:
     """The (2, dim) stack of two finite embedding vectors of equal shape."""
-    e1 = _finite_vector(e1, "e1")
-    e2 = _finite_vector(e2, "e2")
-    if e1.shape != e2.shape:
-        raise ValueError(f"shape mismatch: {e1.shape} vs {e2.shape}")
-    return np.stack([e1, e2])
+    pair = []
+    for e, what in ((e1, "e1"), (e2, "e2")):
+        arr = np.asarray(e, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValueError(f"{what} must be a vector, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{what} contains non-finite values")
+        pair.append(arr)
+    if pair[0].shape != pair[1].shape:
+        raise ValueError(f"shape mismatch: {pair[0].shape} vs {pair[1].shape}")
+    return np.stack(pair)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -313,10 +311,10 @@ class _BatchGradient:
     """
 
     def __init__(self, model: EmbeddingModel):
-        self.shapes = [p.shape for p in parameter_list(model)]
+        self.h = model.arch.gcn_hidden
         self.rows = np.empty((0, model.theta.size))
         self.total = np.zeros(model.theta.size)
-        self.grads = split_flat(self.total, self.shapes)
+        self.grads = parameter_list(layers_of(self.total, self.h))
 
     def compute(self, model, topo, x, labels, margin, variant):
         """Sum the gradients of the pairs whose twins are x[2k], x[2k + 1].
@@ -327,7 +325,7 @@ class _BatchGradient:
         if len(self.rows) < needed:
             # row 0: the running total; rows 2j + 1, 2j + 2: pair j's twins
             self.rows = np.empty((needed, self.total.size))
-            self.twin_grads = split_flat(self.rows[1:], self.shapes)
+            self.twin_grads = parameter_list(layers_of(self.rows[1:], self.h))
         emb, cache = embed(model, x, topo, variant)
         d, g = _cosine_distance_grads(emb)
         loss, dl_dd = _pair_losses(d, labels, margin)
@@ -360,38 +358,36 @@ def pair_backward(model: EmbeddingModel, topo: SkeletonTopology,
 
 
 def init_adam_state(model: EmbeddingModel) -> AdamState:
-    params = parameter_list(model)
-    return AdamState(m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params], t=0)
+    return AdamState(np.zeros_like(model.theta), np.zeros_like(model.theta))
 
 
-def _adam_update(p, g, m, v, t: int, lr: float) -> None:
-    """The Adam rule: step t of bias-corrected Adam at learning rate lr,
-    applied in place to p, m and v from gradient g. It is elementwise, so
-    one pass over flat vectors and one pass per parameter give the same
-    bits."""
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
+def _adam_update(theta, g, state: AdamState, lr: float) -> None:
+    """The Adam rule: the next step of bias-corrected Adam at learning rate
+    lr, applied in place to flat parameters theta and the state from flat
+    gradient g. It is elementwise: one pass over theta gives each
+    coordinate the bits a pass over its own parameter would."""
+    state.t += 1
+    b1, b2, t, m, v = ADAM_BETA1, ADAM_BETA2, state.t, state.m, state.v
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
     v += (1.0 - b2) * (g * g)
-    p -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + ADAM_EPSILON)
+    theta -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + ADAM_EPSILON)
 
 
 def adam_step(model: EmbeddingModel, grads, state: AdamState,
               cfg: TrainConfig):
     """One bias-corrected Adam update of per-parameter gradients, applied in
-    place to the model's parameter buffers and the state; both are also
-    returned. train applies the same rule to the flat theta in one pass."""
+    place to the model's parameters and the state; both are also returned.
+    The gradients, laid out flat, take train's own update."""
     params = parameter_list(model)
     if len(grads) != len(params):
         raise ValueError(f"expected {len(params)} gradients, got {len(grads)}")
     for p, g in zip(params, grads):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter {p.shape}")
-    state.t += 1
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        _adam_update(p, g, m, v, state.t, cfg.learning_rate)
+    _adam_update(model.theta, np.concatenate([g.reshape(-1) for g in grads]),
+                 state, cfg.learning_rate)
     return model, state
 
 
@@ -407,8 +403,9 @@ def train(model: EmbeddingModel, topo: SkeletonTopology, pairs,
     Each distinct pose is normalized once per call, a batch's twins are
     embedded in one stacked call and backpropagated PAIRS_PER_CHUNK pairs at
     a time, and each Adam step is one elementwise pass over the model's flat
-    theta and flat moments. The result is bit-identical to looping
-    pair_backward over each batch in shuffled order and calling adam_step.
+    theta and the AdamState's flat moments. The result is bit-identical to
+    looping pair_backward over each batch in shuffled order and calling
+    adam_step.
     """
     check_variant(variant)
     pairs = list(pairs)
@@ -420,8 +417,7 @@ def train(model: EmbeddingModel, topo: SkeletonTopology, pairs,
     twins = index.reshape(-1, 2)
     labels = np.array([pair.label_y for pair in pairs])
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    theta = model.theta
-    m, v, t = np.zeros_like(theta), np.zeros_like(theta), 0
+    theta, state = model.theta, init_adam_state(model)
     batch_grad = _BatchGradient(model)
     history = TrainHistory()
     for epoch in range(1, cfg.epochs + 1):
@@ -439,8 +435,7 @@ def train(model: EmbeddingModel, topo: SkeletonTopology, pairs,
                 # multiply by the reciprocal: a division would round
                 # differently
                 batch_grad.total *= 1.0 / len(batch)
-                t += 1
-                _adam_update(theta, batch_grad.total, m, v, t, cfg.learning_rate)
+                _adam_update(theta, batch_grad.total, state, cfg.learning_rate)
         if not np.all(np.isfinite(theta)):
             raise ValueError(f"training diverged in epoch {epoch}: the "
                              f"parameters are no longer finite")
@@ -458,10 +453,10 @@ def gradient_check(model: EmbeddingModel, topo: SkeletonTopology,
                    variant: str = "gcn") -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    The analytic side is pair_backward, the trainer's own backward pass. The
-    numeric side differences the pair's loss at every parameter coordinate
-    +-FD_EPSILON; the denominator is max(|analytic|, |numeric|, 1e-8) per
-    coordinate, and a NaN coordinate error makes the result NaN.
+    The analytic side is pair_backward's flat gradient (the trainer's own
+    backward pass), the numeric side the pair's loss differenced at every
+    parameter coordinate +-FD_EPSILON; the denominator is max(|analytic|,
+    |numeric|, 1e-8) per coordinate, and a NaN error makes the result NaN.
 
     The model is never modified. The pair is embedded once; perturbing a
     parameter of layer k reruns only layers k.. from the cached input of
@@ -469,11 +464,13 @@ def gradient_check(model: EmbeddingModel, topo: SkeletonTopology,
     stacked along a copy axis. Every loss is bit for bit the one a full
     forward pass with the parameter perturbed in place would give. The mlp
     variant never reads the graph weights, so their differences, exact
-    zeros, are skipped.
+    zeros, are skipped: it compares theta's suffix after them.
     """
     check_variant(variant)
-    _, analytic = pair_backward(model, topo, pair, cfg, variant)
     x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
+    analytic = _BatchGradient(model)
+    analytic.compute(model, topo, x, np.array([pair.label_y]), cfg.margin_m,
+                     variant)
     _, cache = embed(model, x, topo, variant)
 
     def differences(p, run):
@@ -510,9 +507,8 @@ def gradient_check(model: EmbeddingModel, topo: SkeletonTopology,
         for name in ("w", "b"):
             numeric.append(differences(getattr(layer, name), lambda s: _run_layers(
                 (), (replace(layer, **{name: s}), *mlp[j + 1:]), topo, h)))
-    skipped = len(model.gcn_weights) - len(gcn)
-    ga = np.concatenate([g.reshape(-1) for g in analytic[skipped:]])
     gn = np.concatenate(numeric)
+    ga = analytic.total[-gn.size:]
     denom = np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-8)
     return float(np.max(np.abs(ga - gn) / denom))
 
@@ -552,7 +548,6 @@ def _fd_friendly(theta: np.ndarray, h: int, x: np.ndarray, label: int,
         for z in (*cache.gcn_pre, *cache.mlp_pre[:-1]):  # identity head has no kink
             ok &= ~(np.abs(z).reshape(len(z), -1).min(axis=1) < 1e-4)
         caches.append((emb, cache))
-    shapes = [shape for _, shape in parameter_shapes(h)]
     for emb, cache in caches:
         alive = np.flatnonzero(ok)
         if not alive.size:
@@ -562,7 +557,7 @@ def _fd_friendly(theta: np.ndarray, h: int, x: np.ndarray, label: int,
         g *= np.repeat(_pair_losses(d, label, DEFAULT_MARGIN)[1], 2)[:, None]
         twins = out[:len(alive)]
         _backward(layers_of(theta[alive, None], h), topo, cache.take(alive),
-                  g.reshape(len(alive), 2, -1), split_flat(twins, shapes))
+                  g.reshape(len(alive), 2, -1), parameter_list(layers_of(twins, h)))
         # its pair gradient, 0.0 + (a + b), has the magnitude |a + b|
         mags = np.add(twins[:, 0], twins[:, 1], out=twins[:, 0])
         np.abs(mags, out=mags)
@@ -589,10 +584,9 @@ def random_check_instance(seed: int):
     rng = np.random.Generator(np.random.PCG64(seed))
     topo = build_skeleton_topology()
     h, label = 2, seed % 2
-    size = sum(math.prod(shape) for _, shape in parameter_shapes(h))
-    theta = np.empty((CANDIDATES_PER_BLOCK, size))
+    theta = np.empty((CANDIDATES_PER_BLOCK, flat_layout(h).size))
     keypoints = np.empty((CANDIDATES_PER_BLOCK, 2, NUM_KEYPOINTS, 2))
-    twin_grads = np.empty((CANDIDATES_PER_BLOCK, 2, size))
+    twin_grads = np.empty((CANDIDATES_PER_BLOCK, 2, theta.shape[1]))
     seeds = [0] * CANDIDATES_PER_BLOCK
     while True:
         for k in range(CANDIDATES_PER_BLOCK):

@@ -9,8 +9,6 @@ block of check-instance candidates accepts exactly the candidates the
 one-at-a-time vetting it replaced accepts.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,13 +19,12 @@ from posesim.network import (
     ArchMeta,
     EmbeddingModel,
     embed,
+    flat_layout,
     forward_variant,
     init_model,
     init_theta,
     layers_of,
     parameter_list,
-    parameter_shapes,
-    split_flat,
 )
 from posesim.scoring import evaluate, score_pair
 from posesim.skeleton import (
@@ -246,8 +243,7 @@ def test_unknown_variant_rejected_before_any_work(entry, variant):
 
 
 H = 2
-SHAPES = [shape for _, shape in parameter_shapes(H)]
-SIZE = sum(math.prod(shape) for shape in SHAPES)
+SIZE = flat_layout(H).size
 
 
 def twin_inputs(seed, k):
@@ -283,14 +279,16 @@ def test_stacked_backward_gives_each_model_its_pair_backward(seed, k, label,
     loss, dl_dd = _pair_losses(d, label, margin)
     g *= np.repeat(dl_dd, 2)[:, None]
     twins = np.empty((k, 2, SIZE))
-    _backward(layers, TOPO, cache, g.reshape(k, 2, -1), split_flat(twins, SHAPES))
+    _backward(layers, TOPO, cache, g.reshape(k, 2, -1),
+              parameter_list(layers_of(twins, H)))
     for i in range(k):
         model = solo_model(theta[i])
         solo_emb, solo_cache = embed(model, x[i], TOPO, variant)
         solo_d, solo_g = _cosine_distance_grads(solo_emb)
         solo_g *= _pair_losses(solo_d, label, margin)[1][0]
         solo = np.empty((2, SIZE))
-        _backward(model, TOPO, solo_cache, solo_g, split_flat(solo, SHAPES))
+        _backward(model, TOPO, solo_cache, solo_g,
+                  parameter_list(layers_of(solo, H)))
         assert twins[i].tobytes() == solo.tobytes()
         pair = PosePair(Pose(kp[i, 0]), Pose(kp[i, 1]), label)
         want_loss, want = pair_backward(model, TOPO, pair,

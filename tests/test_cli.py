@@ -40,6 +40,24 @@ def train_small(tmp_path, capsys, corpus, variant="gcn", epochs=3):
     return out
 
 
+def overflowing_checkpoint(tmp_path):
+    """A checkpoint whose weights are finite but overflow the forward pass."""
+    model = init_model(h=2, seed=4)
+    model.theta[...] *= 1e200
+    path = tmp_path / "overflow.json"
+    path.write_bytes(save_checkpoint(model))
+    return path
+
+
+def assert_names_overflow(path, code, stdout, err):
+    assert code == 1
+    assert stdout == ""
+    # one line: no numpy warning precedes it
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: checkpoint {path}: its embeddings are not "
+                          f"finite (overflow encountered in ")
+
+
 class TestGen:
     def test_writes_both_files_and_counts(self, tmp_path, capsys):
         out = tmp_path / "corpus"
@@ -182,6 +200,16 @@ class TestScore:
         assert f"{field} must be finite" in err
         assert stdout == ""
 
+    @pytest.mark.parametrize("variant", ["gcn", "mlp"])
+    def test_overflowing_checkpoint_named(self, tmp_path, capsys, variant):
+        corpus = gen_small(tmp_path, capsys)
+        path = overflowing_checkpoint(tmp_path)
+        code, stdout, err = run(capsys, "score", "--checkpoint", str(path),
+                                "--poses", str(corpus / "poses.json"),
+                                "--a", "t00", "--b", "t01",
+                                "--variant", variant)
+        assert_names_overflow(path, code, stdout, err)
+
     def test_round_is_display_only(self, tmp_path, capsys):
         corpus = gen_small(tmp_path, capsys)
         out = train_small(tmp_path, capsys, corpus)
@@ -232,6 +260,17 @@ class TestEval:
                            "--out", str(tmp_path / "ev"))
         assert code == 1
         assert err.startswith("error: malformed checkpoint")
+
+    @pytest.mark.parametrize("variant", ["gcn", "mlp"])
+    def test_overflowing_checkpoint_named(self, tmp_path, capsys, variant):
+        corpus = gen_small(tmp_path, capsys)
+        path = overflowing_checkpoint(tmp_path)
+        out = tmp_path / "ev"
+        code, stdout, err = run(capsys, "eval", "--checkpoint", str(path),
+                                "--pairs", str(corpus / "pairs.json"),
+                                "--out", str(out), "--variant", variant)
+        assert_names_overflow(path, code, stdout, err)
+        assert not out.exists()
 
     def test_writes_report_and_prints_summary(self, tmp_path, capsys):
         corpus = gen_small(tmp_path, capsys)
@@ -311,6 +350,18 @@ class TestGradcheck:
         assert code == 1
         assert f"seed must fit in 64 unsigned bits: an int in [0, 2**64), " \
                f"got {seed}" in err
+        assert stdout == ""
+
+    def test_seed_range_checked_before_any_instance(self, capsys, monkeypatch):
+        def draw(seed):
+            raise AssertionError(f"instance {seed} drawn")
+
+        monkeypatch.setattr("posesim.cli.random_check_instance", draw)
+        code, stdout, err = run(capsys, "gradcheck", "--seed",
+                                str(2 ** 64 - 1), "--instances", "3")
+        assert code == 1
+        assert f"seed must fit in 64 unsigned bits: an int in [0, 2**64), " \
+               f"got {2 ** 64 + 1}" in err
         assert stdout == ""
 
 

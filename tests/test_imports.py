@@ -1,7 +1,8 @@
-"""Every imported name is used: an AST scan of the package and its tests.
+"""Every imported name is used and every private helper of the package is
+called: AST scans of the package and its tests.
 
-No linter ships with the project, so this is the check that an import left
-behind by a refactor does not linger.
+No linter ships with the project, so these are the checks that an import or
+a private helper left behind by a refactor does not linger.
 """
 
 import ast
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*ROOT.glob("src/posesim/*.py"), *ROOT.glob("tests/*.py")])
+PACKAGE = sorted(ROOT.glob("src/posesim/*.py"))
+SOURCES = sorted([*PACKAGE, *ROOT.glob("tests/*.py")])
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -45,3 +47,47 @@ def test_scan_sees_an_unused_import():
                      "from math import pi, tau\n__all__ = ['tau']\n"
                      "print(os.sep)\n")
     assert unused_imports(tree) == ["pi (line 3)", "system (line 2)"]
+
+
+def unreferenced_privates(modules: dict) -> list[str]:
+    """The module-level private names (a leading _, not dunders) of the
+    parsed modules that no module references outside their own top-level
+    definition. A reference is a loaded name or an attribute; an import
+    alone is not one."""
+    defined, used = [], []
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            names = set()
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names.update(node.id for target in targets
+                             for node in ast.walk(target)
+                             if isinstance(node, ast.Name))
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            refs = {node.id for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            refs |= {node.attr for node in ast.walk(stmt)
+                     if isinstance(node, ast.Attribute)}
+            used.append((names, refs))
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if not any(name in refs and name not in names
+                             for names, refs in used))
+
+
+def test_no_unreferenced_private_helpers():
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in PACKAGE}
+    assert "training" in modules
+    assert unreferenced_privates(modules) == []
+
+
+def test_scan_sees_an_unreferenced_private():
+    a = ast.parse("import os\n_LIMIT = 3\n_SPARE = 4\n"
+                  "def _walk(n):\n    return _walk(n - 1) if n else _LIMIT\n"
+                  "def _used():\n    pass\n__version__ = '1'\n")
+    b = ast.parse("from a import _used\n_used()\n")
+    assert unreferenced_privates({"a": a, "b": b}) == ["a._SPARE", "a._walk"]

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from posesim.network import (
     AffineLayer,
     EmbeddingModel,
+    flat_layout,
     forward_variant,
     init_model,
     init_theta,
+    layers_of,
     load_checkpoint,
     parameter_count,
     parameter_list,
@@ -134,6 +136,25 @@ class TestInit:
     def test_rejects_zero_width(self):
         with pytest.raises(ValueError):
             init_model(h=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=st.integers(1, 8), k=st.integers(1, 4))
+    def test_layout_views_tile_each_row_once(self, h, k):
+        size = flat_layout(h).size
+        assert flat_layout(h) is flat_layout(h)
+        block = np.full((k, 1, size), np.nan)
+        views = parameter_list(layers_of(block, h))
+        assert [v.shape for v in views] == [
+            (k, 1, *shape) for _, shape in parameter_shapes(h)]
+        # write arange in view order, distinct per row; reading it back from
+        # the block shows every coordinate written once, in canonical order
+        rows, start = np.arange(k)[:, None, None] * size, 0
+        for view in views:
+            n = math.prod(view.shape[2:])
+            view[...] = (rows + np.arange(start, start + n)).reshape(view.shape)
+            start += n
+        assert start == size
+        assert block.tobytes() == np.arange(k * size, dtype=float).tobytes()
 
 
 class TestModelValidation:

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posesim.corpus import SynthConfig, split_corpus
 from posesim.network import (
@@ -14,6 +16,7 @@ from posesim.network import (
     EmbeddingModel,
     forward_variant,
     init_model,
+    layers_of,
     parameter_list,
 )
 from posesim.skeleton import NUM_KEYPOINTS, Pose, build_skeleton_topology, normalize_pose
@@ -21,8 +24,10 @@ from posesim.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPSILON,
+    AdamState,
     PosePair,
     TrainConfig,
+    _adam_update,
     adam_step,
     contrastive_loss,
     cosine_distance,
@@ -293,13 +298,12 @@ class TestAdam:
         model, _ = random_check_instance(50)
         before = [p.copy() for p in parameter_list(model)]
         state = init_adam_state(model)
-        state.m = [np.ones_like(p) for p in parameter_list(model)]
+        state.m = np.ones_like(model.theta)
         grads = [np.zeros_like(p) for p in parameter_list(model)]
         adam_step(model, grads, state, TrainConfig())
         # zero gradient still decays the first moment, which nudges nothing
         # only when m was zero; here m=1 decays to beta1
-        for m in state.m:
-            assert np.all(m == 0.9)
+        assert np.all(state.m == 0.9)
         assert state.t == 1
         fresh, _ = random_check_instance(50)
         state2 = init_adam_state(fresh)
@@ -321,6 +325,31 @@ class TestAdam:
         for k in range(4):
             want = self.scalar_adam(seqs[:, k], cfg)
             np.testing.assert_allclose(got[k], want, rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), h=st.integers(1, 4),
+           t=st.integers(0, 10 ** 6), lr=st.floats(1e-8, 1.0))
+    def test_adam_step_matches_train_flat_update(self, seed, h, t, lr):
+        # adam_step on per-parameter gradients and train's flat update of
+        # the same theta, gradient and state give the same bits
+        rng = np.random.default_rng(seed)
+        model = init_model(h=h, seed=seed)
+        size = model.theta.size
+        model.theta[...] = rng.normal(size=size) * 10.0 ** rng.uniform(-6, 2, size)
+        g = rng.normal(size=size) * 10.0 ** rng.uniform(-8, 2, size)
+        g[rng.random(size) < 0.1] = 0.0
+        m = rng.normal(size=size) * 10.0 ** rng.uniform(-8, 1, size)
+        v = rng.random(size) * 10.0 ** rng.uniform(-12, 2, size)
+        theta = model.theta.copy()
+        state = AdamState(m.copy(), v.copy(), t)
+        adam_step(model, [p.copy() for p in parameter_list(layers_of(g, h))],
+                  state, TrainConfig(learning_rate=lr))
+        flat = AdamState(m, v, t)
+        _adam_update(theta, g, flat, lr)
+        assert state.t == flat.t == t + 1
+        assert model.theta.tobytes() == theta.tobytes()
+        assert state.m.tobytes() == flat.m.tobytes()
+        assert state.v.tobytes() == flat.v.tobytes()
 
     def test_rejects_shape_mismatch(self):
         model, _ = random_check_instance(52)
