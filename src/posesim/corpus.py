@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from posesim.network import check_seed, json_number, read_document, write_document
+from posesim.network import (check_count, check_seed, json_number, read_document,
+                             write_document)
 from posesim.skeleton import KEYPOINT_NAMES, NUM_KEYPOINTS, Pose, number_array
 from posesim.training import PosePair, checked_label
 
@@ -156,10 +157,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_count(self.template_count, "template_count")
         if self.template_count < 2:
             raise ValueError("cross-template negatives need template_count >= 2")
-        if self.pairs_per_template < 1:
-            raise ValueError("pairs_per_template must be >= 1")
+        check_count(self.pairs_per_template, "pairs_per_template")
         levels = tuple(float(v) for v in self.jitter_levels)
         if not levels:
             raise ValueError("jitter_levels must be nonempty")

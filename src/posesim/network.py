@@ -47,12 +47,22 @@ MLP_VARIANT = "mlp"
 VARIANTS = (GCN_VARIANT, MLP_VARIANT)
 
 
+def _is_int(value) -> bool:
+    """The int rule of seeds and counts: a numbers.Integral, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_seed(seed) -> None:
     """Raise ValueError unless seed is an int in [0, 2**64), a PCG64 seed."""
-    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-            or not 0 <= seed < 2 ** 64):
+    if not _is_int(seed) or not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must fit in 64 unsigned bits: an int in "
                          f"[0, 2**64), got {seed!r}")
+
+
+def check_count(value, what: str) -> None:
+    """Raise ValueError naming the field `what` unless value is an int >= 1."""
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{what} must be an int >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +80,7 @@ class ArchMeta:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gcn_hidden < 1:
-            raise ValueError("gcn_hidden must be >= 1")
+        check_count(self.gcn_hidden, "gcn_hidden")
         check_seed(self.seed)
 
 
@@ -258,6 +267,17 @@ class ForwardCache:
         )
 
 
+def _layer(layer, topo: SkeletonTopology | None, h: np.ndarray, relu=True):
+    """One layer of _run_layers on h: its pre-activation z and its output,
+    ReLU(z) or, where relu is False, z. Column c of z reads only column c
+    of the graph weight, or of the AffineLayer's w and b."""
+    if isinstance(layer, AffineLayer):
+        z = (h[..., None, :] @ layer.w)[..., 0, :] + layer.b
+    else:
+        z = topo.adjacency_norm @ h @ layer
+    return z, np.maximum(z, 0.0) if relu else z
+
+
 def _run_layers(gcn_weights, mlp_layers, topo: SkeletonTopology | None,
                 h: np.ndarray, cache: ForwardCache | None = None) -> np.ndarray:
     """Run the given graph layers, then the given MLP layers, on h.
@@ -275,8 +295,7 @@ def _run_layers(gcn_weights, mlp_layers, topo: SkeletonTopology | None,
     each layer's values.
     """
     for w in gcn_weights:
-        z = topo.adjacency_norm @ h @ w
-        h = np.maximum(z, 0.0)
+        z, h = _layer(w, topo, h)
         if cache is not None:
             cache.gcn_pre.append(z)
             cache.gcn_post.append(h)
@@ -286,8 +305,7 @@ def _run_layers(gcn_weights, mlp_layers, topo: SkeletonTopology | None,
             cache.flat = h
     last = len(mlp_layers) - 1
     for i, layer in enumerate(mlp_layers):
-        z = (h[..., None, :] @ layer.w)[..., 0, :] + layer.b
-        h = z if i == last else np.maximum(z, 0.0)
+        z, h = _layer(layer, topo, h, i != last)
         if cache is not None:
             cache.mlp_pre.append(z)
             cache.mlp_post.append(h)

@@ -28,7 +28,9 @@ from posesim.network import (
     EmbeddingModel,
     ForwardCache,
     Layers,
+    _layer,
     _run_layers,
+    check_count,
     check_seed,
     check_variant,
     embed,
@@ -60,8 +62,9 @@ ADAM_EPSILON = 1e-8
 # buffer, 33 rows of every parameter, is 1.5 MB and stays in a 2 MB L2
 PAIRS_PER_CHUNK = 16
 
-# Coordinates gradient_check perturbs in one stacked pass (2 copies each)
-COORDS_PER_CHUNK = 32
+# Weight rows gradient_check moves at once, up and down; at 4 a block's
+# at most 2 * 4 * 50 copies of the pair hold 320 KB per layer output
+ROWS_PER_BLOCK = 4
 
 # gradient_check's central-difference step; _fd_friendly vets instances for it
 FD_EPSILON = 1e-6
@@ -118,10 +121,8 @@ class TrainConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got "
                              f"{self.learning_rate!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        check_count(self.batch_size, "batch_size")
+        check_count(self.epochs, "epochs")
         if not 0 < self.margin_m <= 2:
             raise ValueError("margin_m must be in (0, 2]")
         check_seed(self.seed)
@@ -448,6 +449,57 @@ def train(model: EmbeddingModel, topo: SkeletonTopology, pairs,
     return model, history
 
 
+def _central_differences(model: EmbeddingModel, topo: SkeletonTopology, x,
+                         label: int, margin: float, variant: str) -> np.ndarray:
+    """gradient_check's numeric side on the pair of normalized twins x, flat
+    in theta's layout (the mlp variant's: theta's suffix after the graph)."""
+    emb, cache = embed(model, x, topo, variant)
+    loss0 = _pair_losses(cosine_distances(emb), label, margin)[0]
+
+    def differences(p, layer_out, out0, rest):
+        """The differences at each coordinate of p, a weight (k, n) or bias
+        (n,); layer_out(stack) is p's layer's output with p replaced by a
+        (P, 1, *p.shape) stack, out0 its cached output, rest(a) embeds."""
+        rows = p.reshape(-1, p.shape[-1])
+        k, n = rows.shape
+        block = min(ROWS_PER_BLOCK, k)
+        stack = np.repeat(p[None, None], 2 * block, axis=0)
+        moved = stack.reshape(block, 2, k, n)  # [j, 0 / 1]: row j up / down
+        bits0 = out0.reshape(-1, n).view(np.uint64)
+        loss = np.full((k, 2, n), loss0[0])
+        for start in range(0, k, block):
+            r = np.arange(start, min(start + block, k))
+            moved[r - start, 0, r] = rows[r] + FD_EPSILON
+            moved[r - start, 1, r] = rows[r] - FD_EPSILON
+            out = layer_out(stack[:2 * len(r)]).reshape(len(r), 2, -1, n)
+            moved[r - start, :, r] = rows[r, None]
+            # copy (j, d, c): out0 with column c from out[j, d]; one that
+            # keeps out0's bits keeps loss0, so only the others run on
+            j, d, c = np.nonzero(np.any(out.view(np.uint64) != bits0, axis=2))
+            copies = np.repeat(out0.reshape(1, -1, n), len(j), axis=0)
+            copies[np.arange(len(j)), :, c] = out[j, d, :, c]
+            e = rest(copies.reshape(-1, *out0.shape)).reshape(-1, emb.shape[-1])
+            loss[r[j], d, c] = _pair_losses(cosine_distances(e), label, margin)[0]
+        return ((loss[:, 0] - loss[:, 1]) / (2.0 * FD_EPSILON)).reshape(-1)
+
+    gcn = model.gcn_weights if variant == GCN_VARIANT else ()
+    mlp = model.mlp_layers
+    numeric = []
+    for i, w in enumerate(gcn):
+        h = cache.x if i == 0 else cache.gcn_post[i - 1]
+        # the head reads the last one's output as cache.flat: node rows of n
+        out0 = cache.gcn_post[i] if i < len(gcn) - 1 else cache.flat
+        numeric.append(differences(w, lambda s: _layer(s, topo, h)[1], out0,
+                                   lambda a: _run_layers(gcn[i + 1:], mlp, topo, a)))
+    for j, layer in enumerate(mlp):
+        h = cache.flat if j == 0 else cache.mlp_post[j - 1]
+        for name in ("w", "b"):
+            numeric.append(differences(getattr(layer, name), lambda s: _layer(
+                replace(layer, **{name: s}), topo, h, j < len(mlp) - 1)[1],
+                cache.mlp_post[j], lambda a: _run_layers((), mlp[j + 1:], topo, a)))
+    return np.concatenate(numeric)
+
+
 def gradient_check(model: EmbeddingModel, topo: SkeletonTopology,
                    pair: PosePair, cfg: TrainConfig = TrainConfig(),
                    variant: str = "gcn") -> float:
@@ -458,56 +510,25 @@ def gradient_check(model: EmbeddingModel, topo: SkeletonTopology,
     parameter coordinate +-FD_EPSILON; the denominator is max(|analytic|,
     |numeric|, 1e-8) per coordinate, and a NaN error makes the result NaN.
 
-    The model is never modified. The pair is embedded once; perturbing a
-    parameter of layer k reruns only layers k.. from the cached input of
-    layer k, with COORDS_PER_CHUNK coordinates' +- copies of the parameter
-    stacked along a copy axis. Every loss is bit for bit the one a full
-    forward pass with the parameter perturbed in place would give. The mlp
-    variant never reads the graph weights, so their differences, exact
-    zeros, are skipped: it compares theta's suffix after them.
+    The model is never modified. The pair is embedded once, and each
+    parameter's layer runs on its cached input in row stacks: copies with
+    ROWS_PER_BLOCK rows of a weight, or the whole bias, moved +-. Column c
+    of a layer's output reads only column c of its weight and bias, so row
+    r's copy holds in column c exactly what moving (r, c) alone would give.
+    Coordinate (r, c)'s copy is the cached output with column c replaced;
+    the layers after it run per copy, except where the column keeps the
+    cached bits, as a ReLU holding a unit at zero does: the loss is then
+    the unperturbed one. Every loss is thus bit for bit a full forward
+    pass's with the coordinate moved in place. The mlp variant never reads
+    the graph weights, so it compares theta's suffix after them.
     """
     check_variant(variant)
     x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
     analytic = _BatchGradient(model)
     analytic.compute(model, topo, x, np.array([pair.label_y]), cfg.margin_m,
                      variant)
-    _, cache = embed(model, x, topo, variant)
-
-    def differences(p, run):
-        """The central difference at every coordinate of p; run(stack)
-        embeds the pair with p replaced by a (P, 1, *p.shape) stack."""
-        flat = p.reshape(-1)
-        # rows 2j and 2j + 1: coordinate j of a chunk moved up and down
-        stack = np.repeat(p[None], 2 * COORDS_PER_CHUNK, axis=0)
-        rows = stack.reshape(len(stack), -1)
-        out = np.empty(p.size)
-        for start in range(0, p.size, COORDS_PER_CHUNK):
-            coords = np.arange(start, min(start + COORDS_PER_CHUNK, p.size))
-            n = len(coords)
-            up, down = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
-            rows[up, coords] = flat[coords] + FD_EPSILON
-            rows[down, coords] = flat[coords] - FD_EPSILON
-            emb = run(stack[:2 * n, None])
-            d = cosine_distances(emb.reshape(-1, emb.shape[-1]))
-            loss = _pair_losses(d, pair.label_y, cfg.margin_m)[0]
-            out[start:start + n] = (loss[0::2] - loss[1::2]) / (2.0 * FD_EPSILON)
-            rows[up, coords] = rows[down, coords] = flat[coords]
-        return out
-
-    gcn = model.gcn_weights if variant == GCN_VARIANT else ()
-    mlp = model.mlp_layers
-    numeric = []
-    # each parameter's layers are rerun from its own, on that layer's cached input
-    for i, w in enumerate(gcn):
-        h = cache.x if i == 0 else cache.gcn_post[i - 1]
-        numeric.append(differences(
-            w, lambda s: _run_layers((s, *gcn[i + 1:]), mlp, topo, h)))
-    for j, layer in enumerate(mlp):
-        h = cache.flat if j == 0 else cache.mlp_post[j - 1]
-        for name in ("w", "b"):
-            numeric.append(differences(getattr(layer, name), lambda s: _run_layers(
-                (), (replace(layer, **{name: s}), *mlp[j + 1:]), topo, h)))
-    gn = np.concatenate(numeric)
+    gn = _central_differences(model, topo, x, pair.label_y, cfg.margin_m,
+                              variant)
     ga = analytic.total[-gn.size:]
     denom = np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-8)
     return float(np.max(np.abs(ga - gn) / denom))

@@ -11,13 +11,15 @@ one-at-a-time vetting it replaced accepts.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from posesim.network import (
     VARIANTS,
+    AffineLayer,
     ArchMeta,
     EmbeddingModel,
+    _layer,
     embed,
     flat_layout,
     forward_variant,
@@ -43,6 +45,7 @@ from posesim.training import (
     TrainConfig,
     _backward,
     _BatchGradient,
+    _central_differences,
     _cosine_distance_grads,
     _fd_friendly,
     _pair_cosines,
@@ -172,7 +175,9 @@ def test_inactive_pairs_leave_batch_gradient_unchanged(kp, extra, seed,
 def loop_gradient_check(model, topo, pair, cfg, variant):
     """The per-coordinate loop gradient_check replaced: each coordinate of a
     private copy is moved in place and both twins are embedded from scratch.
-    Python's max() drops a NaN error here; gradient_check returns NaN."""
+    Returns the max error and the flat central differences, every
+    coordinate's. Python's max() drops a NaN error here; gradient_check
+    returns NaN."""
     work = EmbeddingModel(model.gcn_weights, model.mlp_layers, model.arch)
     _, analytic = pair_backward(work, topo, pair, cfg, variant)
     x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
@@ -182,7 +187,7 @@ def loop_gradient_check(model, topo, pair, cfg, variant):
         d = float(cosine_distances(emb)[0])
         return float(_pair_losses(d, pair.label_y, cfg.margin_m)[0])
 
-    worst = 0.0
+    worst, differences = 0.0, []
     for p, ga in zip(parameter_list(work), analytic):
         flat = p.reshape(-1)
         gflat = ga.reshape(-1)
@@ -194,25 +199,86 @@ def loop_gradient_check(model, topo, pair, cfg, variant):
             down = loss_at_current()
             flat[i] = orig
             numeric = (up - down) / (2.0 * FD_EPSILON)
+            differences.append(numeric)
             denom = max(abs(gflat[i]), abs(numeric), 1e-8)
             worst = max(worst, abs(gflat[i] - numeric) / denom)
-    return float(worst)
+    return float(worst), np.array(differences)
+
+
+# an init seed whose GCN output on the pair drawn from the same seed is all
+# zero at h = 2: every graph coordinate's copies keep the cached bits
+DEAD_GCN_SEED = 11
+
+
+def check_pair(seed, label):
+    rng = np.random.default_rng(seed)
+    return PosePair(Pose(rng.uniform(-3.0, 3.0, size=(NUM_KEYPOINTS, 2))),
+                    Pose(rng.uniform(-3.0, 3.0, size=(NUM_KEYPOINTS, 2))), label)
+
+
+def test_dead_gcn_seed_has_all_zero_gcn_output():
+    pair = check_pair(DEAD_GCN_SEED, 1)
+    x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
+    _, cache = embed(init_model(h=2, seed=DEAD_GCN_SEED), x, TOPO, "gcn")
+    assert all(np.all(post == 0.0) for post in cache.gcn_post)
 
 
 @settings(max_examples=12, deadline=None)
-@given(h=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+@given(h=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
        label=st.integers(0, 1), variant=st.sampled_from(VARIANTS),
        margin=st.floats(0.05, 2.0))
+@example(h=2, seed=DEAD_GCN_SEED, label=1, variant="gcn", margin=DEFAULT_MARGIN)
 def test_gradient_check_matches_per_coordinate_loop(h, seed, label, variant,
                                                     margin):
-    rng = np.random.default_rng(seed)
     model = init_model(h=h, seed=seed)
-    pair = PosePair(Pose(rng.uniform(-3.0, 3.0, size=(NUM_KEYPOINTS, 2))),
-                    Pose(rng.uniform(-3.0, 3.0, size=(NUM_KEYPOINTS, 2))), label)
+    pair = check_pair(seed, label)
     cfg = TrainConfig(margin_m=margin)
     got = gradient_check(model, TOPO, pair, cfg, variant)
-    want = loop_gradient_check(model, TOPO, pair, cfg, variant)
+    want, want_differences = loop_gradient_check(model, TOPO, pair, cfg, variant)
     assert repr(got) == repr(want)
+    # every coordinate, bit for bit; the mlp variant compares the suffix
+    # after the graph weights, which it never reads
+    x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
+    differences = _central_differences(model, TOPO, x, label, margin, variant)
+    skipped = 4 * h if variant == "mlp" else 0
+    assert differences.size == want_differences.size - skipped
+    want_differences = want_differences[skipped:]
+    nan = np.isnan(want_differences)
+    assert np.array_equal(np.isnan(differences), nan)
+    assert differences[~nan].tobytes() == want_differences[~nan].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 50), n=st.integers(1, 50),
+       seed=st.integers(0, 2 ** 32 - 1),
+       target=st.sampled_from(["graph weight", "mlp weight", "mlp bias"]))
+def test_moving_a_row_moves_each_column_as_its_coordinate_alone(k, n, seed,
+                                                                target):
+    # gradient_check's row stacks rest on this: column c of a layer's
+    # per-pose product reads only column c of the weight and the bias
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+    w, b = rng.normal(size=(k, n)) * scale[0], rng.normal(size=n) * scale[1]
+    p = b if target == "mlp bias" else w
+    rows = p.reshape(-1, n)
+    r = int(rng.integers(len(rows)))
+    step = float(rng.choice([FD_EPSILON, -FD_EPSILON]))
+    # copy 0 moves row r, copy 1 + c moves only coordinate (r, c)
+    stack = np.repeat(p[None], 1 + n, axis=0)
+    moved = stack.reshape(1 + n, len(rows), n)
+    moved[0, r] = rows[r] + step
+    moved[1 + np.arange(n), r, np.arange(n)] = rows[r] + step
+    if target == "graph weight":
+        h = rng.normal(size=(2, NUM_KEYPOINTS, k)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        layer = stack[:, None]
+    else:
+        h = rng.normal(size=(2, k)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        layer = AffineLayer(*((stack[:, None], b) if target == "mlp weight"
+                              else (w, stack[:, None])))
+    z = _layer(layer, TOPO, h)[0].reshape(1 + n, -1, n)
+    column = np.arange(n)
+    assert (z[0].T.tobytes()
+            == np.ascontiguousarray(z[1 + column, :, column]).tobytes())
 
 
 def test_gradient_check_leaves_model_buffers_untouched():

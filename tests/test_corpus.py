@@ -399,6 +399,12 @@ class TestSynthConfig:
         with pytest.raises(ValueError):
             SynthConfig(pairs_per_template=0)
 
+    @pytest.mark.parametrize("value", [2.5, 8.0, True, "3"])
+    @pytest.mark.parametrize("name", ["template_count", "pairs_per_template"])
+    def test_counts_must_be_ints(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
+            SynthConfig(**{name: value})
+
 
 class TestGenerator:
     def test_counts_and_ids(self):

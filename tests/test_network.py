@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from posesim.network import (
     AffineLayer,
+    ArchMeta,
     EmbeddingModel,
     flat_layout,
     forward_variant,
@@ -136,6 +138,15 @@ class TestInit:
     def test_rejects_zero_width(self):
         with pytest.raises(ValueError):
             init_model(h=0)
+
+    @pytest.mark.parametrize("hidden", [2.0, True, "3", 0, -1])
+    def test_gcn_hidden_must_be_an_int_of_at_least_one(self, hidden):
+        # a float width used to reach numpy and die there with a TypeError
+        match = re.escape(f"gcn_hidden must be an int >= 1, got {hidden!r}")
+        with pytest.raises(ValueError, match=match):
+            ArchMeta(gcn_hidden=hidden)
+        with pytest.raises(ValueError, match=match):
+            init_model(h=hidden)
 
     @settings(max_examples=40, deadline=None)
     @given(h=st.integers(1, 8), k=st.integers(1, 4))

@@ -498,6 +498,19 @@ class TestConfigAndPairValidation:
         with pytest.raises(ValueError):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("value", [2.5, 8.0, True, "3", 0, -2])
+    @pytest.mark.parametrize("name", ["batch_size", "epochs"])
+    def test_counts_must_be_ints_of_at_least_one(self, name, value):
+        # floats used to fail only inside train, and batch_size=True
+        # trained silently with batches of one
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an int >= 1, got {value!r}")):
+            TrainConfig(**{name: value})
+
+    def test_integral_counts_accepted(self):
+        cfg = TrainConfig(batch_size=np.int64(8), epochs=np.int32(2))
+        assert (cfg.batch_size, cfg.epochs) == (8, 2)
+
     @pytest.mark.parametrize("lr", [math.inf, -math.inf, math.nan])
     def test_learning_rate_must_be_finite(self, lr):
         with pytest.raises(ValueError, match="learning_rate must be finite"):
