@@ -109,6 +109,15 @@ class PosePair:
                            checked_label(self.label_y, self.magnitude))
 
 
+def _config_float(value) -> float | None:
+    """value as a float under json_number's float rule, or None; an int too
+    large for a float is None too."""
+    try:
+        return json_number(value)
+    except OverflowError:
+        return None
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
@@ -118,14 +127,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got "
-                             f"{self.learning_rate!r}")
+        # the float fields take json_number's float rule, an int or a float
+        # but not a bool or a string, and are stored as floats
+        rate, margin = map(_config_float, (self.learning_rate, self.margin_m))
+        if rate is None or not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0 (an int "
+                             f"or a float), got {self.learning_rate!r}")
         check_count(self.batch_size, "batch_size")
         check_count(self.epochs, "epochs")
-        if not 0 < self.margin_m <= 2:
-            raise ValueError("margin_m must be in (0, 2]")
+        if margin is None or not 0 < margin <= 2:
+            raise ValueError(f"margin_m must be in (0, 2] (an int or a "
+                             f"float), got {self.margin_m!r}")
         check_seed(self.seed)
+        object.__setattr__(self, "learning_rate", rate)
+        object.__setattr__(self, "margin_m", margin)
 
 
 @dataclass

@@ -84,6 +84,23 @@ def artifacts(corpus, out, flags):
     }
 
 
+# sha256 of the `gen --seed 1` corpus files themselves, recorded from the
+# json.dumps(sort_keys=True, indent=1) writer; they pin the written bytes,
+# whitespace and escaping included, which the digests of what is parsed
+# back from them cannot. Generation makes no BLAS call, so they hold under
+# every OpenBLAS kernel.
+PINNED_CORPUS = {
+    "poses.json":
+        "280f4b8e5647b7c6216ceee576bf06ed8e7b28c4f230ebfb0e47f700ebbfa46e",
+    "pairs.json":
+        "0daa3b8cd713da8ad8e19adcba66f21be5e699caccb239a3f5510d06f5581d2b",
+}
+
+
+def test_corpus_files_match_pinned_digests(corpus):
+    assert {name: sha256(corpus / name) for name in PINNED_CORPUS} == PINNED_CORPUS
+
+
 @pytest.mark.parametrize("label", sorted(PINNED))
 def test_artifacts_match_pinned_digests(corpus, tmp_path, capsys, label):
     flags, want = PINNED[label]

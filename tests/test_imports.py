@@ -1,8 +1,10 @@
-"""Every imported name is used and every private helper of the package is
-called: AST scans of the package and its tests.
+"""Every imported name is used, every private helper of the package is
+called, and the package writes JSON through one encoder: AST scans of the
+package and its tests.
 
 No linter ships with the project, so these are the checks that an import or
-a private helper left behind by a refactor does not linger.
+a private helper left behind by a refactor does not linger, and that the
+write path does not grow a second encoder beside network.write_document.
 """
 
 import ast
@@ -91,3 +93,28 @@ def test_scan_sees_an_unreferenced_private():
                   "def _used():\n    pass\n__version__ = '1'\n")
     b = ast.parse("from a import _used\n_used()\n")
     assert unreferenced_privates({"a": a, "b": b}) == ["a._SPARE", "a._walk"]
+
+
+def json_dumps_uses(tree: ast.Module) -> list[int]:
+    """The lines that name json.dumps or json.dump: as an attribute of any
+    name, or imported from json."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            lines += [node.lineno for alias in node.names
+                      if alias.name in ("dump", "dumps")]
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_package_never_calls_json_dumps(path):
+    assert json_dumps_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_scan_sees_json_dumps():
+    tree = ast.parse("import json\nfrom json import dumps as d, loads\n"
+                     "json.loads('1')\njson.dumps(1)\nencoder = json.dump\n")
+    assert json_dumps_uses(tree) == [2, 4, 5]

@@ -23,6 +23,7 @@ from posesim.network import (
     parameter_list,
     parameter_shapes,
     save_checkpoint,
+    write_document,
 )
 from posesim.skeleton import (
     NUM_KEYPOINTS,
@@ -77,12 +78,37 @@ CHECKPOINT_PATHS = (
 
 VALID_CHECKPOINT = save_checkpoint(init_model(h=2, seed=0))
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(10 ** 308, 10 ** 400)
-    | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=8)
+json_leaves = (st.none() | st.booleans() | st.integers()
+               | st.integers(10 ** 308, 10 ** 400) | st.text(max_size=8))
+
+
+def json_trees(leaves):
+    return st.recursive(
+        leaves, lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        max_leaves=8)
+
+
+json_values = json_trees(json_leaves | st.floats())
+
+# What write_document can write: finite floats at every edge of repr,
+# numpy float leaves, float lists and matrices (equal-length, including
+# empty rows, and ragged) and strings json.dumps must escape
+finite_floats = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([-0.0, 5e-324, 1e22, 1e-7]))
+float_rows = st.lists(finite_floats, max_size=5)
+document_values = json_trees(
+    json_leaves | finite_floats | finite_floats.map(np.float64)
+    | st.sampled_from(["\x00\x1f\"\\/", "é☃\U0001f600", "\u2028\x7f"])
+    | float_rows | st.lists(float_rows, max_size=4)
+    | st.integers(0, 3).flatmap(lambda cols: st.lists(
+        st.lists(finite_floats, min_size=cols, max_size=cols), max_size=4)))
+
+
+def json_dumps_document(doc: dict) -> bytes:
+    """The bytes write_document(doc, 1) must equal."""
+    return (json.dumps({"format_version": 1, **doc}, sort_keys=True, indent=1,
+                       allow_nan=False) + "\n").encode()
 
 
 def random_pose(rng):
@@ -344,6 +370,37 @@ def test_exact_affine_maps_leave_features_and_embeddings_bit_identical(
         assert got.tobytes() == want.tobytes()
 
 
+class TestWriteDocument:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=st.dictionaries(st.text(max_size=4), document_values, max_size=4))
+    @example(doc={"m": [[0.5, -0.0], [5e-324, 1e22]], "e": [[], []], "r": [[1e-7], []]})
+    @example(doc={"keypoints": [[0.1, 0.2]] * 15, "w": [[np.float64(0.1)] * 3] * 2})
+    def test_writes_the_bytes_of_json_dumps(self, doc):
+        assert write_document(doc, 1) == json_dumps_document(doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [
+        lambda v: v, lambda v: [1.0, v], lambda v: [[1.0, 2.0], [3.0, v]],
+        lambda v: [[1.0], [v, 2.0]], lambda v: [1, "a", [v]],
+        lambda v: {"b": [[np.float64(v)]]}, lambda v: np.float64(v),
+    ])
+    def test_non_finite_floats_raise_at_any_depth(self, where, bad):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            json_dumps_document({"a": where(bad)})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_document({"a": where(bad)}, 1)
+
+    @pytest.mark.parametrize("value", [
+        np.int64(1), {1.0, 2.0}, [1.0, np.int64(2)], [[1.0], {2.0}],
+        {"b": [np.int64(3)]},
+    ])
+    def test_values_json_has_no_type_for_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            json_dumps_document({"a": value})
+        with pytest.raises(TypeError):
+            write_document({"a": value}, 1)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self):
         model = init_model(h=2, seed=17)
@@ -367,6 +424,14 @@ class TestCheckpoint:
         model.theta[100] = value
         with pytest.raises(ValueError, match="not JSON compliant"):
             save_checkpoint(model)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64, np.int32])
+    def test_numpy_int_arch_saves_as_plain_ints(self, kind):
+        # a numpy int width or seed used to pass ArchMeta and then fail
+        # in save_checkpoint as not JSON serializable
+        model = init_model(h=kind(2), seed=kind(3))
+        assert type(model.arch.gcn_hidden) is int and type(model.arch.seed) is int
+        assert save_checkpoint(model) == save_checkpoint(init_model(h=2, seed=3))
 
     @settings(max_examples=40, deadline=None)
     @given(h=st.integers(1, 8), seed=st.integers(0, 2 ** 64 - 1))

@@ -516,6 +516,20 @@ class TestConfigAndPairValidation:
         with pytest.raises(ValueError, match="learning_rate must be finite"):
             TrainConfig(learning_rate=lr)
 
+    @pytest.mark.parametrize("value", ["1", "1e-3", True, False, None,
+                                       10 ** 400, [0.1]])
+    @pytest.mark.parametrize("name", ["learning_rate", "margin_m"])
+    def test_float_fields_take_json_numbers_only(self, name, value):
+        # a string used to raise TypeError, and margin_m=True trained as 1.0
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be ") + ".* got " + re.escape(repr(value))):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["learning_rate", "margin_m"])
+    def test_int_float_fields_accepted_as_floats(self, name):
+        cfg = TrainConfig(**{name: 1})
+        assert type(getattr(cfg, name)) is float and getattr(cfg, name) == 1.0
+
     def test_divergence_raises_naming_the_epoch(self):
         rng = np.random.default_rng(3)
         pairs = [random_pair(rng, k % 2) for k in range(8)]
