@@ -213,7 +213,7 @@ def parse_pose_file(data: bytes) -> list[PoseRecord]:
                 category=raw.get("category"),
                 quality_score=raw.get("quality_score"),
             ))
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"record {rec_id!r}: {exc}") from exc
     return records
 
@@ -256,7 +256,7 @@ def parse_pair_file(data: bytes) -> PairFile:
             entries.append(PairEntry(a=raw.get("a"), b=raw.get("b"),
                                      y=raw.get("y"),
                                      magnitude=raw.get("magnitude")))
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"pair at index {i}: {exc}") from exc
     return PairFile(poses=poses, entries=tuple(entries))
 

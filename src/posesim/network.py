@@ -355,13 +355,17 @@ def json_number(value, kind: type = float):
     """value as a JSON number of the kind, or None if it is not one.
 
     An int field takes the int itself (not true, not 1.0); a float field
-    takes an int or a float, returned as a float. Neither takes a bool or a
-    string. Range rules stay with each field.
+    takes an int or a float, returned as a float, but not an int too large
+    for a float. Neither takes a bool or a string. Range rules stay with
+    each field.
     """
     if kind is int:
         return value if type(value) is int else None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            return None
     return None
 
 

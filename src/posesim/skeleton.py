@@ -52,11 +52,6 @@ SKELETON_EDGES = (
 )
 
 
-# Coordinates below this magnitude are finite and no per-axis extent
-# (max - min) of them can overflow: the largest is exactly float64's max.
-_SAFE_MAGNITUDE = 2.0 ** 1023
-
-
 # numpy converts a bool, or a string that spells a number, to a float
 _NOT_NUMBERS = (bool, np.bool_, str, bytes)
 
@@ -91,7 +86,12 @@ def _validated_coords(values, what: str) -> np.ndarray:
     """values as a read-only 15x2 float64 array of finite coordinates whose
     per-axis extents are finite too; ValueError, naming what, otherwise."""
     arr = number_array(values, (NUM_KEYPOINTS, 2), what)
-    if not np.abs(arr).max() < _SAFE_MAGNITUDE:  # also catches nan
+    # One BLAS call admits nearly every array: a finite sum of squares keeps
+    # each |coordinate| below about 1.34e154, so the coordinates and their
+    # extents are finite. The sum is NaN or inf, with no FP warning, for a
+    # NaN, an infinity, any larger |x| or squares whose sum overflows; only
+    # those arrays take the exact checks below.
+    if not np.vdot(arr, arr) < math.inf:
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{what} contains non-finite values")
         for axis, name in enumerate("xy"):
@@ -100,7 +100,7 @@ def _validated_coords(values, what: str) -> np.ndarray:
             if hi - lo == math.inf:
                 raise ValueError(f"{what} {name} extent {hi!r} - {lo!r} "
                                  f"overflows float64")
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -192,7 +192,11 @@ def normalize_stack(keypoints) -> np.ndarray:
     """Min-max normalize a (n, 15, 2) stack of poses per pose and axis.
 
     Row i equals normalize_pose of pose i bit for bit: the same per-element
-    subtraction and division, with 0.5 on an axis of zero extent.
+    subtraction and division, with 0.5 on an axis of zero extent. One sort
+    along the joint axis gives each axis's min and max, exactly. A zero
+    feature is always +0.0: where a pose mixes -0.0 and +0.0 on an axis,
+    which of them the sort puts first is unspecified, and so is the sign
+    of p - lo.
 
     Precondition, not checked here: every pose is the keypoints of a Pose,
     so its coordinates and per-axis extents are finite. Every feature then
@@ -200,11 +204,14 @@ def normalize_stack(keypoints) -> np.ndarray:
     0 <= p - lo <= hi - lo and so a quotient in [0, 1].
     """
     kp = np.asarray(keypoints, dtype=np.float64)
-    lo = kp.min(axis=1, keepdims=True)
-    extent = kp.max(axis=1, keepdims=True) - lo
-    features = np.full_like(kp, 0.5)
+    ordered = np.sort(kp, axis=1)
+    lo = ordered[:, :1]
+    extent = ordered[:, -1:] - lo
+    features = np.empty_like(kp)
+    features.fill(0.5)
     np.divide(kp - lo, extent, out=features, where=extent != 0.0)
-    return features
+    # -0.0 + 0.0 is +0.0; every other feature keeps its bits
+    return np.add(features, 0.0, out=features)
 
 
 def normalize_pose(pose: Pose) -> NormalizedPose:

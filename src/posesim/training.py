@@ -109,15 +109,6 @@ class PosePair:
                            checked_label(self.label_y, self.magnitude))
 
 
-def _config_float(value) -> float | None:
-    """value as a float under json_number's float rule, or None; an int too
-    large for a float is None too."""
-    try:
-        return json_number(value)
-    except OverflowError:
-        return None
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
@@ -129,7 +120,7 @@ class TrainConfig:
     def __post_init__(self):
         # the float fields take json_number's float rule, an int or a float
         # but not a bool or a string, and are stored as floats
-        rate, margin = map(_config_float, (self.learning_rate, self.margin_m))
+        rate, margin = map(json_number, (self.learning_rate, self.margin_m))
         if rate is None or not (math.isfinite(rate) and rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0 (an int "
                              f"or a float), got {self.learning_rate!r}")

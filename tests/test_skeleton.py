@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posesim.skeleton import (
     NUM_KEYPOINTS,
@@ -225,3 +227,103 @@ class TestExtentOverflow:
         stack = normalize_stack(np.stack([kp, kp[::-1], np.zeros_like(kp)]))
         np.testing.assert_array_equal(stack[0], features)
         np.testing.assert_array_equal(stack[2], np.full_like(kp, 0.5))
+
+
+def minmax_normalize_stack(keypoints):
+    """normalize_stack as two min/max reductions computed it, frozen: the
+    reference the one-sort version matches bit for bit without -0.0."""
+    kp = np.asarray(keypoints, dtype=np.float64)
+    lo = kp.min(axis=1, keepdims=True)
+    extent = kp.max(axis=1, keepdims=True) - lo
+    features = np.full_like(kp, 0.5)
+    np.divide(kp - lo, extent, out=features, where=extent != 0.0)
+    return features
+
+
+def reference_admission_error(kp):
+    """The ValueError text of Pose's exact checks on kp, run on every array
+    with no fast test in front, or None where they accept kp."""
+    if not np.all(np.isfinite(kp)):
+        return "keypoints contains non-finite values"
+    for axis, name in enumerate("xy"):
+        lo, hi = float(kp[:, axis].min()), float(kp[:, axis].max())
+        if hi - lo == math.inf:
+            return f"keypoints {name} extent {hi!r} - {lo!r} overflows float64"
+    return None
+
+
+def axis_values(values):
+    """15 values for one axis; drawn from a palette of 1-4 values half the
+    time, so that ties and zero extents are common."""
+    free = st.lists(values, min_size=NUM_KEYPOINTS, max_size=NUM_KEYPOINTS)
+    paletted = st.lists(values, min_size=1, max_size=4).flatmap(
+        lambda palette: st.lists(st.sampled_from(palette),
+                                 min_size=NUM_KEYPOINTS,
+                                 max_size=NUM_KEYPOINTS))
+    return free | paletted
+
+
+def poses_of(values):
+    return st.tuples(axis_values(values), axis_values(values)).map(
+        lambda xy: np.array(xy, dtype=np.float64).T.copy())
+
+
+def stacks_of(values):
+    return st.lists(poses_of(values), min_size=1, max_size=3).map(np.stack)
+
+
+TOP = 2.0 ** 1022  # any two coordinates within +-TOP have a finite extent
+EDGES = [0.0, 1.0, -1.0, 3.0, 5e-324, 2.0 ** -1022, TOP, -TOP]
+# + 0.0 turns a drawn -0.0 into +0.0
+FEATURE_SAFE = (st.sampled_from(EDGES) | st.floats(-TOP, TOP)).map(
+    lambda x: x + 0.0)
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0, 1.0, -TOP, 5e-324])
+FLOAT_MAX = float(np.finfo(np.float64).max)
+SQRT_MAX = math.sqrt(FLOAT_MAX)  # about 1.34e154; the self-dot overflows past it
+ADMISSION_EDGES = [math.nan, math.inf, -math.inf, 0.0, 1.0, 1.34e154,
+                   -1.35e154, SQRT_MAX, math.nextafter(SQRT_MAX, math.inf),
+                   2.0 ** 1023, -2.0 ** 1023, math.nextafter(2.0 ** 1023, 0.0),
+                   FLOAT_MAX, -FLOAT_MAX]
+
+
+def column_pose(x, y):
+    kp = np.zeros((NUM_KEYPOINTS, 2))
+    kp[:, 0], kp[:, 1] = x, y
+    return kp
+
+
+class TestNormalizeStackMatchesMinMax:
+    @settings(max_examples=150, deadline=None)
+    @given(kp=stacks_of(FEATURE_SAFE))
+    @example(kp=np.stack([column_pose(np.linspace(-TOP, TOP, NUM_KEYPOINTS),
+                                      TOP)]))
+    @example(kp=np.stack([column_pose(3.0, np.arange(NUM_KEYPOINTS) % 2)]))
+    def test_bits_equal_the_min_max_version(self, kp):
+        assert not np.any((kp == 0.0) & np.signbit(kp))
+        assert normalize_stack(kp).tobytes() == minmax_normalize_stack(kp).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(kp=stacks_of(SIGNED_ZEROS))
+    @example(kp=np.stack([column_pose([0.0, -0.0, 0.0] + [1.0] * 12, 1.0),
+                          column_pose([-0.0, 0.0] + [1.0] * 13, -0.0)]))
+    def test_zero_features_are_positive_zeros(self, kp):
+        features = normalize_stack(kp)
+        assert not np.any(np.signbit(features))
+        np.testing.assert_array_equal(features, minmax_normalize_stack(kp))
+
+
+class TestPoseAdmission:
+    @settings(max_examples=250, deadline=None)
+    @given(kp=poses_of(st.sampled_from(ADMISSION_EDGES) | st.floats()))
+    @example(kp=column_pose(1.3e154, -1.3e154))  # self-dot inf, accepted
+    @example(kp=column_pose([2.0 ** 1023, -2.0 ** 1023] + [0.0] * 13, 0.0))
+    @example(kp=column_pose([FLOAT_MAX, -1.0] + [0.0] * 13, 0.0))
+    @example(kp=column_pose(0.0, [FLOAT_MAX, -FLOAT_MAX] + [0.0] * 13))
+    def test_accepts_exactly_finite_coordinates_and_extents(self, kp):
+        expected = reference_admission_error(kp)
+        if expected is None:
+            assert Pose(kp).keypoints.tobytes() == kp.tobytes()
+        else:
+            with pytest.raises(ValueError) as info:
+                Pose(kp)
+            assert str(info.value) == expected

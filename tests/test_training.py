@@ -486,6 +486,16 @@ class TestConfigAndPairValidation:
         with pytest.raises(ValueError):
             PosePair(a, a, label, magnitude=magnitude)
 
+    @pytest.mark.parametrize("magnitude", [10 ** 400, -10 ** 400],
+                             ids=["1e400", "-1e400"])
+    def test_magnitude_int_too_large_for_a_float_is_not_a_number(
+            self, magnitude):
+        # float() of such an int raised OverflowError past the field's rule
+        a = Pose(np.zeros((NUM_KEYPOINTS, 2)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"magnitude must be a finite number >= 0, got {magnitude!r}")):
+            PosePair(a, a, 1, magnitude=magnitude)
+
     def test_train_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
