@@ -123,7 +123,7 @@ def flat_layout(h: int) -> FlatLayout:
         stop = start + math.prod(shape)
         params.append((name, shape, slice(start, stop)))
         if len(shape) == 2:
-            bound = math.sqrt(6.0 / sum(shape))
+            bound = math.sqrt(6 / sum(shape))  # int / int: no float overflow
             glorot.append((start, stop, -bound, 2.0 * bound))
         start = stop
     return FlatLayout(tuple(params), tuple(glorot),
@@ -175,9 +175,13 @@ class EmbeddingModel:
             raise ValueError(f"a model has 2 gcn weights and 3 mlp layers, got "
                              f"{len(self.gcn_weights)} and {len(self.mlp_layers)}")
         layout = flat_layout(self.arch.gcn_hidden)
+        # every shape is checked before theta is allocated, so an absurd
+        # gcn_hidden fails on the given arrays, not in np.empty
+        arrays = [number_array(values, shape, what)
+                  for (what, shape, _), values in zip(layout.params, parameter_list(self))]
         theta = np.empty(layout.size)
-        for (what, shape, part), values in zip(layout.params, parameter_list(self)):
-            theta[part] = number_array(values, shape, what).reshape(-1)
+        for (what, _, part), arr in zip(layout.params, arrays):
+            theta[part] = arr.reshape(-1)
             if not np.all(np.isfinite(theta[part])):
                 raise ValueError(f"{what} contains non-finite values")
         layers = layers_of(theta, self.arch.gcn_hidden)
