@@ -161,13 +161,14 @@ class SynthConfig:
         if self.template_count < 2:
             raise ValueError("cross-template negatives need template_count >= 2")
         check_count(self.pairs_per_template, "pairs_per_template")
-        levels = tuple(float(v) for v in self.jitter_levels)
+        levels = tuple(map(json_number, self.jitter_levels))
         if not levels:
             raise ValueError("jitter_levels must be nonempty")
-        if any(not (math.isfinite(v) and v >= 0.0) for v in levels):
-            raise ValueError("jitter levels must be finite and >= 0")
+        if any(v is None or not (math.isfinite(v) and v >= 0.0) for v in levels):
+            raise ValueError(f"jitter_levels must be finite and >= 0 (ints or "
+                             f"floats), got {self.jitter_levels!r}")
         if list(levels) != sorted(levels):
-            raise ValueError("jitter levels must be sorted ascending")
+            raise ValueError("jitter_levels must be sorted ascending")
         object.__setattr__(self, "jitter_levels", levels)
         check_seed(self.seed)
 
@@ -376,12 +377,14 @@ def split_corpus(items, train_fraction: float, seed: int = 0):
     items = list(items)
     if not items:
         raise ValueError("nothing to split")
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    fraction = json_number(train_fraction)
+    if fraction is None or not 0.0 < fraction < 1.0:
+        raise ValueError(f"train_fraction must be in (0, 1) (an int or a "
+                         f"float), got {train_fraction!r}")
     check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(len(items))
-    cut = int(round(len(items) * train_fraction))
+    cut = int(round(len(items) * fraction))
     train = [items[i] for i in order[:cut]]
     held = [items[i] for i in order[cut:]]
     return train, held

@@ -247,32 +247,24 @@ def check_variant(variant: str) -> None:
 class ForwardCache:
     """Intermediate values of one embed call, kept for backpropagation.
 
-    gcn_pre/gcn_post hold each graph layer's pre- and post-activation node
-    matrices (empty for the MLP-only variant); mlp_pre/mlp_post the same per
-    MLP layer. flat is the MLP input. Every array carries the pose axis
+    inputs[i] is layer i's input as it reads it (the first MLP layer's
+    flattened node-major) and pre[i] its pre-activation, over the layers
+    embed ran: both graph layers and the MLP head, or, for the mlp variant,
+    the head alone. Layer i's output is inputs[i + 1], or, for the identity
+    last layer, pre[-1], the embedding. Every array carries the pose axis
     first, or the model axis and then the pose axis when K stacked models
     are embedded; forward_variant() returns the single pose's slice,
     take(0).
     """
 
-    x: np.ndarray
-    gcn_pre: list[np.ndarray]
-    gcn_post: list[np.ndarray]
-    flat: np.ndarray
-    mlp_pre: list[np.ndarray]
-    mlp_post: list[np.ndarray]
+    inputs: list[np.ndarray]
+    pre: list[np.ndarray]
 
     def take(self, index) -> "ForwardCache":
         """The cache of the poses, or of the stacked models, selected by a
         numpy index along axis 0."""
-        return ForwardCache(
-            x=self.x[index],
-            gcn_pre=[z[index] for z in self.gcn_pre],
-            gcn_post=[h[index] for h in self.gcn_post],
-            flat=self.flat[index],
-            mlp_pre=[z[index] for z in self.mlp_pre],
-            mlp_post=[a[index] for a in self.mlp_post],
-        )
+        return ForwardCache([h[index] for h in self.inputs],
+                            [z[index] for z in self.pre])
 
 
 def _layer(layer, topo: SkeletonTopology | None, h: np.ndarray, relu=True):
@@ -286,38 +278,41 @@ def _layer(layer, topo: SkeletonTopology | None, h: np.ndarray, relu=True):
     return z, np.maximum(z, 0.0) if relu else z
 
 
-def _run_layers(gcn_weights, mlp_layers, topo: SkeletonTopology | None,
-                h: np.ndarray, cache: ForwardCache | None = None) -> np.ndarray:
-    """Run the given graph layers, then the given MLP layers, on h.
+def _run_layers(layers, topo: SkeletonTopology | None, h: np.ndarray,
+                cache: ForwardCache | None = None) -> np.ndarray:
+    """Run layers, graph weights then AffineLayers, in order on h.
 
-    The graph layers are ReLU, (A_norm @ H) @ W per pose, and their 15x2
-    output is flattened node-major, [x0, y0, x1, y1, ...]; the MLP layers
-    are ReLU but for the last, the identity output layer. Passing the
-    model's layers from some layer on, with h that layer's input, runs the
-    forward pass from there. A weight or bias may instead be a stack
-    (P, 1, *shape) of P variants of it: from its layer on, every value then
-    carries a leading copy axis, (P, n, ...), copy j running with variant j.
-    Every product keeps the single-pose shape, the MLP head as (1, k) @ W,
-    so each pose of each copy is bit for bit its own single-pose forward; a
-    flat (n, k) @ W GEMM would round differently. cache, if given, receives
-    each layer's values.
+    Every layer is ReLU but the last, the identity output. A graph layer is
+    (A_norm @ H) @ W per pose; where a 15x2 node input meets an MLP layer it
+    is flattened node-major, [x0, y0, x1, y1, ...]. Passing the model's
+    layers from some layer on, with h that layer's input, runs the forward
+    pass from there. A weight or bias may instead be a stack (P, 1, *shape)
+    of P variants of it: from its layer on, every value then carries a
+    leading copy axis, (P, n, ...), copy j running with variant j. Every
+    product keeps the single-pose shape, the MLP head as (1, k) @ W, so each
+    pose of each copy is bit for bit its own single-pose forward; a flat
+    (n, k) @ W GEMM would round differently. cache, if given, receives each
+    layer's input and pre-activation.
     """
-    for w in gcn_weights:
-        z, h = _layer(w, topo, h)
+    last = len(layers) - 1
+    for i, layer in enumerate(layers):
+        if (isinstance(layer, AffineLayer)
+                and h.shape[-2:] == (NUM_KEYPOINTS, FEATURE_DIM)):
+            h = h.reshape(h.shape[:-2] + (FLAT_DIM,))
         if cache is not None:
-            cache.gcn_pre.append(z)
-            cache.gcn_post.append(h)
-    if gcn_weights:
-        h = h.reshape(h.shape[:-2] + (FLAT_DIM,))
-        if cache is not None:
-            cache.flat = h
-    last = len(mlp_layers) - 1
-    for i, layer in enumerate(mlp_layers):
+            cache.inputs.append(h)
         z, h = _layer(layer, topo, h, i != last)
         if cache is not None:
-            cache.mlp_pre.append(z)
-            cache.mlp_post.append(h)
+            cache.pre.append(z)
     return h
+
+
+def _variant_layers(model: EmbeddingModel | Layers, variant: str) -> tuple:
+    """The layers embed runs for the variant, in order: the graph weights
+    and then the MLP head's AffineLayers, or, for mlp, the head alone."""
+    check_variant(variant)
+    gcn = model.gcn_weights if variant == GCN_VARIANT else ()
+    return (*gcn, *model.mlp_layers)
 
 
 def embed(model: EmbeddingModel | Layers, x: np.ndarray,
@@ -332,14 +327,8 @@ def embed(model: EmbeddingModel | Layers, x: np.ndarray,
     be the Layers of K models stacked (K, 1, *shape), with x (K, n, 15, 2):
     every value then carries the leading axis, model k embedding x[k].
     """
-    check_variant(variant)
-    cache = ForwardCache(x=x, gcn_pre=[], gcn_post=[], flat=None,
-                         mlp_pre=[], mlp_post=[])
-    gcn_weights, h = model.gcn_weights, x
-    if variant == MLP_VARIANT:
-        gcn_weights, h = (), x.reshape(x.shape[:-2] + (FLAT_DIM,))
-        cache.flat = h
-    return _run_layers(gcn_weights, model.mlp_layers, topo, h, cache), cache
+    cache = ForwardCache([], [])
+    return _run_layers(_variant_layers(model, variant), topo, x, cache), cache
 
 
 def forward_variant(model: EmbeddingModel, pose: NormalizedPose,

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from posesim.network import MLP_WIDTHS, EmbeddingModel, check_variant, embed
+from posesim.network import (MLP_WIDTHS, EmbeddingModel, check_variant, embed,
+                             json_number)
 from posesim.skeleton import (
     Pose,
     SkeletonTopology,
@@ -36,10 +37,14 @@ class ScoreParams:
     width_u: float = 0.3
 
     def __post_init__(self):
+        # json_number's float rule, as TrainConfig's float fields take it
         for name in ("amplitude_sigma", "width_u"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            given = getattr(self, name)
+            value = json_number(given)
+            if value is None or not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0 (an int or a "
+                                 f"float), got {given!r}")
+            object.__setattr__(self, name, value)
 
 
 def similarity_score(d_c: float, p: ScoreParams = ScoreParams()) -> float:

@@ -17,19 +17,20 @@ batch is trained rather than dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from posesim.network import (
-    GCN_VARIANT,
     VARIANTS,
+    AffineLayer,
     ArchMeta,
     EmbeddingModel,
     ForwardCache,
     Layers,
     _layer,
     _run_layers,
+    _variant_layers,
     check_count,
     check_seed,
     check_variant,
@@ -276,30 +277,30 @@ def _backward(model: EmbeddingModel | Layers, topo: SkeletonTopology,
     models stacked (K, 1, *shape), with cache, g and out carrying the same
     leading axis K: model k's twins then get model k's gradients. Every
     product is the one a single-twin pass of a single model would make, so
-    no sum runs across twins or models here. Every layer but the identity
-    MLP output is ReLU-gated.
+    no sum runs across twins or models here. It walks back over the layers
+    the cache's embed ran, all ReLU-gated but the identity output; graph
+    weights the mlp variant skipped get zero gradients.
     """
-    layers = model.mlp_layers
+    layers = (*model.gcn_weights, *model.mlp_layers)[-len(cache.pre):]
+    slots = list(out)
     for i in reversed(range(len(layers))):
+        layer, h_in = layers[i], cache.inputs[i]
         if i < len(layers) - 1:
-            g = g * (cache.mlp_pre[i] > 0.0)
-        a_prev = cache.flat if i == 0 else cache.mlp_post[i - 1]
-        np.einsum("...i,...j->...ij", a_prev, g, out=out[2 + 2 * i])
-        out[3 + 2 * i][...] = g
-        if i > 0 or cache.gcn_pre:
-            g = (layers[i].w @ g[..., None])[..., 0]
-    if not cache.gcn_pre:
-        for grad in out[:len(model.gcn_weights)]:
-            grad[...] = 0.0
-        return
-    a_norm = topo.adjacency_norm
-    gh = g.reshape(cache.gcn_post[-1].shape)
-    for i in reversed(range(len(model.gcn_weights))):
-        gh = gh * (cache.gcn_pre[i] > 0.0)
-        h_in = cache.x if i == 0 else cache.gcn_post[i - 1]
-        np.matmul((a_norm @ h_in).swapaxes(-1, -2), gh, out=out[i])
-        if i > 0:
-            gh = a_norm.T @ (gh @ model.gcn_weights[i].swapaxes(-1, -2))
+            # g is dL/d(layer i's output), which inputs[i + 1] may flatten
+            g = g.reshape(cache.pre[i].shape) * (cache.pre[i] > 0.0)
+        if isinstance(layer, AffineLayer):
+            np.einsum("...i,...j->...ij", h_in, g, out=slots[-2])
+            slots[-1][...] = g
+            del slots[-2:]
+            if i > 0:
+                g = (layer.w @ g[..., None])[..., 0]
+        else:
+            a_norm = topo.adjacency_norm
+            np.matmul((a_norm @ h_in).swapaxes(-1, -2), g, out=slots.pop())
+            if i > 0:
+                g = a_norm.T @ (g @ layer.swapaxes(-1, -2))
+    for grad in slots:
+        grad[...] = 0.0
 
 
 class _BatchGradient:
@@ -459,13 +460,16 @@ def _central_differences(model: EmbeddingModel, topo: SkeletonTopology, x,
                          label: int, margin: float, variant: str) -> np.ndarray:
     """gradient_check's numeric side on the pair of normalized twins x, flat
     in theta's layout (the mlp variant's: theta's suffix after the graph)."""
+    layers = _variant_layers(model, variant)
     emb, cache = embed(model, x, topo, variant)
     loss0 = _pair_losses(cosine_distances(emb), label, margin)[0]
 
-    def differences(p, layer_out, out0, rest):
+    def differences(i, p, put):
         """The differences at each coordinate of p, a weight (k, n) or bias
-        (n,); layer_out(stack) is p's layer's output with p replaced by a
-        (P, 1, *p.shape) stack, out0 its cached output, rest(a) embeds."""
+        (n,) of layers[i]; put(stack) is layers[i] with p replaced by a
+        (P, 1, *p.shape) stack."""
+        relu = i < len(layers) - 1
+        out0 = cache.inputs[i + 1] if relu else emb  # layer i's cached output
         rows = p.reshape(-1, p.shape[-1])
         k, n = rows.shape
         block = min(ROWS_PER_BLOCK, k)
@@ -477,32 +481,26 @@ def _central_differences(model: EmbeddingModel, topo: SkeletonTopology, x,
             r = np.arange(start, min(start + block, k))
             moved[r - start, 0, r] = rows[r] + FD_EPSILON
             moved[r - start, 1, r] = rows[r] - FD_EPSILON
-            out = layer_out(stack[:2 * len(r)]).reshape(len(r), 2, -1, n)
+            out = _layer(put(stack[:2 * len(r)]), topo, cache.inputs[i],
+                         relu)[1].reshape(len(r), 2, -1, n)
             moved[r - start, :, r] = rows[r, None]
             # copy (j, d, c): out0 with column c from out[j, d]; one that
             # keeps out0's bits keeps loss0, so only the others run on
             j, d, c = np.nonzero(np.any(out.view(np.uint64) != bits0, axis=2))
             copies = np.repeat(out0.reshape(1, -1, n), len(j), axis=0)
             copies[np.arange(len(j)), :, c] = out[j, d, :, c]
-            e = rest(copies.reshape(-1, *out0.shape)).reshape(-1, emb.shape[-1])
+            e = _run_layers(layers[i + 1:], topo, copies.reshape(-1, *out0.shape))
+            e = e.reshape(-1, emb.shape[-1])
             loss[r[j], d, c] = _pair_losses(cosine_distances(e), label, margin)[0]
         return ((loss[:, 0] - loss[:, 1]) / (2.0 * FD_EPSILON)).reshape(-1)
 
-    gcn = model.gcn_weights if variant == GCN_VARIANT else ()
-    mlp = model.mlp_layers
     numeric = []
-    for i, w in enumerate(gcn):
-        h = cache.x if i == 0 else cache.gcn_post[i - 1]
-        # the head reads the last one's output as cache.flat: node rows of n
-        out0 = cache.gcn_post[i] if i < len(gcn) - 1 else cache.flat
-        numeric.append(differences(w, lambda s: _layer(s, topo, h)[1], out0,
-                                   lambda a: _run_layers(gcn[i + 1:], mlp, topo, a)))
-    for j, layer in enumerate(mlp):
-        h = cache.flat if j == 0 else cache.mlp_post[j - 1]
-        for name in ("w", "b"):
-            numeric.append(differences(getattr(layer, name), lambda s: _layer(
-                replace(layer, **{name: s}), topo, h, j < len(mlp) - 1)[1],
-                cache.mlp_post[j], lambda a: _run_layers((), mlp[j + 1:], topo, a)))
+    for i, layer in enumerate(layers):
+        if isinstance(layer, AffineLayer):
+            numeric.append(differences(i, layer.w, lambda s: AffineLayer(s, layer.b)))
+            numeric.append(differences(i, layer.b, lambda s: AffineLayer(layer.w, s)))
+        else:
+            numeric.append(differences(i, layer, lambda s: s))
     return np.concatenate(numeric)
 
 
@@ -572,7 +570,7 @@ def _fd_friendly(theta: np.ndarray, h: int, x: np.ndarray, label: int,
         cos, raw, _, _ = _pair_cosines(emb.reshape(-1, emb.shape[-1]))
         ok &= ~(raw.reshape(-1, 2).min(axis=1) < 1e-3)
         ok &= ~(1.0 - cos > DEFAULT_MARGIN - 1e-3)
-        for z in (*cache.gcn_pre, *cache.mlp_pre[:-1]):  # identity head has no kink
+        for z in cache.pre[:-1]:  # the identity output has no kink
             ok &= ~(np.abs(z).reshape(len(z), -1).min(axis=1) < 1e-4)
         caches.append((emb, cache))
     for emb, cache in caches:

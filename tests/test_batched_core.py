@@ -220,7 +220,8 @@ def test_dead_gcn_seed_has_all_zero_gcn_output():
     pair = check_pair(DEAD_GCN_SEED, 1)
     x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
     _, cache = embed(init_model(h=2, seed=DEAD_GCN_SEED), x, TOPO, "gcn")
-    assert all(np.all(post == 0.0) for post in cache.gcn_post)
+    # the graph layers' outputs are the inputs of layers 1 and 2
+    assert all(np.all(post == 0.0) for post in cache.inputs[1:3])
 
 
 @settings(max_examples=12, deadline=None)
@@ -379,7 +380,7 @@ def solo_rejections(model, topo, pair, x):
             reasons.append((variant, "norm"))
         if 1.0 - cos[0] > DEFAULT_MARGIN - 1e-3:
             reasons.append((variant, "hinge"))
-        for z in (*cache.gcn_pre, *cache.mlp_pre[:-1]):
+        for z in cache.pre[:-1]:
             if float(np.min(np.abs(z))) < 1e-4:
                 reasons.append((variant, "kink"))
                 break
@@ -417,7 +418,7 @@ def apply_edit(theta_row, kp_pair, kind, variant, u):
         head[2].b[...] -= (0.7 + 0.3 * u) * (emb[0] + emb[1]) / 2
     elif kind == "kink":
         layer = int(u * 2)
-        z = cache.mlp_pre[layer][0]
+        z = cache.pre[layer - 3][0]  # the MLP head is the last 3 layers
         j = int(u * 1000) % len(z)
         head[layer].b[j] -= z[j] - 5e-5
     elif kind == "scale":

@@ -390,6 +390,16 @@ class TestSynthConfig:
         with pytest.raises(ValueError, match=">= 0"):
             SynthConfig(jitter_levels=(-0.01, 0.05))
 
+    @pytest.mark.parametrize("levels", [
+        pytest.param(("0.01", True), id="string"),
+        pytest.param((0.01, True), id="bool"),
+        pytest.param((None,), id="none"),
+        pytest.param((10 ** 400,), id="10**400")])
+    def test_levels_take_json_numbers(self, levels):
+        # json_number's float rule: no string, no bool, no int past a float
+        with pytest.raises(ValueError, match="jitter_levels"):
+            SynthConfig(jitter_levels=levels)
+
     def test_zero_level_permitted(self):
         assert SynthConfig(jitter_levels=(0.0, 0.05)).jitter_levels == (0.0, 0.05)
 
@@ -506,7 +516,7 @@ class TestSplitCorpus:
         assert a[0] != items[:25]
 
     def test_fraction_bounds(self):
-        for bad in (0.0, 1.0, -0.2, 1.5):
+        for bad in (0.0, 1.0, -0.2, 1.5, "0.5", None, True, 10 ** 400):
             with pytest.raises(ValueError, match="train_fraction"):
                 split_corpus([1, 2], bad)
 

@@ -273,17 +273,18 @@ class TestForward:
         model = init_model(h=2, seed=1)
         pose = random_pose(np.random.default_rng(8))
         _, cache = forward_variant(model, pose, topo, "gcn")
-        final = cache.gcn_post[-1]
+        final = np.maximum(cache.pre[1], 0.0)
         for i in range(NUM_KEYPOINTS):
             for j in range(2):
-                assert cache.flat[2 * i + j] == final[i, j]
+                assert cache.inputs[2][2 * i + j] == final[i, j]
 
     def test_baseline_flattens_raw_features(self):
         model = init_model(h=2, seed=1)
         pose = random_pose(np.random.default_rng(9))
         _, cache = forward_variant(model, pose, None, "mlp")
-        assert cache.gcn_pre == [] and cache.gcn_post == []
-        np.testing.assert_array_equal(cache.flat, pose.features.reshape(-1))
+        # no graph layer ran: the cache holds the three MLP layers alone
+        assert len(cache.inputs) == len(cache.pre) == 3
+        np.testing.assert_array_equal(cache.inputs[0], pose.features.reshape(-1))
 
     def test_identity_gcn_weights_reduce_to_adjacency_powers(self):
         # With identity 2x2 graph weights and nonnegative inputs the graph
@@ -296,8 +297,8 @@ class TestForward:
         pose = random_pose(np.random.default_rng(10))
         _, cache = forward_variant(model, pose, topo, "gcn")
         a2x = topo.adjacency_norm @ topo.adjacency_norm @ pose.features
-        np.testing.assert_allclose(cache.gcn_post[-1], a2x, atol=1e-12)
-        np.testing.assert_allclose(cache.flat, a2x.reshape(-1), atol=1e-12)
+        np.testing.assert_allclose(np.maximum(cache.pre[1], 0.0), a2x, atol=1e-12)
+        np.testing.assert_allclose(cache.inputs[2], a2x.reshape(-1), atol=1e-12)
 
     def test_forward_is_pure(self):
         topo = build_skeleton_topology()
@@ -322,16 +323,26 @@ class TestForward:
         with pytest.raises(ValueError, match="variant"):
             forward_variant(model, pose, topo, "transformer")
 
-    def test_cache_layers_line_up(self):
+    @pytest.mark.parametrize("variant,layers", [("gcn", 5), ("mlp", 3)])
+    def test_cache_layers_line_up(self, variant, layers):
         topo = build_skeleton_topology()
         model = init_model(h=2, seed=4)
         pose = random_pose(np.random.default_rng(13))
-        emb, cache = forward_variant(model, pose, topo, "gcn")
-        assert len(cache.gcn_pre) == len(cache.gcn_post) == 2
-        assert len(cache.mlp_pre) == len(cache.mlp_post) == 3
-        np.testing.assert_array_equal(cache.mlp_post[-1], emb)
-        # identity output activation: last pre equals last post
-        np.testing.assert_array_equal(cache.mlp_pre[-1], cache.mlp_post[-1])
+        emb, cache = forward_variant(model, pose, topo, variant)
+        assert len(cache.inputs) == len(cache.pre) == layers
+        # identity output activation: the last pre is the embedding
+        np.testing.assert_array_equal(cache.pre[-1], emb)
+        # each later input is the ReLU of the layer before it, flattened
+        # node-major where it meets the first MLP layer (width FLAT_DIM)
+        np.testing.assert_array_equal(cache.inputs[0],
+                                      pose.features.reshape(cache.inputs[0].shape))
+        for i in range(layers - 1):
+            want = np.maximum(cache.pre[i], 0.0)
+            if i == layers - 4:
+                assert want.shape == (NUM_KEYPOINTS, 2)
+                want = want.reshape(-1)
+            assert cache.inputs[i + 1].tobytes() == want.tobytes()
+            assert cache.inputs[i + 1].shape == want.shape
 
     def test_wider_hidden_layer_runs(self):
         topo = build_skeleton_topology()
@@ -339,7 +350,7 @@ class TestForward:
         pose = random_pose(np.random.default_rng(14))
         emb, cache = forward_variant(model, pose, topo, "gcn")
         assert emb.shape == (50,)
-        assert cache.gcn_pre[0].shape == (NUM_KEYPOINTS, 16)
+        assert cache.pre[0].shape == (NUM_KEYPOINTS, 16)
         want = ref_forward(model, pose.features.tolist(),
                            topo.adjacency_norm.tolist(), use_gcn=True)
         np.testing.assert_allclose(emb, want, atol=1e-10)

@@ -78,10 +78,17 @@ class TestSimilarityScore:
             ScoreParams(width_u=-0.3)
 
     @pytest.mark.parametrize("field", ["amplitude_sigma", "width_u"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("value", [
+        math.inf, math.nan, True, "0.3",
+        pytest.param(10 ** 400, id="10**400")])
     def test_params_must_be_finite(self, field, value):
+        # json_number's float rule: no bool, no string, no int past a float
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ScoreParams(**{field: value})
+
+    def test_params_store_floats(self):
+        params = ScoreParams(amplitude_sigma=100, width_u=1)
+        assert type(params.amplitude_sigma) is float and type(params.width_u) is float
 
 
 class TestSpearman:
