@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from posesim.network import (check_count, check_seed, json_number, read_document,
-                             write_document)
+from posesim.network import (any_finite, check_count, check_seed, checked_float,
+                             nonnegative, read_document, write_document)
 from posesim.skeleton import KEYPOINT_NAMES, NUM_KEYPOINTS, Pose, number_array
 from posesim.training import PosePair, checked_label
 
@@ -84,13 +84,17 @@ _PARENT = {0: 1, 1: 2, 2: 3, 4: 3, 5: 4, 6: 5, 10: 3, 9: 10, 11: 10,
            14: 10, 8: 9, 7: 8, 12: 11, 13: 12}
 
 
+# checked_float's ranges of a confidence and of a train fraction
+_unit_range, _open_unit_range = (lambda v: 0 <= v <= 1), (lambda v: 0 < v < 1)
+
+
 @dataclass(frozen=True)
 class PoseRecord:
     """One named pose; confidences are carried through but never modeled.
 
     pose is the validated Pose itself, so its keypoints are checked once,
-    where the Pose is built. confidences and quality_score take JSON numbers
-    only (ints or floats, not bools or strings).
+    where the Pose is built. confidences and quality_score take
+    checked_float's rule (ints or floats, not bools or strings).
     """
 
     id: str
@@ -105,21 +109,17 @@ class PoseRecord:
         if not isinstance(self.pose, Pose):
             raise TypeError(f"pose must be a Pose, got {type(self.pose).__name__}")
         if self.confidences is not None:
-            conf = tuple(json_number(c) for c in self.confidences)
+            conf = tuple(self.confidences)
             if len(conf) != NUM_KEYPOINTS:
                 raise ValueError(f"confidences must have length "
                                  f"{NUM_KEYPOINTS}, got {len(conf)}")
-            if not all(c is not None and 0.0 <= c <= 1.0 for c in conf):
-                raise ValueError("confidences must be numbers in [0, 1]")
-            object.__setattr__(self, "confidences", conf)
+            object.__setattr__(self, "confidences", tuple(checked_float(
+                c, _unit_range, "confidences must be numbers in [0, 1]") for c in conf))
         if self.category is not None and not isinstance(self.category, str):
             raise ValueError("category must be a string")
         if self.quality_score is not None:
-            qs = json_number(self.quality_score)
-            if qs is None or not math.isfinite(qs):
-                raise ValueError(f"quality_score must be a finite number, "
-                                 f"got {self.quality_score!r}")
-            object.__setattr__(self, "quality_score", qs)
+            object.__setattr__(self, "quality_score", checked_float(
+                self.quality_score, any_finite, "quality_score must be a finite number"))
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,7 @@ class PairEntry:
             v = getattr(self, name)
             if not isinstance(v, str) or not v:
                 raise ValueError(f"pair field {name} must be a nonempty string, got {v!r}")
-        try:
-            mag = checked_label(self.y, self.magnitude)
-        except ValueError as exc:
-            raise ValueError(f"pair {self.a!r}/{self.b!r}: {exc}") from exc
-        object.__setattr__(self, "magnitude", mag)
+        object.__setattr__(self, "magnitude", checked_label(self.y, self.magnitude))
 
 
 @dataclass(frozen=True)
@@ -161,12 +157,11 @@ class SynthConfig:
         if self.template_count < 2:
             raise ValueError("cross-template negatives need template_count >= 2")
         check_count(self.pairs_per_template, "pairs_per_template")
-        levels = tuple(map(json_number, self.jitter_levels))
-        if not levels:
-            raise ValueError("jitter_levels must be nonempty")
-        if any(v is None or not (math.isfinite(v) and v >= 0.0) for v in levels):
-            raise ValueError(f"jitter_levels must be finite and >= 0 (ints or "
-                             f"floats), got {self.jitter_levels!r}")
+        if not isinstance(self.jitter_levels, (list, tuple)) or not self.jitter_levels:
+            raise ValueError(f"jitter_levels must be a nonempty list or tuple, "
+                             f"got {self.jitter_levels!r}")
+        rule = "jitter_levels must be finite and >= 0 (ints or floats)"
+        levels = tuple(checked_float(v, nonnegative, rule) for v in self.jitter_levels)
         if list(levels) != sorted(levels):
             raise ValueError("jitter_levels must be sorted ascending")
         object.__setattr__(self, "jitter_levels", levels)
@@ -377,10 +372,8 @@ def split_corpus(items, train_fraction: float, seed: int = 0):
     items = list(items)
     if not items:
         raise ValueError("nothing to split")
-    fraction = json_number(train_fraction)
-    if fraction is None or not 0.0 < fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1) (an int or a "
-                         f"float), got {train_fraction!r}")
+    fraction = checked_float(train_fraction, _open_unit_range,
+                             "train_fraction must be in (0, 1) (an int or a float)")
     check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(len(items))

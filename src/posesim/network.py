@@ -344,22 +344,23 @@ def forward_variant(model: EmbeddingModel, pose: NormalizedPose,
     return embedding[0], cache.take(0)
 
 
-def json_number(value, kind: type = float):
-    """value as a JSON number of the kind, or None if it is not one.
-
-    An int field takes the int itself (not true, not 1.0); a float field
-    takes an int or a float, returned as a float, but not an int too large
-    for a float. Neither takes a bool or a string. Range rules stay with
-    each field.
-    """
-    if kind is int:
-        return value if type(value) is int else None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+def checked_float(value, ok, rule: str) -> float:
+    """value as a float, by the one rule of float fields and arguments: an
+    int or a float (not a bool, a string or an int too large for a float),
+    finite, for which ok, the field's range, holds. Anything else raises
+    ValueError(f"{rule}, got {value!r}")."""
+    if isinstance(value, float) or isinstance(value, int) and not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
         except OverflowError:
-            return None
-    return None
+            number = math.nan
+        if math.isfinite(number) and ok(number):
+            return number
+    raise ValueError(f"{rule}, got {value!r}")
+
+
+# checked_float's common ranges, each built once: 0 < v, 0 <= v, any finite v
+positive, nonnegative, any_finite = (0.0).__lt__, (0.0).__le__, math.isfinite
 
 
 def read_document(data: bytes, what: str, version: int) -> dict:
@@ -374,7 +375,7 @@ def read_document(data: bytes, what: str, version: int) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"malformed {what}: top level must be an object")
     found = doc.get("format_version")
-    if json_number(found, int) != version:
+    if not _is_int(found) or found != version:
         raise ValueError(f"unsupported {what} format_version {found!r}")
     return doc
 
@@ -493,7 +494,7 @@ def load_checkpoint(data: bytes) -> EmbeddingModel:
         arch_doc = doc["arch"]
         layout = {key: arch_doc[key] for key in LAYOUT}
         hidden, seed = arch_doc["gcn_hidden"], doc["seed"]
-        if json_number(hidden, int) is None or json_number(seed, int) is None:
+        if not (_is_int(hidden) and _is_int(seed)):
             raise TypeError(f"gcn_hidden and seed must be ints, got "
                             f"{hidden!r} and {seed!r}")
         arch = ArchMeta(gcn_hidden=hidden, seed=seed)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from posesim.network import (MLP_WIDTHS, EmbeddingModel, check_variant, embed,
-                             json_number)
+from posesim.network import (MLP_WIDTHS, EmbeddingModel, check_variant,
+                             checked_float, embed, nonnegative, positive)
 from posesim.skeleton import (
     Pose,
     SkeletonTopology,
@@ -37,14 +37,10 @@ class ScoreParams:
     width_u: float = 0.3
 
     def __post_init__(self):
-        # json_number's float rule, as TrainConfig's float fields take it
         for name in ("amplitude_sigma", "width_u"):
-            given = getattr(self, name)
-            value = json_number(given)
-            if value is None or not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0 (an int or a "
-                                 f"float), got {given!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, checked_float(
+                getattr(self, name), positive,
+                f"{name} must be finite and > 0 (an int or a float)"))
 
 
 def similarity_score(d_c: float, p: ScoreParams = ScoreParams()) -> float:
@@ -52,11 +48,7 @@ def similarity_score(d_c: float, p: ScoreParams = ScoreParams()) -> float:
 
     Strictly decreasing in d_c; score(0) equals amplitude_sigma exactly.
     """
-    if not math.isfinite(d_c):
-        raise ValueError(f"d_c must be finite, got {d_c!r}")
-    if d_c < 0:
-        raise ValueError(f"d_c must be >= 0, got {d_c!r}")
-    z = d_c / p.width_u
+    z = checked_float(d_c, nonnegative, "d_c must be finite and >= 0") / p.width_u
     return p.amplitude_sigma * math.exp(-0.5 * z * z)
 
 

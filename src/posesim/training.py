@@ -16,7 +16,6 @@ batch is trained rather than dropped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,15 +30,18 @@ from posesim.network import (
     _layer,
     _run_layers,
     _variant_layers,
+    any_finite,
     check_count,
     check_seed,
     check_variant,
+    checked_float,
     embed,
     flat_layout,
     init_theta,
-    json_number,
     layers_of,
+    nonnegative,
     parameter_list,
+    positive,
 )
 from posesim.skeleton import (
     NUM_KEYPOINTS,
@@ -48,6 +50,7 @@ from posesim.skeleton import (
     build_skeleton_topology,
     distinct_poses,
     normalize_stack,
+    number_array,
 )
 
 NORM_FLOOR = 1e-12
@@ -79,17 +82,13 @@ def checked_label(y, magnitude):
     """The rule for a pair's label and magnitude, wherever a pair enters.
 
     y must be the int 0 or 1 (a bool is not a label); magnitude, if given,
-    a finite JSON number >= 0 (an int or a float, not a bool or a string).
-    Returns magnitude as a float, or None.
+    a float >= 0 (checked_float). Returns magnitude as a float, or None.
     """
     if type(y) is not int or y not in (0, 1):
         raise ValueError(f"y must be 0 or 1 (an int), got {y!r}")
     if magnitude is None:
         return None
-    mag = json_number(magnitude)
-    if mag is None or not (math.isfinite(mag) and mag >= 0.0):
-        raise ValueError(f"magnitude must be a finite number >= 0, got {magnitude!r}")
-    return mag
+    return checked_float(magnitude, nonnegative, "magnitude must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -110,6 +109,9 @@ class PosePair:
                            checked_label(self.label_y, self.magnitude))
 
 
+_margin_range = lambda m: 0 < m <= 2  # checked_float's range of margin_m
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
@@ -119,20 +121,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # the float fields take json_number's float rule, an int or a float
-        # but not a bool or a string, and are stored as floats
-        rate, margin = map(json_number, (self.learning_rate, self.margin_m))
-        if rate is None or not (math.isfinite(rate) and rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0 (an int "
-                             f"or a float), got {self.learning_rate!r}")
+        object.__setattr__(self, "learning_rate", checked_float(
+            self.learning_rate, positive,
+            "learning_rate must be finite and > 0 (an int or a float)"))
         check_count(self.batch_size, "batch_size")
         check_count(self.epochs, "epochs")
-        if margin is None or not 0 < margin <= 2:
-            raise ValueError(f"margin_m must be in (0, 2] (an int or a "
-                             f"float), got {self.margin_m!r}")
+        object.__setattr__(self, "margin_m", checked_float(
+            self.margin_m, _margin_range,
+            "margin_m must be in (0, 2] (an int or a float)"))
         check_seed(self.seed)
-        object.__setattr__(self, "learning_rate", rate)
-        object.__setattr__(self, "margin_m", margin)
 
 
 @dataclass
@@ -172,12 +169,12 @@ def history_csv(history: TrainHistory) -> str:
 
 
 def _embedding_pair(e1, e2) -> np.ndarray:
-    """The (2, dim) stack of two finite embedding vectors of equal shape."""
+    """The (2, dim) stack of two finite number vectors of equal shape."""
     pair = []
     for e, what in ((e1, "e1"), (e2, "e2")):
-        arr = np.asarray(e, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"{what} must be a vector, got shape {arr.shape}")
+        if np.ndim(e) != 1:
+            raise ValueError(f"{what} must be a vector, got shape {np.shape(e)}")
+        arr = number_array(e, np.shape(e), what)
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{what} contains non-finite values")
         pair.append(arr)
@@ -262,9 +259,9 @@ def _pair_losses(d, y, m: float):
 
 def contrastive_loss(d_c: float, y: int, m: float = DEFAULT_MARGIN) -> float:
     checked_label(y, None)
-    if not m > 0:
-        raise ValueError("margin must be > 0")
-    loss, _ = _pair_losses(float(d_c), y, m)
+    d_c = checked_float(d_c, any_finite, "d_c must be finite")
+    m = checked_float(m, positive, "margin must be finite and > 0")
+    loss, _ = _pair_losses(d_c, y, m)
     return float(loss)
 
 

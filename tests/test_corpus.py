@@ -275,8 +275,9 @@ class TestPairFile:
             parse_pair_file(json.dumps({"format_version": 1, "pairs": []}).encode())
 
     def test_bool_label_names_pair(self):
+        # the parser names the pair, once; PairEntry adds no prefix of its own
         data = replaced(VALID_PAIR_FILE, ("pairs", 1, "y"), True)
-        with pytest.raises(ValueError, match="pair 'b'/'a': y must be 0 or 1"):
+        with pytest.raises(ValueError, match="^pair at index 1: y must be 0 or 1"):
             parse_pair_file(data)
 
     def test_bad_pair_indexed(self):
@@ -300,6 +301,8 @@ def test_format_version_must_be_the_int_itself(parse, data, version):
      "magnitude must be a finite number"),
     (parse_pair_file, VALID_PAIR_FILE, ("pairs", 0, "magnitude"), True,
      "magnitude must be a finite number"),
+    (parse_pair_file, VALID_PAIR_FILE, ("pairs", 0, "magnitude"), 10 ** 400,
+     "^pair at index 0: magnitude must be a finite number >= 0, got 1000"),
     (parse_pose_file, VALID_POSE_FILE, ("records", 0, "quality_score"), "0.5",
      "quality_score must be a finite number"),
     (parse_pose_file, VALID_POSE_FILE, ("records", 0, "quality_score"), True,
@@ -308,7 +311,8 @@ def test_format_version_must_be_the_int_itself(parse, data, version):
      [True] * NUM_KEYPOINTS, "confidences must be numbers"),
     (parse_pose_file, VALID_POSE_FILE, ("records", 0, "confidences", 3), "0.5",
      "confidences must be numbers"),
-], ids=["magnitude-str", "magnitude-bool", "quality-str", "quality-bool",
+], ids=["magnitude-str", "magnitude-bool", "magnitude-named-once",
+         "quality-str", "quality-bool",
         "confidences-bool", "confidence-str"])
 def test_float_fields_take_json_numbers_only(parse, data, path, value, message):
     with pytest.raises(ValueError, match=message):
@@ -394,9 +398,11 @@ class TestSynthConfig:
         pytest.param(("0.01", True), id="string"),
         pytest.param((0.01, True), id="bool"),
         pytest.param((None,), id="none"),
-        pytest.param((10 ** 400,), id="10**400")])
+        pytest.param((10 ** 400,), id="10**400"),
+        pytest.param(0.05, id="bare-number")])
     def test_levels_take_json_numbers(self, levels):
-        # json_number's float rule: no string, no bool, no int past a float
+        # a list or a tuple of checked_float's floats: no string, no bool,
+        # no int past a float
         with pytest.raises(ValueError, match="jitter_levels"):
             SynthConfig(jitter_levels=levels)
 

@@ -70,6 +70,10 @@ class TestSimilarityScore:
             similarity_score(-1e-9)
         with pytest.raises(ValueError):
             similarity_score(float("nan"))
+        # checked_float's rule: no bool, no string, no int past a float
+        for d_c in (True, "0.3", 10 ** 400):
+            with pytest.raises(ValueError, match="d_c must be finite"):
+                similarity_score(d_c)
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
@@ -82,7 +86,7 @@ class TestSimilarityScore:
         math.inf, math.nan, True, "0.3",
         pytest.param(10 ** 400, id="10**400")])
     def test_params_must_be_finite(self, field, value):
-        # json_number's float rule: no bool, no string, no int past a float
+        # checked_float's rule: no bool, no string, no int past a float
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ScoreParams(**{field: value})
 

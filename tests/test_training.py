@@ -101,6 +101,11 @@ class TestCosineDistance:
                 fn(e, bad * np.nan)
             with pytest.raises(ValueError, match="non-finite"):
                 fn([np.nan, 1.0], [1.0, 2.0])
+            # the elements take number_array's rule: no strings, no bools
+            with pytest.raises(ValueError, match="e1 must hold numbers"):
+                fn(["0.5"] * 50, e)
+            with pytest.raises(ValueError, match="e2 must hold numbers"):
+                fn(e, [True] * 50)
 
     def test_rejects_shape_mismatch(self):
         for fn in (cosine_distance, cosine_distance_grads):
@@ -197,6 +202,13 @@ class TestContrastiveLoss:
                 contrastive_loss(0.5, y, 1.35)
         with pytest.raises(ValueError):
             contrastive_loss(0.5, 1, 0.0)
+        # d_c and m take checked_float's rule: no bool, no string, no int
+        # past a float
+        for bad in (True, "0.3", 10 ** 400):
+            with pytest.raises(ValueError, match="d_c must be finite"):
+                contrastive_loss(bad, 1, 1.35)
+            with pytest.raises(ValueError, match="margin must be finite"):
+                contrastive_loss(0.5, 1, bad)
 
 
 class TestPairBackward:
