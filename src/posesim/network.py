@@ -26,6 +26,7 @@ import numpy as np
 
 from posesim.skeleton import (
     NUM_KEYPOINTS,
+    ZERO,
     NormalizedPose,
     SkeletonTopology,
     number_array,
@@ -272,10 +273,10 @@ def _layer(layer, topo: SkeletonTopology | None, h: np.ndarray, relu=True):
     ReLU(z) or, where relu is False, z. Column c of z reads only column c
     of the graph weight, or of the AffineLayer's w and b."""
     if isinstance(layer, AffineLayer):
-        z = (h[..., None, :] @ layer.w)[..., 0, :] + layer.b
+        z = np.vecmat(h, layer.w) + layer.b
     else:
         z = topo.adjacency_norm @ h @ layer
-    return z, np.maximum(z, 0.0) if relu else z
+    return z, np.maximum(z, ZERO) if relu else z
 
 
 def _run_layers(layers, topo: SkeletonTopology | None, h: np.ndarray,
@@ -289,10 +290,10 @@ def _run_layers(layers, topo: SkeletonTopology | None, h: np.ndarray,
     pass from there. A weight or bias may instead be a stack (P, 1, *shape)
     of P variants of it: from its layer on, every value then carries a
     leading copy axis, (P, n, ...), copy j running with variant j. Every
-    product keeps the single-pose shape, the MLP head as (1, k) @ W, so each
-    pose of each copy is bit for bit its own single-pose forward; a flat
-    (n, k) @ W GEMM would round differently. cache, if given, receives each
-    layer's input and pre-activation.
+    product is per pose, the MLP head's np.vecmat(h, w) one BLAS
+    vector-matrix call per pose of each copy, so each is bit for bit its
+    own single-pose forward; a flat (n, k) @ W GEMM would round differently.
+    cache, if given, receives each layer's input and pre-activation.
     """
     last = len(layers) - 1
     for i, layer in enumerate(layers):

@@ -15,14 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from posesim.network import (MLP_WIDTHS, EmbeddingModel, check_variant,
-                             checked_float, embed, nonnegative, positive)
-from posesim.skeleton import (
-    Pose,
-    SkeletonTopology,
-    distinct_poses,
-    normalize_stack,
-)
+from posesim.network import (MLP_WIDTHS, EmbeddingModel, _run_layers,
+                             _variant_layers, checked_float, nonnegative,
+                             positive)
+from posesim.skeleton import (TWO, ZERO, Pose, SkeletonTopology,
+                              distinct_poses, normalize_stack)
 from posesim.training import cosine_distances
 
 # Distinct poses evaluate() embeds per call; the chunk bounds the memory its
@@ -60,18 +57,17 @@ def score_pair(model: EmbeddingModel, topo: SkeletonTopology, a: Pose,
     The raw cosine distance can land a rounding error outside [0, 2] (an
     identical pair can produce -1e-16), so it is clipped to the domain
     before scoring; identical poses therefore score exactly 100. Both poses
-    go through one stacked embed, and the result equals evaluate()'s row
-    for the same pair bit for bit.
+    go through one stacked forward pass, with no backward cache kept, and
+    the result equals evaluate()'s row for the same pair bit for bit.
     """
-    check_variant(variant)
-    emb, _ = embed(model, normalize_stack([a.keypoints, b.keypoints]), topo,
-                   variant)
-    d = float(_clipped_distances(emb)[0])
+    emb = _run_layers(_variant_layers(model, variant), topo,
+                      normalize_stack([a.keypoints, b.keypoints]))
+    d = _clipped_distances(emb).item()
     return d, similarity_score(d, p)
 
 
 def _clipped_distances(e: np.ndarray) -> np.ndarray:
-    return np.minimum(np.maximum(cosine_distances(e), 0.0), 2.0)
+    return np.minimum(np.maximum(cosine_distances(e), ZERO), TWO)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -150,7 +146,7 @@ def evaluate(model: EmbeddingModel, topo: SkeletonTopology, pairs,
     stacked call, with no backward cache kept; every row equals score_pair
     on that pair bit for bit.
     """
-    check_variant(variant)
+    layers = _variant_layers(model, variant)
     pairs = list(pairs)
     if not pairs:
         raise ValueError("pairs must be nonempty")
@@ -165,8 +161,7 @@ def evaluate(model: EmbeddingModel, topo: SkeletonTopology, pairs,
     emb = np.empty((len(keypoints), MLP_WIDTHS[-1]))
     for start in range(0, len(keypoints), EVAL_CHUNK):
         part = slice(start, start + EVAL_CHUNK)
-        emb[part], _ = embed(model, normalize_stack(keypoints[part]), topo,
-                             variant)
+        emb[part] = _run_layers(layers, topo, normalize_stack(keypoints[part]))
     dists = _clipped_distances(emb[index]).tolist()
     rows = [EvalRow(pid, d, similarity_score(d, p), pair.label_y,
                     pair.magnitude)

@@ -52,6 +52,15 @@ SKELETON_EDGES = (
 )
 
 
+def scalar_operand(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array: a ufunc reads it as it is,
+    where it converts a Python float operand anew on every call."""
+    arr = np.array(value, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
+ZERO, ONE, TWO = map(scalar_operand, (0.0, 1.0, 2.0))
 # numpy converts a bool, or a string that spells a number, to a float
 _NOT_NUMBERS = (bool, np.bool_, str, bytes)
 
@@ -61,11 +70,11 @@ def number_array(values, shape: tuple, what: str) -> np.ndarray:
     array of the given shape; ValueError naming what otherwise.
 
     An array must have an integer or float dtype; of a sequence, no element
-    may be a bool or a string.
+    may be a bool or a string, and the nesting may not be ragged.
     """
     try:
         arr = np.array(values, dtype=np.float64)
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what} must hold numbers ({exc})") from exc
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {'x'.join(map(str, shape))}, "
@@ -194,24 +203,23 @@ def normalize_stack(keypoints) -> np.ndarray:
     Row i equals normalize_pose of pose i bit for bit: the same per-element
     subtraction and division, with 0.5 on an axis of zero extent. One sort
     along the joint axis gives each axis's min and max, exactly. A zero
-    feature is always +0.0: where a pose mixes -0.0 and +0.0 on an axis,
-    which of them the sort puts first is unspecified, and so is the sign
-    of p - lo.
+    feature is always +0.0: the stack is first summed with +0.0, which
+    makes every -0.0 a +0.0 and keeps every other bit, so no p - lo is -0.0.
 
     Precondition, not checked here: every pose is the keypoints of a Pose,
     so its coordinates and per-axis extents are finite. Every feature then
     lies in [0, 1], since rounding is monotone: lo <= p <= hi gives
     0 <= p - lo <= hi - lo and so a quotient in [0, 1].
     """
-    kp = np.asarray(keypoints, dtype=np.float64)
+    kp = np.add(keypoints, ZERO)  # a new float64 stack with no -0.0
     ordered = np.sort(kp, axis=1)
     lo = ordered[:, :1]
     extent = ordered[:, -1:] - lo
     features = np.empty_like(kp)
     features.fill(0.5)
-    np.divide(kp - lo, extent, out=features, where=extent != 0.0)
-    # -0.0 + 0.0 is +0.0; every other feature keeps its bits
-    return np.add(features, 0.0, out=features)
+    np.divide(np.subtract(kp, lo, out=kp), extent, out=features,
+              where=extent != ZERO)
+    return features
 
 
 def normalize_pose(pose: Pose) -> NormalizedPose:

@@ -45,15 +45,17 @@ from posesim.network import (
 )
 from posesim.skeleton import (
     NUM_KEYPOINTS,
+    ONE,
     Pose,
     SkeletonTopology,
     build_skeleton_topology,
     distinct_poses,
     normalize_stack,
     number_array,
+    scalar_operand,
 )
 
-NORM_FLOOR = 1e-12
+NORM_FLOOR = scalar_operand(1e-12)
 
 DEFAULT_MARGIN = 1.35
 
@@ -183,31 +185,23 @@ def _embedding_pair(e1, e2) -> np.ndarray:
     return np.stack(pair)
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (n, k) stacks.
-
-    Each row is one BLAS dot, the call a 1-D `a[i] @ b[i]` or
-    np.linalg.norm makes, so a row's value does not depend on n.
-    """
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _pair_cosines(e: np.ndarray):
     """Cosines of the row pairs (2k, 2k + 1) of a (2n, dim) stack.
 
     Returns (cos, raw, norms, denom): one cosine per pair, every row's raw
     norm and its norm clamped below at NORM_FLOOR, and each pair's product
-    of clamped norms.
+    of clamped norms. Every dot product is np.vecdot's one BLAS dot per row,
+    the call a 1-D `a @ b` makes, so a row's value does not depend on n.
     """
-    raw = np.sqrt(_row_dots(e, e))
+    raw = np.sqrt(np.vecdot(e, e))
     norms = np.maximum(raw, NORM_FLOOR)
     denom = norms[0::2] * norms[1::2]
-    return _row_dots(e[0::2], e[1::2]) / denom, raw, norms, denom
+    return np.vecdot(e[0::2], e[1::2]) / denom, raw, norms, denom
 
 
 def cosine_distances(e: np.ndarray) -> np.ndarray:
     """cosine_distance of each row pair (2k, 2k + 1) of a (2n, dim) stack."""
-    return 1.0 - _pair_cosines(e)[0]
+    return np.subtract(ONE, _pair_cosines(e)[0])
 
 
 def _cosine_distance_grads(e: np.ndarray):
@@ -290,7 +284,7 @@ def _backward(model: EmbeddingModel | Layers, topo: SkeletonTopology,
             slots[-1][...] = g
             del slots[-2:]
             if i > 0:
-                g = (layer.w @ g[..., None])[..., 0]
+                g = np.matvec(layer.w, g)
         else:
             a_norm = topo.adjacency_norm
             np.matmul((a_norm @ h_in).swapaxes(-1, -2), g, out=slots.pop())

@@ -9,6 +9,8 @@ block of check-instance candidates accepts exactly the candidates the
 one-at-a-time vetting it replaced accepts.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -280,6 +282,40 @@ def test_moving_a_row_moves_each_column_as_its_coordinate_alone(k, n, seed,
     column = np.arange(n)
     assert (z[0].T.tobytes()
             == np.ascontiguousarray(z[1 + column, :, column]).tobytes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 60), m=st.integers(1, 60), n=st.integers(1, 8),
+       copies=st.integers(0, 4), stacked_input=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_vector_ufuncs_match_the_matmul_views_they_replace(k, m, n, copies,
+                                                           stacked_input,
+                                                           seed):
+    # The forward pass, the backward pass and the cosine each make one
+    # per-pose BLAS call through np.vecmat, np.matvec and np.vecdot; the
+    # matmuls on expanded views below are the forms they replaced, and the
+    # pinned digests hold only while both give the same bits. copies > 0
+    # stacks (copies, 1, k, m) weights and (copies, 1, m) biases as
+    # gradient_check does, the input stacked as well or shared by the copies.
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=3)
+    stack = (copies, 1) if copies else ()
+    lead = (copies, n) if copies and stacked_input else (n,)
+    # the weights view a flat buffer at an offset, as layers_of views theta
+    start = int(rng.integers(0, 64))
+    flat = rng.normal(size=start + math.prod(stack) * k * m) * scale[0]
+    w = flat[start:].reshape(*stack, k, m)
+    b = rng.normal(size=stack + (m,)) * scale[1]
+    h = rng.normal(size=lead + (k,)) * scale[2]
+    want = (h[..., None, :] @ w)[..., 0, :] + b
+    assert (np.vecmat(h, w) + b).tobytes() == want.tobytes()
+    g = rng.normal(size=lead + (m,)) * scale[2]
+    want = (w @ g[..., None])[..., 0]
+    assert np.matvec(w, g).tobytes() == want.tobytes()
+    e = rng.normal(size=(2 * n, k)) * scale[2]
+    for a, c in ((e, e), (e[0::2], e[1::2]), (e[1::2], e[1::2])):
+        want = (a[:, None, :] @ c[:, :, None])[:, 0, 0]
+        assert np.vecdot(a, c).tobytes() == want.tobytes()
 
 
 def test_gradient_check_leaves_model_buffers_untouched():

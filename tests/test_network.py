@@ -230,7 +230,9 @@ class TestModelValidation:
         np.zeros((2, 2), dtype=bool), np.full((2, 2), "0.5"),
         [[0.5, True], [0.5, 0.5]], [["0.5", 0.5], [0.5, 0.5]],
         [np.array([0.5, 0.5]), np.array([True, False])],
-    ], ids=["bool-array", "str-array", "bool-leaf", "str-leaf", "bool-row"])
+        [["abc", 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5]],
+    ], ids=["bool-array", "str-array", "bool-leaf", "str-leaf", "bool-row",
+            "word-leaf", "ragged"])
     def test_bool_and_string_elements_rejected(self, bad):
         model = init_model(h=2, seed=0)
         with pytest.raises(ValueError, match="gcn weight 0 must hold numbers"):

@@ -13,6 +13,7 @@ from posesim.network import init_model
 from posesim.scoring import (
     EvalReport,
     ScoreParams,
+    _clipped_distances,
     evaluate,
     report_csv,
     report_summary_csv,
@@ -21,7 +22,7 @@ from posesim.scoring import (
     spearman_rho,
 )
 from posesim.skeleton import NUM_KEYPOINTS, Pose, SKELETON_EDGES, build_skeleton_topology
-from posesim.training import PosePair
+from posesim.training import PosePair, cosine_distances
 
 TOPO = build_skeleton_topology()
 
@@ -251,6 +252,17 @@ class TestScorePair:
         d_gcn, _ = score_pair(model, TOPO, a, b, variant="gcn")
         d_mlp, _ = score_pair(model, TOPO, a, b, variant="mlp")
         assert d_gcn != d_mlp
+
+
+class TestClippedDistances:
+    def test_antiparallel_pair_clips_to_two(self):
+        # 1 - cos of e and -3e rounds one ulp past 2 here, under every
+        # OpenBLAS kernel tried (SkylakeX, Haswell, Sandybridge, Nehalem,
+        # Prescott); the clip brings it back to the domain's end
+        e = np.array([0.85, 0.01, -0.12])
+        pair = np.stack([e, -3.0 * e])
+        assert cosine_distances(pair)[0] > 2.0
+        assert _clipped_distances(pair).tolist() == [2.0]
 
 
 class TestEvaluate:

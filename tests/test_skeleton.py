@@ -164,6 +164,13 @@ class TestNormalizePose:
             np.testing.assert_allclose(moved, base, rtol=0.0, atol=1e-12)
 
 
+def _with_leaf(leaf):
+    """Zero keypoints as nested lists, with one coordinate replaced by leaf."""
+    kp = np.zeros((NUM_KEYPOINTS, 2)).tolist()
+    kp[3][1] = leaf
+    return kp
+
+
 class TestPoseValidation:
     def test_wrong_keypoint_count(self):
         with pytest.raises(ValueError, match="shape"):
@@ -175,11 +182,18 @@ class TestPoseValidation:
         with pytest.raises(ValueError, match="non-finite"):
             Pose(kp)
 
-    @pytest.mark.parametrize("leaf", ["0.5", True, False, np.True_, b"1"])
-    def test_bool_and_string_coordinates_rejected(self, leaf):
-        kp = np.zeros((NUM_KEYPOINTS, 2)).tolist()
-        kp[3][1] = leaf
-        with pytest.raises(ValueError, match="must hold numbers, not bools or strings"):
+    @pytest.mark.parametrize("kp, message", [
+        (_with_leaf("0.5"), "not bools or strings"),
+        (_with_leaf(True), "not bools or strings"),
+        (_with_leaf(False), "not bools or strings"),
+        (_with_leaf(np.True_), "not bools or strings"),
+        (_with_leaf(b"1"), "not bools or strings"),
+        ([["abc", 1.0]] * 15, r"\(could not convert string to float: 'abc'\)"),
+        ([[1.0, 2.0]] * 14 + [[1.0]], r"\(setting an array element with a sequence"),
+    ], ids=["str", "true", "false", "np-true", "bytes", "word", "ragged"])
+    def test_bool_and_string_coordinates_rejected(self, kp, message):
+        # numpy's own conversion errors come back naming the field as well
+        with pytest.raises(ValueError, match="^keypoints must hold numbers.*" + message):
             Pose(kp)
 
     @pytest.mark.parametrize("dtype", [bool, str, object])

@@ -106,6 +106,8 @@ class TestCosineDistance:
                 fn(["0.5"] * 50, e)
             with pytest.raises(ValueError, match="e2 must hold numbers"):
                 fn(e, [True] * 50)
+            with pytest.raises(ValueError, match="e1 must hold numbers"):
+                fn(["abc"] * 3, [1.0] * 3)
 
     def test_rejects_shape_mismatch(self):
         for fn in (cosine_distance, cosine_distance_grads):
