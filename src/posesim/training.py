@@ -174,9 +174,13 @@ def _embedding_pair(e1, e2) -> np.ndarray:
     """The (2, dim) stack of two finite number vectors of equal shape."""
     pair = []
     for e, what in ((e1, "e1"), (e2, "e2")):
-        if np.ndim(e) != 1:
-            raise ValueError(f"{what} must be a vector, got shape {np.shape(e)}")
-        arr = number_array(e, np.shape(e), what)
+        try:
+            shape = np.shape(e)
+        except ValueError:  # ragged nesting, which number_array names
+            shape = (-1,)
+        if len(shape) != 1:
+            raise ValueError(f"{what} must be a vector, got shape {shape}")
+        arr = number_array(e, shape, what)
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{what} contains non-finite values")
         pair.append(arr)
@@ -260,36 +264,46 @@ def contrastive_loss(d_c: float, y: int, m: float = DEFAULT_MARGIN) -> float:
 
 
 def _backward(model: EmbeddingModel | Layers, topo: SkeletonTopology,
-              cache: ForwardCache, g: np.ndarray, out: list) -> None:
+              cache: ForwardCache, g: np.ndarray) -> list:
     """Backpropagate g = dL/d(embedding), shape (n, 50), through n twins.
 
-    out holds one (n, *shape) stack per parameter, in canonical order; row t
-    receives twin t's own gradient. model may also be the Layers of K
-    models stacked (K, 1, *shape), with cache, g and out carrying the same
-    leading axis K: model k's twins then get model k's gradients. Every
-    product is the one a single-twin pass of a single model would make, so
-    no sum runs across twins or models here. It walks back over the layers
-    the cache's embed ran, all ReLU-gated but the identity output; graph
-    weights the mlp variant skipped get zero gradients.
+    Returns (affine, op, dz) per layer the cache's embed ran, last first:
+    dz is dL/d(pre-activation), op what its weight gradient reads: h_in for
+    an AffineLayer, (A_norm @ h_in)^T for a graph layer. model may also be
+    K models' Layers stacked (K, 1, *shape), cache and g then carrying that
+    leading axis too. Every product is the one a single twin of a single
+    model makes, so no sum runs across twins or models.
     """
     layers = (*model.gcn_weights, *model.mlp_layers)[-len(cache.pre):]
-    slots = list(out)
+    terms = []
     for i in reversed(range(len(layers))):
         layer, h_in = layers[i], cache.inputs[i]
         if i < len(layers) - 1:
             # g is dL/d(layer i's output), which inputs[i + 1] may flatten
             g = g.reshape(cache.pre[i].shape) * (cache.pre[i] > 0.0)
         if isinstance(layer, AffineLayer):
-            np.einsum("...i,...j->...ij", h_in, g, out=slots[-2])
-            slots[-1][...] = g
-            del slots[-2:]
+            terms.append((True, h_in, g))
             if i > 0:
                 g = np.matvec(layer.w, g)
         else:
             a_norm = topo.adjacency_norm
-            np.matmul((a_norm @ h_in).swapaxes(-1, -2), g, out=slots.pop())
+            terms.append((False, (a_norm @ h_in).swapaxes(-1, -2), g))
             if i > 0:
                 g = a_norm.T @ (g @ layer.swapaxes(-1, -2))
+    return terms
+
+
+def _twin_grads(terms, part, out: list) -> None:
+    """Write the gradients of the twins that part selects from _backward's
+    terms to out, one (n, *shape) stack per parameter in canonical order;
+    graph weights the mlp variant skipped get zeros."""
+    slots = list(out)
+    for affine, op, dz in terms:
+        if affine:
+            np.einsum("...i,...j->...ij", op[part], dz[part], out=slots.pop(-2))
+            slots.pop()[...] = dz[part]
+        else:
+            np.matmul(op[part], dz[part], out=slots.pop())
     for grad in slots:
         grad[...] = 0.0
 
@@ -299,14 +313,14 @@ class _BatchGradient:
 
     A pair's gradient is the sum of its two twins' backward passes, and the
     pairs add to the running total one at a time in batch order, so the
-    total is bit-identical to summing pair_backward results in a loop. Every
-    pair is backpropagated: a pair with dL/dd == 0 scales its twins'
-    gradients to exact +-0.0, and adding +-0.0 changes no bit of a total
-    that starts at +0.0 while every product is finite. Twin gradients are
-    built PAIRS_PER_CHUNK pairs at a time in one buffer, sized to the pairs
-    a call takes and reused by later calls: materializing a whole batch
-    makes the reduction page-fault bound. The total has the layout of the
-    model's flat theta; grads views it per parameter.
+    total is bit-identical to summing pair_backward results in a loop. Only
+    pairs with dL/dd != 0 are backpropagated: the others would add exact
+    +-0.0, which changes no bit of a total that starts at +0.0 as long as
+    their backward products are finite. The live twins are propagated in
+    one pass and their gradients written PAIRS_PER_CHUNK pairs at a time to
+    one buffer, sized to the pairs a call takes and reused by later calls:
+    materializing a whole batch makes the reduction page-fault bound. The
+    total is laid out as the model's flat theta; grads views it per parameter.
     """
 
     def __init__(self, model: EmbeddingModel):
@@ -315,27 +329,28 @@ class _BatchGradient:
         self.total = np.zeros(model.theta.size)
         self.grads = parameter_list(layers_of(self.total, self.h))
 
-    def compute(self, model, topo, x, labels, margin, variant):
-        """Sum the gradients of the pairs whose twins are x[2k], x[2k + 1].
-
-        Leaves the sum in self.total; returns each pair's loss and distance.
-        """
+    def compute(self, model, topo, x, twins, labels, margin, variant):
+        """Sum the gradients of the pairs whose twins are the normalized
+        poses x[twins[2k]], x[twins[2k + 1]], embedding each distinct pose
+        once. Leaves the sum in self.total; returns each pair's loss and d."""
         needed = 2 * min(PAIRS_PER_CHUNK, len(labels)) + 1
         if len(self.rows) < needed:
             # row 0: the running total; rows 2j + 1, 2j + 2: pair j's twins
             self.rows = np.empty((needed, self.total.size))
             self.twin_grads = parameter_list(layers_of(self.rows[1:], self.h))
-        emb, cache = embed(model, x, topo, variant)
-        d, g = _cosine_distance_grads(emb)
+        poses, inv = np.unique(twins, return_inverse=True)
+        emb, cache = embed(model, x[poses], topo, variant)
+        d, g = _cosine_distance_grads(emb[inv])
         loss, dl_dd = _pair_losses(d, labels, margin)
-        g *= np.repeat(dl_dd, 2)[:, None]
+        live = np.flatnonzero(np.repeat(dl_dd != 0.0, 2))
+        terms = _backward(model, topo, cache.take(inv[live]),
+                          g[live] * dl_dd[live // 2, None])
         self.total[...] = 0.0
         step = len(self.rows) - 1
-        for start in range(0, len(g), step):
+        for start in range(0, len(live), step):
             part = slice(start, start + step)
-            n = len(g[part])
-            _backward(model, topo, cache.take(part), g[part],
-                      [t[:n] for t in self.twin_grads])
+            n = len(live[part])
+            _twin_grads(terms, part, [t[:n] for t in self.twin_grads])
             self.rows[0] = self.total
             pair_sums = self.rows[2:n + 2:2]
             np.add(self.rows[1:n + 1:2], pair_sums, out=pair_sums)
@@ -351,8 +366,8 @@ def pair_backward(model: EmbeddingModel, topo: SkeletonTopology,
     """
     grads = _BatchGradient(model)
     x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
-    loss, _ = grads.compute(model, topo, x, np.array([pair.label_y]),
-                            cfg.margin_m, variant)
+    loss, _ = grads.compute(model, topo, x, np.arange(2),
+                            np.array([pair.label_y]), cfg.margin_m, variant)
     return float(loss[0]), grads.grads
 
 
@@ -399,12 +414,11 @@ def train(model: EmbeddingModel, topo: SkeletonTopology, pairs,
     per-pair gradients in shuffled index order, take their mean, then take
     one Adam step per batch. Fully determined by (model, pairs order, cfg).
 
-    Each distinct pose is normalized once per call, a batch's twins are
-    embedded in one stacked call and backpropagated PAIRS_PER_CHUNK pairs at
-    a time, and each Adam step is one elementwise pass over the model's flat
-    theta and the AdamState's flat moments. The result is bit-identical to
-    looping pair_backward over each batch in shuffled order and calling
-    adam_step.
+    Each distinct pose is normalized once per call and embedded once per
+    batch, only pairs with a nonzero slope are backpropagated, and each Adam
+    step is one elementwise pass over the flat theta and moments. The result
+    is bit-identical to looping pair_backward over each batch in shuffled
+    order and calling adam_step (see _BatchGradient).
     """
     check_variant(variant)
     pairs = list(pairs)
@@ -427,7 +441,7 @@ def train(model: EmbeddingModel, topo: SkeletonTopology, pairs,
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
                 loss, d = batch_grad.compute(
-                    model, topo, features[twins[batch].reshape(-1)],
+                    model, topo, features, twins[batch].reshape(-1),
                     labels[batch], cfg.margin_m, variant)
                 losses.append(loss)
                 dists.append(d)
@@ -520,8 +534,8 @@ def gradient_check(model: EmbeddingModel, topo: SkeletonTopology,
     check_variant(variant)
     x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
     analytic = _BatchGradient(model)
-    analytic.compute(model, topo, x, np.array([pair.label_y]), cfg.margin_m,
-                     variant)
+    analytic.compute(model, topo, x, np.arange(2), np.array([pair.label_y]),
+                     cfg.margin_m, variant)
     gn = _central_differences(model, topo, x, pair.label_y, cfg.margin_m,
                               variant)
     ga = analytic.total[-gn.size:]
@@ -572,8 +586,9 @@ def _fd_friendly(theta: np.ndarray, h: int, x: np.ndarray, label: int,
         d, g = _cosine_distance_grads(emb[alive].reshape(-1, emb.shape[-1]))
         g *= np.repeat(_pair_losses(d, label, DEFAULT_MARGIN)[1], 2)[:, None]
         twins = out[:len(alive)]
-        _backward(layers_of(theta[alive, None], h), topo, cache.take(alive),
-                  g.reshape(len(alive), 2, -1), parameter_list(layers_of(twins, h)))
+        terms = _backward(layers_of(theta[alive, None], h), topo,
+                          cache.take(alive), g.reshape(len(alive), 2, -1))
+        _twin_grads(terms, slice(None), parameter_list(layers_of(twins, h)))
         # its pair gradient, 0.0 + (a + b), has the magnitude |a + b|
         mags = np.add(twins[:, 0], twins[:, 1], out=twins[:, 0])
         np.abs(mags, out=mags)

@@ -2,7 +2,8 @@
 
 Stacking must not change a single bit: a pose's normalized features and
 embedding are the same whatever stack it sits in, a batch's summed
-gradient is the sequential sum of its pairs' pair_backward results, the
+gradient is the sequential sum of its pairs' pair_backward results and
+does not change when its twins come as an index into distinct poses, the
 stacked gradient check equals the per-coordinate loop it replaced, K models
 stacked give each model its own pair_backward gradients, and vetting a
 block of check-instance candidates accepts exactly the candidates the
@@ -52,6 +53,7 @@ from posesim.training import (
     _fd_friendly,
     _pair_cosines,
     _pair_losses,
+    _twin_grads,
     cosine_distance,
     cosine_distances,
     gradient_check,
@@ -122,8 +124,8 @@ def test_batch_gradient_is_sequential_sum_of_pair_backward(kp, labels_seed,
              for k in range(n)]
 
     core = _BatchGradient(model)
-    loss, _ = core.compute(model, TOPO, normalize_stack(kp), labels, margin,
-                           variant)
+    loss, _ = core.compute(model, TOPO, normalize_stack(kp), np.arange(len(kp)),
+                           labels, margin, variant)
 
     total = [np.zeros_like(g) for g in core.grads]
     for k, pair in enumerate(pairs):
@@ -156,7 +158,8 @@ def test_inactive_pairs_leave_batch_gradient_unchanged(kp, extra, seed,
     labels = rng.integers(0, 2, size=len(kp) // 2)
 
     core = _BatchGradient(model)
-    loss, d = core.compute(model, TOPO, x, labels, margin, variant)
+    loss, d = core.compute(model, TOPO, x, np.arange(len(x)), labels, margin,
+                           variant)
     want = core.total.tobytes()
 
     slots = np.sort(rng.integers(0, len(labels) + 1, size=len(d_extra)))
@@ -165,6 +168,7 @@ def test_inactive_pairs_leave_batch_gradient_unchanged(kp, extra, seed,
     mixed_labels = np.insert(labels, slots, 0)
     mixed_loss, mixed_d = core.compute(model, TOPO,
                                        pairs.reshape(-1, NUM_KEYPOINTS, 2),
+                                       np.arange(2 * len(mixed_labels)),
                                        mixed_labels, margin, variant)
     kept = np.ones(len(mixed_labels), dtype=bool)
     kept[slots + np.arange(len(slots))] = False
@@ -172,6 +176,46 @@ def test_inactive_pairs_leave_batch_gradient_unchanged(kp, extra, seed,
     assert mixed_loss[kept].tobytes() == loss.tobytes()
     assert mixed_d[kept].tobytes() == d.tobytes()
     assert core.total.tobytes() == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(kp=keypoint_stacks(max_poses=16), seed=st.integers(0, 2 ** 32 - 1),
+       variant=st.sampled_from(VARIANTS))
+def test_twin_index_matches_the_gathered_stack(kp, seed, variant):
+    # compute embeds each distinct row of the twin index once and gathers
+    # the embeddings and cache rows back; the result must be that of the
+    # gathered stack itself, twin by twin
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 2 * PAIRS_PER_CHUNK + 2))
+    twins = rng.integers(0, len(kp), size=2 * n)
+    # as in a corpus, the first twins recur: a few templates, many pairs
+    twins[0::2] = rng.integers(0, min(len(kp), 3), size=n)
+    labels = rng.integers(0, 2, size=n)
+    model = init_model(h=2, seed=seed)
+    x = normalize_stack(kp)
+    d = cosine_distances(embed(model, x[twins], TOPO, variant)[0])
+    # the margin at a negative's distance leaves the negatives at or past
+    # it inactive, the others active
+    negatives = d[labels == 0]
+    margin = float(np.median(negatives)) if negatives.size else DEFAULT_MARGIN
+    assume(0.0 < margin <= 2.0)
+
+    core = _BatchGradient(model)
+    loss, dist = core.compute(model, TOPO, x, twins, labels, margin, variant)
+    total = core.total.tobytes()
+    want_loss, want_d = core.compute(model, TOPO, x[twins], np.arange(2 * n),
+                                     labels, margin, variant)
+    assert loss.tobytes() == want_loss.tobytes()
+    assert dist.tobytes() == want_d.tobytes()
+    assert total == core.total.tobytes()
+
+    # every pair inactive: no twin is backpropagated, the total stays +0.0
+    apart = np.flatnonzero(d > 0.0)
+    assume(apart.size)
+    margin = min(float(d[apart].min()), 2.0)
+    core.compute(model, TOPO, x, twins.reshape(-1, 2)[apart].reshape(-1),
+                 np.zeros(apart.size, dtype=int), margin, variant)
+    assert core.total.tobytes() == np.zeros(core.total.size).tobytes()
 
 
 def loop_gradient_check(model, topo, pair, cfg, variant):
@@ -255,6 +299,8 @@ def test_gradient_check_matches_per_coordinate_loop(h, seed, label, variant,
 @given(k=st.integers(1, 50), n=st.integers(1, 50),
        seed=st.integers(0, 2 ** 32 - 1),
        target=st.sampled_from(["graph weight", "mlp weight", "mlp bias"]))
+# fails under OPENBLAS_CORETYPE=Prescott, as does every odd k >= 5 with n = 1
+@example(k=17, n=1, seed=0, target="mlp weight")
 def test_moving_a_row_moves_each_column_as_its_coordinate_alone(k, n, seed,
                                                                 target):
     # gradient_check's row stacks rest on this: column c of a layer's
@@ -382,16 +428,16 @@ def test_stacked_backward_gives_each_model_its_pair_backward(seed, k, label,
     loss, dl_dd = _pair_losses(d, label, margin)
     g *= np.repeat(dl_dd, 2)[:, None]
     twins = np.empty((k, 2, SIZE))
-    _backward(layers, TOPO, cache, g.reshape(k, 2, -1),
-              parameter_list(layers_of(twins, H)))
+    _twin_grads(_backward(layers, TOPO, cache, g.reshape(k, 2, -1)),
+                slice(None), parameter_list(layers_of(twins, H)))
     for i in range(k):
         model = solo_model(theta[i])
         solo_emb, solo_cache = embed(model, x[i], TOPO, variant)
         solo_d, solo_g = _cosine_distance_grads(solo_emb)
         solo_g *= _pair_losses(solo_d, label, margin)[1][0]
         solo = np.empty((2, SIZE))
-        _backward(model, TOPO, solo_cache, solo_g,
-                  parameter_list(layers_of(solo, H)))
+        _twin_grads(_backward(model, TOPO, solo_cache, solo_g), slice(None),
+                    parameter_list(layers_of(solo, H)))
         assert twins[i].tobytes() == solo.tobytes()
         pair = PosePair(Pose(kp[i, 0]), Pose(kp[i, 1]), label)
         want_loss, want = pair_backward(model, TOPO, pair,

@@ -108,6 +108,11 @@ class TestCosineDistance:
                 fn(e, [True] * 50)
             with pytest.raises(ValueError, match="e1 must hold numbers"):
                 fn(["abc"] * 3, [1.0] * 3)
+            # ragged nesting is named too, not left to numpy's message
+            with pytest.raises(ValueError, match="e1 must hold numbers"):
+                fn([1.0, [1.0, 2.0]], [1.0, 1.0])
+            with pytest.raises(ValueError, match="e2 must hold numbers"):
+                fn([1.0, 1.0], [1.0, [1.0, 2.0]])
 
     def test_rejects_shape_mismatch(self):
         for fn in (cosine_distance, cosine_distance_grads):
