@@ -20,8 +20,6 @@ from posesim.corpus import TEMPLATE_LIBRARY
 
 
 def main():
-    topo = build_skeleton_topology()
-
     print("keypoints:")
     for i, name in enumerate(KEYPOINT_NAMES):
         print(f"  {i:2d} {name}")
@@ -30,7 +28,7 @@ def main():
     for i, j in SKELETON_EDGES:
         print(f"  {KEYPOINT_NAMES[i]} -- {KEYPOINT_NAMES[j]}")
 
-    a = topo.adjacency_norm
+    a = build_skeleton_topology()
     print("\nnormalized adjacency A_norm = D^-1/2 (C + I) D^-1/2")
     print(f"  shape {a.shape}, symmetric: {np.array_equal(a, a.T)}")
     eigs = np.linalg.eigvalsh(a)

@@ -48,7 +48,6 @@ from posesim.skeleton import (
     SKELETON_EDGES,
     NormalizedPose,
     Pose,
-    SkeletonTopology,
     build_skeleton_topology,
     normalize_pose,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "PosePair",
     "SKELETON_EDGES",
     "ScoreParams",
-    "SkeletonTopology",
     "SynthConfig",
     "TrainConfig",
     "TrainHistory",

@@ -28,7 +28,6 @@ from posesim.skeleton import (
     NUM_KEYPOINTS,
     ZERO,
     NormalizedPose,
-    SkeletonTopology,
     number_array,
 )
 
@@ -89,21 +88,6 @@ class ArchMeta:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-def parameter_shapes(h: int) -> list[tuple[str, tuple]]:
-    """(name, shape) of every parameter of a model of gcn_hidden h.
-
-    Canonical order: gcn weight 0, gcn weight 1, then (weight, bias) per MLP
-    layer. Parameter lists, gradient lists, optimizer state and the flat
-    parameter vector all follow it.
-    """
-    specs = [("gcn weight 0", (FEATURE_DIM, h)), ("gcn weight 1", (h, FEATURE_DIM))]
-    for i in range(len(MLP_WIDTHS) - 1):
-        fan_in, fan_out = MLP_WIDTHS[i], MLP_WIDTHS[i + 1]
-        specs += [(f"mlp weight {i}", (fan_in, fan_out)),
-                  (f"mlp bias {i}", (fan_out,))]
-    return specs
-
-
 class FlatLayout(NamedTuple):
     """Where flat_layout puts each parameter of one gcn_hidden in theta."""
 
@@ -116,11 +100,21 @@ class FlatLayout(NamedTuple):
 @lru_cache(maxsize=None)
 def flat_layout(h: int) -> FlatLayout:
     """The layout of the flat parameter vector theta of gcn_hidden h and of
-    every buffer shaped like it, computed once per h: parameters in the
-    order of parameter_shapes, each filling its slice row-major, and each
-    weight matrix's Glorot interval +-sqrt(6 / (fan_in + fan_out))."""
+    every buffer shaped like it, computed once per h: each parameter filling
+    its slice row-major, and each weight matrix's Glorot interval
+    +-sqrt(6 / (fan_in + fan_out)).
+
+    Canonical order: gcn weight 0, gcn weight 1, then (weight, bias) per MLP
+    layer. Parameter lists, gradient lists, optimizer state and the flat
+    parameter vector all follow it.
+    """
+    specs = [("gcn weight 0", (FEATURE_DIM, h)), ("gcn weight 1", (h, FEATURE_DIM))]
+    for i in range(len(MLP_WIDTHS) - 1):
+        fan_in, fan_out = MLP_WIDTHS[i], MLP_WIDTHS[i + 1]
+        specs += [(f"mlp weight {i}", (fan_in, fan_out)),
+                  (f"mlp bias {i}", (fan_out,))]
     params, glorot, start = [], [], 0
-    for name, shape in parameter_shapes(h):
+    for name, shape in specs:
         stop = start + math.prod(shape)
         params.append((name, shape, slice(start, stop)))
         if len(shape) == 2:
@@ -192,7 +186,7 @@ class EmbeddingModel:
 
 
 def parameter_list(model: EmbeddingModel | Layers) -> list[np.ndarray]:
-    """The model's parameter arrays in canonical order (parameter_shapes).
+    """The model's parameter arrays in canonical order (flat_layout).
 
     The returned arrays are views of model.theta, not copies.
     """
@@ -268,18 +262,18 @@ class ForwardCache:
                             [z[index] for z in self.pre])
 
 
-def _layer(layer, topo: SkeletonTopology | None, h: np.ndarray, relu=True):
+def _layer(layer, topo: np.ndarray | None, h: np.ndarray, relu=True):
     """One layer of _run_layers on h: its pre-activation z and its output,
     ReLU(z) or, where relu is False, z. Column c of z reads only column c
     of the graph weight, or of the AffineLayer's w and b."""
     if isinstance(layer, AffineLayer):
         z = np.vecmat(h, layer.w) + layer.b
     else:
-        z = topo.adjacency_norm @ h @ layer
+        z = topo @ h @ layer
     return z, np.maximum(z, ZERO) if relu else z
 
 
-def _run_layers(layers, topo: SkeletonTopology | None, h: np.ndarray,
+def _run_layers(layers, topo: np.ndarray | None, h: np.ndarray,
                 cache: ForwardCache | None = None) -> np.ndarray:
     """Run layers, graph weights then AffineLayers, in order on h.
 
@@ -317,7 +311,7 @@ def _variant_layers(model: EmbeddingModel | Layers, variant: str) -> tuple:
 
 
 def embed(model: EmbeddingModel | Layers, x: np.ndarray,
-          topo: SkeletonTopology | None,
+          topo: np.ndarray | None,
           variant: str) -> tuple[np.ndarray, ForwardCache]:
     """Embed a stack of normalized poses, x of shape (n, 15, 2).
 
@@ -333,7 +327,7 @@ def embed(model: EmbeddingModel | Layers, x: np.ndarray,
 
 
 def forward_variant(model: EmbeddingModel, pose: NormalizedPose,
-                    topo: SkeletonTopology | None,
+                    topo: np.ndarray | None,
                     variant: str) -> tuple[np.ndarray, ForwardCache]:
     """Embed one normalized pose; returns the 50-vector and its cache.
 

@@ -18,8 +18,7 @@ import numpy as np
 from posesim.network import (MLP_WIDTHS, EmbeddingModel, _run_layers,
                              _variant_layers, checked_float, nonnegative,
                              positive)
-from posesim.skeleton import (TWO, ZERO, Pose, SkeletonTopology,
-                              distinct_poses, normalize_stack)
+from posesim.skeleton import TWO, ZERO, Pose, distinct_poses, normalize_stack
 from posesim.training import cosine_distances
 
 # Distinct poses evaluate() embeds per call; the chunk bounds the memory its
@@ -49,7 +48,7 @@ def similarity_score(d_c: float, p: ScoreParams = ScoreParams()) -> float:
     return p.amplitude_sigma * math.exp(-0.5 * z * z)
 
 
-def score_pair(model: EmbeddingModel, topo: SkeletonTopology, a: Pose,
+def score_pair(model: EmbeddingModel, topo: np.ndarray | None, a: Pose,
                b: Pose, p: ScoreParams = ScoreParams(),
                variant: str = "gcn") -> tuple[float, float]:
     """Normalize, embed and score two poses; returns (d_c, score).
@@ -57,8 +56,9 @@ def score_pair(model: EmbeddingModel, topo: SkeletonTopology, a: Pose,
     The raw cosine distance can land a rounding error outside [0, 2] (an
     identical pair can produce -1e-16), so it is clipped to the domain
     before scoring; identical poses therefore score exactly 100. Both poses
-    go through one stacked forward pass, with no backward cache kept, and
-    the result equals evaluate()'s row for the same pair bit for bit.
+    go through one stacked forward pass, with no backward cache kept. With
+    the default p the result equals evaluate()'s row for the same pair bit
+    for bit.
     """
     emb = _run_layers(_variant_layers(model, variant), topo,
                       normalize_stack([a.keypoints, b.keypoints]))
@@ -132,10 +132,10 @@ class EvalReport:
     mean_neg_dist: float
 
 
-def evaluate(model: EmbeddingModel, topo: SkeletonTopology, pairs,
-             p: ScoreParams = ScoreParams(), variant: str = "gcn",
-             pair_ids=None) -> EvalReport:
-    """Score every pair and aggregate ranking quality.
+def evaluate(model: EmbeddingModel, topo: np.ndarray | None, pairs,
+             variant: str = "gcn", pair_ids=None) -> EvalReport:
+    """Score every pair with the default ScoreParams and aggregate ranking
+    quality.
 
     spearman_rho correlates predicted score with negated ground-truth
     magnitude over the magnitude-bearing pairs (larger perturbation must
@@ -163,7 +163,7 @@ def evaluate(model: EmbeddingModel, topo: SkeletonTopology, pairs,
         part = slice(start, start + EVAL_CHUNK)
         emb[part] = _run_layers(layers, topo, normalize_stack(keypoints[part]))
     dists = _clipped_distances(emb[index]).tolist()
-    rows = [EvalRow(pid, d, similarity_score(d, p), pair.label_y,
+    rows = [EvalRow(pid, d, similarity_score(d), pair.label_y,
                     pair.magnitude)
             for pid, pair, d in zip(pair_ids, pairs, dists)]
     pos = [r.d_c for r in rows if r.label == 1]

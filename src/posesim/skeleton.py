@@ -146,25 +146,15 @@ class NormalizedPose:
         object.__setattr__(self, "features", f)
 
 
-@dataclass(frozen=True)
-class SkeletonTopology:
-    """The fixed skeleton graph as the operator every graph convolution layer
-    applies: adjacency_norm, the renormalized adjacency D^-1/2 (A + I) D^-1/2.
-    Instances are immutable and shareable.
-    """
-
-    adjacency_norm: np.ndarray
-
-
 @lru_cache(maxsize=1)
-def build_skeleton_topology() -> SkeletonTopology:
-    """Construct the fixed 15-node skeleton graph.
+def build_skeleton_topology() -> np.ndarray:
+    """The fixed skeleton graph as the operator every graph convolution layer
+    applies: the (15, 15) renormalized adjacency D^-1/2 (A + I) D^-1/2.
 
-    Entry (i, j) of the result is 1/sqrt(deg_i * deg_j) where i and j are
-    joined by a bone or equal, and 0 elsewhere; deg counts the self-loop, so
-    no degree is zero. The matrix is symmetric with all eigenvalues in
-    [-1, 1]. Deterministic and constant; repeated calls return the same
-    shared instance.
+    Entry (i, j) is 1/sqrt(deg_i * deg_j) where i and j are joined by a bone
+    or equal, and 0 elsewhere; deg counts the self-loop, so no degree is
+    zero. The matrix is symmetric with all eigenvalues in [-1, 1]. It is
+    read-only, and repeated calls return the same shared array.
     """
     c_hat = np.eye(NUM_KEYPOINTS, dtype=np.float64)
     for i, j in SKELETON_EDGES:
@@ -174,7 +164,7 @@ def build_skeleton_topology() -> SkeletonTopology:
     # outer() keeps the result exactly symmetric
     a_norm = np.outer(inv_sqrt, inv_sqrt) * c_hat
     a_norm.flags.writeable = False
-    return SkeletonTopology(adjacency_norm=a_norm)
+    return a_norm
 
 
 def distinct_poses(poses) -> tuple[np.ndarray, np.ndarray]:

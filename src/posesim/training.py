@@ -47,7 +47,6 @@ from posesim.skeleton import (
     NUM_KEYPOINTS,
     ONE,
     Pose,
-    SkeletonTopology,
     build_skeleton_topology,
     distinct_poses,
     normalize_stack,
@@ -263,7 +262,7 @@ def contrastive_loss(d_c: float, y: int, m: float = DEFAULT_MARGIN) -> float:
     return float(loss)
 
 
-def _backward(model: EmbeddingModel | Layers, topo: SkeletonTopology,
+def _backward(model: EmbeddingModel | Layers, topo: np.ndarray,
               cache: ForwardCache, g: np.ndarray) -> list:
     """Backpropagate g = dL/d(embedding), shape (n, 50), through n twins.
 
@@ -286,10 +285,9 @@ def _backward(model: EmbeddingModel | Layers, topo: SkeletonTopology,
             if i > 0:
                 g = np.matvec(layer.w, g)
         else:
-            a_norm = topo.adjacency_norm
-            terms.append((False, (a_norm @ h_in).swapaxes(-1, -2), g))
+            terms.append((False, (topo @ h_in).swapaxes(-1, -2), g))
             if i > 0:
-                g = a_norm.T @ (g @ layer.swapaxes(-1, -2))
+                g = topo.T @ (g @ layer.swapaxes(-1, -2))
     return terms
 
 
@@ -358,7 +356,7 @@ class _BatchGradient:
         return loss, d
 
 
-def pair_backward(model: EmbeddingModel, topo: SkeletonTopology,
+def pair_backward(model: EmbeddingModel, topo: np.ndarray,
                   pair: PosePair, cfg: TrainConfig, variant: str = "gcn"):
     """Loss and exact analytic parameter gradients for one pair.
 
@@ -405,7 +403,7 @@ def adam_step(model: EmbeddingModel, grads, state: AdamState,
     return model, state
 
 
-def train(model: EmbeddingModel, topo: SkeletonTopology, pairs,
+def train(model: EmbeddingModel, topo: np.ndarray, pairs,
           cfg: TrainConfig = TrainConfig(), variant: str = "gcn"):
     """Fit the model in place on labelled pairs; returns (model, TrainHistory).
 
@@ -461,7 +459,7 @@ def train(model: EmbeddingModel, topo: SkeletonTopology, pairs,
     return model, history
 
 
-def _central_differences(model: EmbeddingModel, topo: SkeletonTopology, x,
+def _central_differences(model: EmbeddingModel, topo: np.ndarray, x,
                          label: int, margin: float, variant: str) -> np.ndarray:
     """gradient_check's numeric side on the pair of normalized twins x, flat
     in theta's layout (the mlp variant's: theta's suffix after the graph)."""
@@ -509,7 +507,7 @@ def _central_differences(model: EmbeddingModel, topo: SkeletonTopology, x,
     return np.concatenate(numeric)
 
 
-def gradient_check(model: EmbeddingModel, topo: SkeletonTopology,
+def gradient_check(model: EmbeddingModel, topo: np.ndarray,
                    pair: PosePair, cfg: TrainConfig = TrainConfig(),
                    variant: str = "gcn") -> float:
     """Max relative error between analytic and central-difference gradients.
@@ -544,7 +542,7 @@ def gradient_check(model: EmbeddingModel, topo: SkeletonTopology,
 
 
 def _fd_friendly(theta: np.ndarray, h: int, x: np.ndarray, label: int,
-                 topo: SkeletonTopology, out: np.ndarray) -> np.ndarray:
+                 topo: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Which of K candidate instances central differencing at step
     FD_EPSILON is trustworthy on, as a boolean mask of shape (K,).
 

@@ -134,7 +134,7 @@ class TestCriterion3:
         for i in range(NUM_KEYPOINTS):
             for j in range(NUM_KEYPOINTS):
                 reference[i, j] = c_hat[i, j] / math.sqrt(degrees[i] * degrees[j])
-        a_norm = TOPO.adjacency_norm
+        a_norm = TOPO
         entry_err = float(np.max(np.abs(a_norm - reference)))
         symmetric = bool(np.array_equal(a_norm, a_norm.T))
         radius = float(np.max(np.abs(np.linalg.eigvalsh(a_norm))))

@@ -12,6 +12,7 @@ from posesim.corpus import (
     PoseRecord,
     SynthConfig,
     TEMPLATE_LIBRARY,
+    _PARENT,
     build_pose_pairs,
     generate_corpus_files,
     load_corpus,
@@ -21,7 +22,7 @@ from posesim.corpus import (
     write_pair_file,
     write_pose_file,
 )
-from posesim.skeleton import KEYPOINT_NAMES, NUM_KEYPOINTS, Pose
+from posesim.skeleton import KEYPOINT_NAMES, NUM_KEYPOINTS, SKELETON_EDGES, Pose
 
 
 def random_record(rng, rec_id, **kw):
@@ -423,6 +424,15 @@ class TestSynthConfig:
 
 
 class TestGenerator:
+    def test_parent_map_is_the_skeleton_tree(self):
+        # the generator's tree and the graph's edge list are kept apart,
+        # since _PARENT's key order fixes which angle each joint draws
+        bones = {frozenset(bone) for bone in _PARENT.items()}
+        assert len(bones) == 14
+        assert bones == {frozenset(edge) for edge in SKELETON_EDGES}
+        # every joint but the pelvis (3) has exactly one parent, as a key
+        assert sorted(_PARENT) == [j for j in range(NUM_KEYPOINTS) if j != 3]
+
     def test_counts_and_ids(self):
         cfg = SynthConfig(template_count=8, pairs_per_template=4, seed=5)
         records, entries = generate_corpus_files(cfg)

@@ -21,7 +21,6 @@ from posesim.network import (
     load_checkpoint,
     parameter_count,
     parameter_list,
-    parameter_shapes,
     save_checkpoint,
     write_document,
 )
@@ -182,7 +181,7 @@ class TestInit:
         block = np.full((k, 1, size), np.nan)
         views = parameter_list(layers_of(block, h))
         assert [v.shape for v in views] == [
-            (k, 1, *shape) for _, shape in parameter_shapes(h)]
+            (k, 1, *shape) for _, shape, _ in flat_layout(h).params]
         # write arange in view order, distinct per row; reading it back from
         # the block shows every coordinate written once, in canonical order
         rows, start = np.arange(k)[:, None, None] * size, 0
@@ -257,7 +256,7 @@ class TestForward:
             pose = random_pose(rng)
             emb, _ = forward_variant(model, pose, topo, "gcn")
             want = ref_forward(model, pose.features.tolist(),
-                               topo.adjacency_norm.tolist(), use_gcn=True)
+                               topo.tolist(), use_gcn=True)
             assert emb.shape == (50,)
             np.testing.assert_allclose(emb, want, atol=1e-10)
 
@@ -298,7 +297,7 @@ class TestForward:
         model = EmbeddingModel((eye, eye), base.mlp_layers, base.arch)
         pose = random_pose(np.random.default_rng(10))
         _, cache = forward_variant(model, pose, topo, "gcn")
-        a2x = topo.adjacency_norm @ topo.adjacency_norm @ pose.features
+        a2x = topo @ topo @ pose.features
         np.testing.assert_allclose(np.maximum(cache.pre[1], 0.0), a2x, atol=1e-12)
         np.testing.assert_allclose(cache.inputs[2], a2x.reshape(-1), atol=1e-12)
 
@@ -354,7 +353,7 @@ class TestForward:
         assert emb.shape == (50,)
         assert cache.pre[0].shape == (NUM_KEYPOINTS, 16)
         want = ref_forward(model, pose.features.tolist(),
-                           topo.adjacency_norm.tolist(), use_gcn=True)
+                           topo.tolist(), use_gcn=True)
         np.testing.assert_allclose(emb, want, atol=1e-10)
 
 
@@ -413,6 +412,12 @@ class TestWriteDocument:
         with pytest.raises(TypeError):
             write_document({"a": value}, 1)
 
+    @pytest.mark.parametrize("doc", [{1: 0.5}, {"a": {None: []}}, {"a": [{2.0: 1}]}])
+    def test_non_str_keys_raise_type_error(self, doc):
+        # json.dumps would write these keys as strings; the codec refuses them
+        with pytest.raises(TypeError, match="keys must be str"):
+            write_document(doc, 1)
+
 
 class TestCheckpoint:
     def test_round_trip_bit_identical(self):
@@ -453,7 +458,7 @@ class TestCheckpoint:
         # canonical order, and zero biases
         rng = np.random.Generator(np.random.PCG64(seed))
         want = []
-        for _, shape in parameter_shapes(h):
+        for _, shape, _ in flat_layout(h).params:
             if len(shape) == 2:
                 bound = math.sqrt(6.0 / (shape[0] + shape[1]))
                 want.append(rng.uniform(-bound, bound, size=shape).reshape(-1))

@@ -27,6 +27,7 @@ from posesim.training import (
     AdamState,
     PosePair,
     TrainConfig,
+    TrainHistory,
     _adam_update,
     adam_step,
     contrastive_loss,
@@ -373,6 +374,8 @@ class TestAdam:
     def test_rejects_shape_mismatch(self):
         model, _ = random_check_instance(52)
         grads = [np.zeros_like(p) for p in parameter_list(model)]
+        with pytest.raises(ValueError, match="expected 8 gradients, got 7"):
+            adam_step(model, grads[:-1], init_adam_state(model), TrainConfig())
         grads[3] = np.zeros(7)
         with pytest.raises(ValueError):
             adam_step(model, grads, init_adam_state(model), TrainConfig())
@@ -483,6 +486,10 @@ class TestTrain:
         assert lines[1].startswith("1,")
         assert lines[3].startswith("3,")
         assert text == history_csv(history)
+
+    def test_history_columns_must_have_equal_length(self):
+        with pytest.raises(ValueError, match="equal length"):
+            TrainHistory([1.0, 0.5], [0.1], [0.9])
 
 
 class TestConfigAndPairValidation:
