@@ -18,7 +18,9 @@ import numpy as np
 
 from posesim.network import (any_finite, check_count, check_seed, checked_float,
                              nonnegative, read_document, write_document)
-from posesim.skeleton import KEYPOINT_NAMES, NUM_KEYPOINTS, Pose, number_array
+from posesim.scoring import check_csv_ids
+from posesim.skeleton import (KEYPOINT_NAMES, NUM_KEYPOINTS, Pose, admitted,
+                              number_array, pose_rows)
 from posesim.training import PosePair, checked_label
 
 FILE_VERSION = 1
@@ -93,8 +95,10 @@ class PoseRecord:
     """One named pose; confidences are carried through but never modeled.
 
     pose is the validated Pose itself, so its keypoints are checked once,
-    where the Pose is built. confidences and quality_score take
-    checked_float's rule (ints or floats, not bools or strings).
+    where the Pose is built. The id goes into report.csv's pair ids as it
+    is, so it may not hold a comma, a double quote or a line break.
+    confidences and quality_score take checked_float's rule (ints or
+    floats, not bools or strings).
     """
 
     id: str
@@ -104,22 +108,44 @@ class PoseRecord:
     quality_score: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise ValueError(f"record id must be a nonempty string, got {self.id!r}")
-        if not isinstance(self.pose, Pose):
-            raise TypeError(f"pose must be a Pose, got {type(self.pose).__name__}")
-        if self.confidences is not None:
-            conf = tuple(self.confidences)
-            if len(conf) != NUM_KEYPOINTS:
-                raise ValueError(f"confidences must have length "
-                                 f"{NUM_KEYPOINTS}, got {len(conf)}")
-            object.__setattr__(self, "confidences", tuple(checked_float(
-                c, _unit_range, "confidences must be numbers in [0, 1]") for c in conf))
-        if self.category is not None and not isinstance(self.category, str):
-            raise ValueError("category must be a string")
-        if self.quality_score is not None:
-            object.__setattr__(self, "quality_score", checked_float(
-                self.quality_score, any_finite, "quality_score must be a finite number"))
+        fields = _checked_record(self.id, self.pose, self.confidences,
+                                 self.category, self.quality_score)
+        for name in ("confidences", "quality_score"):
+            object.__setattr__(self, name, fields[name])
+
+
+def _checked_record(rec_id, pose, confidences, category,
+                    quality_score) -> dict:
+    """PoseRecord's fields, by its rule; confidences become a tuple of
+    floats and quality_score a float."""
+    if not isinstance(rec_id, str) or not rec_id:
+        raise ValueError(f"record id must be a nonempty string, got {rec_id!r}")
+    check_csv_ids((rec_id,), "record id")
+    if not isinstance(pose, Pose):
+        raise TypeError(f"pose must be a Pose, got {type(pose).__name__}")
+    if confidences is not None:
+        conf = tuple(confidences)
+        if len(conf) != NUM_KEYPOINTS:
+            raise ValueError(f"confidences must have length "
+                             f"{NUM_KEYPOINTS}, got {len(conf)}")
+        confidences = tuple(checked_float(
+            c, _unit_range, "confidences must be numbers in [0, 1]") for c in conf)
+    if category is not None and not isinstance(category, str):
+        raise ValueError("category must be a string")
+    if quality_score is not None:
+        quality_score = checked_float(quality_score, any_finite,
+                                      "quality_score must be a finite number")
+    return {"id": rec_id, "pose": pose, "confidences": confidences,
+            "category": category, "quality_score": quality_score}
+
+
+def _checked_magnitude(a, b, y, magnitude) -> float | None:
+    """magnitude as checked_label returns it, once a PairEntry's fields pass
+    its rule: a and b nonempty strings, y and magnitude checked_label's."""
+    for name, v in (("a", a), ("b", b)):
+        if not isinstance(v, str) or not v:
+            raise ValueError(f"pair field {name} must be a nonempty string, got {v!r}")
+    return checked_label(y, magnitude)
 
 
 @dataclass(frozen=True)
@@ -132,11 +158,8 @@ class PairEntry:
     magnitude: float | None = None
 
     def __post_init__(self):
-        for name in ("a", "b"):
-            v = getattr(self, name)
-            if not isinstance(v, str) or not v:
-                raise ValueError(f"pair field {name} must be a nonempty string, got {v!r}")
-        object.__setattr__(self, "magnitude", checked_label(self.y, self.magnitude))
+        object.__setattr__(self, "magnitude", _checked_magnitude(
+            self.a, self.b, self.y, self.magnitude))
 
 
 @dataclass(frozen=True)
@@ -171,9 +194,17 @@ class SynthConfig:
 def parse_pose_file(data: bytes) -> list[PoseRecord]:
     """Parse and validate a pose file; record order is preserved.
 
-    Errors name the offending record wherever an id is available; each
-    record's Pose is built once, here.
+    Errors name the offending record wherever an id is available. The
+    keypoints of all records are converted and admitted as one stack, of
+    which each record's Pose holds a read-only row; if the stack fails,
+    each record's own Pose check names the faulty record.
     """
+    return [admitted(PoseRecord, fields) for fields in _record_fields(data)]
+
+
+def _record_fields(data: bytes) -> list[dict]:
+    """The checked fields of each record of a pose file, in file order:
+    parse_pose_file short of building the records."""
     doc = read_document(data, "pose file", FILE_VERSION)
     if doc.get("keypoint_order") != list(KEYPOINT_NAMES):
         raise ValueError("pose file keypoint_order does not match the "
@@ -181,15 +212,14 @@ def parse_pose_file(data: bytes) -> list[PoseRecord]:
     raw_records = doc.get("records")
     if not isinstance(raw_records, list):
         raise ValueError("pose file must carry a 'records' array")
-    # One conversion and element check for every record's keypoints; if it
-    # fails, each record's own Pose check names the faulty record
     keypoints = [raw.get("keypoints") if isinstance(raw, dict) else None
                  for raw in raw_records]
     try:
         keypoints = number_array(keypoints, (len(keypoints), NUM_KEYPOINTS, 2),
                                  "keypoints")
+        poses = pose_rows(keypoints)
     except ValueError:
-        pass
+        poses = None
     records = []
     seen = set()
     for i, raw in enumerate(raw_records):
@@ -202,15 +232,13 @@ def parse_pose_file(data: bytes) -> list[PoseRecord]:
             raise ValueError(f"duplicate record id {rec_id!r}")
         seen.add(rec_id)
         try:
-            records.append(PoseRecord(
-                id=rec_id,
-                pose=Pose(keypoints[i]),
-                confidences=raw.get("confidences"),
-                category=raw.get("category"),
-                quality_score=raw.get("quality_score"),
-            ))
+            fields = _checked_record(
+                rec_id, Pose(keypoints[i]) if poses is None else poses[i],
+                raw.get("confidences"), raw.get("category"),
+                raw.get("quality_score"))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"record {rec_id!r}: {exc}") from exc
+        records.append(fields)
     return records
 
 
@@ -237,6 +265,15 @@ def write_pose_file(records) -> bytes:
 
 
 def parse_pair_file(data: bytes) -> PairFile:
+    poses, rows = _pair_rows(data)
+    return PairFile(poses=poses, entries=tuple(
+        admitted(PairEntry, {"a": a, "b": b, "y": y, "magnitude": magnitude})
+        for a, b, y, magnitude in rows))
+
+
+def _pair_rows(data: bytes) -> tuple[str, list[tuple]]:
+    """A pair file's pose-file reference and its checked (a, b, y,
+    magnitude) rows: parse_pair_file short of building the entries."""
     doc = read_document(data, "pair file", FILE_VERSION)
     poses = doc.get("poses")
     if not isinstance(poses, str) or not poses:
@@ -244,17 +281,17 @@ def parse_pair_file(data: bytes) -> PairFile:
     raw_pairs = doc.get("pairs")
     if not isinstance(raw_pairs, list):
         raise ValueError("pair file must carry a 'pairs' array")
-    entries = []
+    rows = []
     for i, raw in enumerate(raw_pairs):
         if not isinstance(raw, dict):
             raise ValueError(f"pair at index {i} must be an object")
+        a, b, y = raw.get("a"), raw.get("b"), raw.get("y")
         try:
-            entries.append(PairEntry(a=raw.get("a"), b=raw.get("b"),
-                                     y=raw.get("y"),
-                                     magnitude=raw.get("magnitude")))
+            rows.append((a, b, y, _checked_magnitude(a, b, y,
+                                                     raw.get("magnitude"))))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"pair at index {i}: {exc}") from exc
-    return PairFile(poses=poses, entries=tuple(entries))
+    return poses, rows
 
 
 def write_pair_file(pair_file: PairFile) -> bytes:
@@ -271,17 +308,27 @@ def write_pair_file(pair_file: PairFile) -> bytes:
 def build_pose_pairs(records, entries):
     """Join pair entries against records; returns (pairs, pair_ids).
 
-    Each pair holds its records' own Pose objects.
+    Each pair holds its records' own Pose objects. An entry that is not a
+    PairEntry is made one first, which checks its fields.
     """
-    poses = {rec.id: rec.pose for rec in records}
+    entries = (e if type(e) is PairEntry
+               else PairEntry(e.a, e.b, e.y, e.magnitude) for e in entries)
+    return _join({rec.id: rec.pose for rec in records},
+                 ((e.a, e.b, e.y, e.magnitude) for e in entries))
+
+
+def _join(poses: dict, rows):
+    """build_pose_pairs on a dict of poses by id and (a, b, y, magnitude)
+    rows that passed PairEntry's rule, so each pair takes its label and
+    magnitude without a second check."""
     pairs, ids = [], []
-    for e in entries:
-        for ref in (e.a, e.b):
+    for a, b, y, magnitude in rows:
+        for ref in (a, b):
             if ref not in poses:
                 raise ValueError(f"pair references unknown pose id {ref!r}")
-        pairs.append(PosePair(poses[e.a], poses[e.b], e.y,
-                              magnitude=e.magnitude))
-        ids.append(f"{e.a}:{e.b}")
+        pairs.append(admitted(PosePair, {"pose_a": poses[a], "pose_b": poses[b],
+                                         "label_y": y, "magnitude": magnitude}))
+        ids.append(f"{a}:{b}")
     return pairs, ids
 
 
@@ -386,11 +433,11 @@ def split_corpus(items, train_fraction: float, seed: int = 0):
 def load_corpus(pair_path):
     """Read a pair file, resolve its pose file, and join them.
 
-    Returns (pairs, pair_ids). The 'poses' reference is taken relative to
-    the pair file's directory.
+    Returns (pairs, pair_ids), as build_pose_pairs on the two parsed files
+    would, without building their entries and records. The 'poses'
+    reference is taken relative to the pair file's directory.
     """
     pair_path = Path(pair_path)
-    pf = parse_pair_file(pair_path.read_bytes())
-    pose_path = pair_path.parent / pf.poses
-    records = parse_pose_file(pose_path.read_bytes())
-    return build_pose_pairs(records, pf.entries)
+    pose_file, rows = _pair_rows(pair_path.read_bytes())
+    records = _record_fields((pair_path.parent / pose_file).read_bytes())
+    return _join({rec["id"]: rec["pose"] for rec in records}, rows)

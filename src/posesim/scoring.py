@@ -11,7 +11,9 @@ magnitudes: a larger perturbation must rank lower in score.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +26,20 @@ from posesim.training import cosine_distances
 # Distinct poses evaluate() embeds per call; the chunk bounds the memory its
 # intermediates take on a large corpus.
 EVAL_CHUNK = 256
+
+# report.csv writes each pair id as it is, so none may hold a character that
+# a CSV field would have to quote
+_csv_special = re.compile('[,"\r\n]').search
+
+
+def check_csv_ids(ids, what: str) -> None:
+    """ValueError naming the first of ids, a sequence of strings, that holds
+    a comma, a double quote or a line break; one scan of their join tells
+    whether any does."""
+    if _csv_special("".join(ids)):
+        bad = next(i for i in ids if _csv_special(i))
+        raise ValueError(f"{what} {bad!r} holds a comma, a double quote or a "
+                         f"line break, which report.csv cannot carry")
 
 
 @dataclass(frozen=True)
@@ -109,8 +125,7 @@ def spearman_rho(xs, ys) -> float:
     return float(rx @ ry) / math.sqrt(var_x * var_y)
 
 
-@dataclass(frozen=True)
-class EvalRow:
+class EvalRow(NamedTuple):
     pair_id: str
     d_c: float
     score: float
@@ -140,7 +155,8 @@ def evaluate(model: EmbeddingModel, topo: np.ndarray | None, pairs,
     spearman_rho correlates predicted score with negated ground-truth
     magnitude over the magnitude-bearing pairs (larger perturbation must
     rank lower). Distance means cover label 1 and label 0 pairs separately
-    (nan when a label is absent). pair_ids defaults to the pair index.
+    (nan when a label is absent). pair_ids defaults to the pair index; no
+    id may hold a comma, a double quote or a line break (check_csv_ids).
 
     Each distinct pose is normalized and embedded once, EVAL_CHUNK poses per
     stacked call, with no backward cache kept; every row equals score_pair
@@ -153,22 +169,29 @@ def evaluate(model: EmbeddingModel, topo: np.ndarray | None, pairs,
     if pair_ids is None:
         pair_ids = [str(i) for i in range(len(pairs))]
     else:
-        pair_ids = [str(i) for i in pair_ids]
+        pair_ids = list(map(str, pair_ids))
         if len(pair_ids) != len(pairs):
             raise ValueError(f"{len(pairs)} pairs but {len(pair_ids)} pair_ids")
+        check_csv_ids(pair_ids, "pair_id")
     keypoints, index = distinct_poses(
         [pose for pair in pairs for pose in (pair.pose_a, pair.pose_b)])
     emb = np.empty((len(keypoints), MLP_WIDTHS[-1]))
     for start in range(0, len(keypoints), EVAL_CHUNK):
         part = slice(start, start + EVAL_CHUNK)
         emb[part] = _run_layers(layers, topo, normalize_stack(keypoints[part]))
-    dists = _clipped_distances(emb[index]).tolist()
-    rows = [EvalRow(pid, d, similarity_score(d), pair.label_y,
-                    pair.magnitude)
-            for pid, pair, d in zip(pair_ids, pairs, dists)]
-    pos = [r.d_c for r in rows if r.label == 1]
-    neg = [r.d_c for r in rows if r.label == 0]
-    graded = [(r.score, r.magnitude) for r in rows if r.magnitude is not None]
+    dist_array = _clipped_distances(emb[index])
+    dists = dist_array.tolist()
+    scores = list(map(similarity_score, dists))
+    labels = [pair.label_y for pair in pairs]
+    magnitudes = [pair.magnitude for pair in pairs]
+    rows = tuple(map(EvalRow._make,
+                     zip(pair_ids, dists, scores, labels, magnitudes)))
+    # the masks keep each label's distances in row order, so the means
+    # take the same values in the same order as lists of the rows would
+    label_array = np.array(labels)
+    pos = dist_array[label_array == 1]
+    neg = dist_array[label_array == 0]
+    graded = [(s, m) for s, m in zip(scores, magnitudes) if m is not None]
     rho = None
     if len(graded) >= 2:
         try:
@@ -177,21 +200,22 @@ def evaluate(model: EmbeddingModel, topo: np.ndarray | None, pairs,
         except ValueError:
             rho = None
     return EvalReport(
-        rows=tuple(rows),
+        rows=rows,
         spearman_rho=rho,
-        mean_pos_dist=float(np.mean(pos)) if pos else float("nan"),
-        mean_neg_dist=float(np.mean(neg)) if neg else float("nan"),
+        mean_pos_dist=float(np.mean(pos)) if pos.size else float("nan"),
+        mean_neg_dist=float(np.mean(neg)) if neg.size else float("nan"),
     )
 
 
 def report_csv(report: EvalReport) -> str:
-    """Per-pair CSV at full float precision; magnitude empty when absent."""
-    lines = ["pair_id,d_c,score,label,magnitude"]
-    for r in report.rows:
-        mag = "" if r.magnitude is None else repr(float(r.magnitude))
-        lines.append(f"{r.pair_id},{float(r.d_c)!r},{float(r.score)!r},"
-                     f"{r.label},{mag}")
-    return "\n".join(lines) + "\n"
+    """Per-pair CSV at full float precision; magnitude empty when absent.
+
+    d_c, score and magnitude must be Python floats, as evaluate's rows hold
+    them, and are written as their repr.
+    """
+    return "pair_id,d_c,score,label,magnitude\n" + "".join([
+        f"{pid},{d!r},{s!r},{y},{'' if m is None else repr(m)}\n"
+        for pid, d, s, y, m in report.rows])
 
 
 def report_summary_csv(report: EvalReport) -> str:

@@ -63,6 +63,19 @@ def scalar_operand(value: float) -> np.ndarray:
 ZERO, ONE, TWO = map(scalar_operand, (0.0, 1.0, 2.0))
 # numpy converts a bool, or a string that spells a number, to a float
 _NOT_NUMBERS = (bool, np.bool_, str, bytes)
+# the leaf types of a JSON number array
+_PLAIN_NUMBERS = {float, int}
+
+
+def _plain_leaves(values, shape: tuple) -> list | None:
+    """The leaves of values, in row-major order, if values is lists nested
+    exactly to shape with only floats and ints as leaves; None otherwise."""
+    level = [values]
+    for n in shape:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {n}:
+            return None
+        level = list(chain.from_iterable(level))
+    return level if set(map(type, level)) <= _PLAIN_NUMBERS else None
 
 
 def number_array(values, shape: tuple, what: str) -> np.ndarray:
@@ -70,8 +83,20 @@ def number_array(values, shape: tuple, what: str) -> np.ndarray:
     array of the given shape; ValueError naming what otherwise.
 
     An array must have an integer or float dtype; of a sequence, no element
-    may be a bool or a string, and the nesting may not be ragged.
+    may be a bool or a string, and the nesting may not be ragged. Nested
+    lists of plain floats and ints, as JSON decodes them, are converted
+    from their flattened leaves, which skips numpy's slower discovery of a
+    nested shape; anything else, or an int too large for a float, takes
+    the general conversion and its checks.
     """
+    leaves = _plain_leaves(values, shape) if type(values) is list else None
+    if leaves is not None:
+        arr = np.empty(shape)
+        try:
+            arr.reshape(-1)[:] = leaves
+            return arr
+        except OverflowError:
+            pass
     try:
         arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -89,6 +114,16 @@ def number_array(values, shape: tuple, what: str) -> np.ndarray:
     if not numbers:
         raise ValueError(f"{what} must hold numbers, not bools or strings")
     return arr
+
+
+def admitted(cls, fields: dict):
+    """An instance of the frozen dataclass cls holding fields, values the
+    caller has already checked by cls's own rule, so that its __post_init__
+    does not check them again."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _validated_coords(values, what: str) -> np.ndarray:
@@ -126,6 +161,27 @@ class Pose:
     def __post_init__(self):
         kp = _validated_coords(self.keypoints, "keypoints")
         object.__setattr__(self, "keypoints", kp)
+
+
+def pose_rows(stack: np.ndarray) -> list[Pose] | None:
+    """A Pose for each row of stack, or None if one check cannot admit all.
+
+    stack is a new (n, 15, 2) float64 array of number_array's that no one
+    else holds. The check is the first of _validated_coords, pose by pose:
+    a finite sum of squares keeps every coordinate and extent finite. The
+    stack then becomes read-only and each Pose holds a view of its row, so
+    no keypoint is copied or checked again. On None, the caller builds each
+    Pose itself, whose exact checks name the faulty pose.
+    """
+    flat = stack.reshape(len(stack), -1)
+    # Per pose, not one vdot of the whole stack: OpenBLAS hands a dot that
+    # long to its threads, which then spin and slow the work that follows.
+    # vecdot, unlike vdot, warns on the overflow that sends a stack back.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.vecdot(flat, flat).max(initial=0.0) < math.inf:
+            return None
+    stack.setflags(write=False)
+    return [admitted(Pose, {"keypoints": row}) for row in stack]
 
 
 @dataclass(frozen=True)
@@ -174,16 +230,20 @@ def distinct_poses(poses) -> tuple[np.ndarray, np.ndarray]:
     poses[i].keypoints equals keypoints[index[i]] bit for bit, so any
     per-pose result computed on the stack can be gathered back by index.
     """
+    # Each pose object's bytes are read once, however often it repeats: the
+    # objects go by identity, and the list keeps every one alive, so no id
+    # is reused
+    poses = list(poses)
+    ids = list(map(id, poses))
     rows: dict[bytes, int] = {}
+    row_of: dict[int, int] = {}
     stack = []
-    index = np.empty(len(poses), dtype=np.intp)
-    for i, pose in enumerate(poses):
-        key = pose.keypoints.tobytes()
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = len(stack)
+    for key, pose in dict(zip(ids, poses)).items():  # in first-seen order
+        row = row_of[key] = rows.setdefault(pose.keypoints.tobytes(), len(stack))
+        if row == len(stack):
             stack.append(pose.keypoints)
-        index[i] = row
+    index = np.fromiter(map(row_of.__getitem__, ids), dtype=np.intp,
+                        count=len(ids))
     return np.array(stack).reshape(-1, NUM_KEYPOINTS, 2), index
 
 

@@ -110,6 +110,19 @@ class TestPoseRecord:
         with pytest.raises(ValueError, match="nonempty"):
             PoseRecord(id="", pose=ZERO_POSE)
 
+    @pytest.mark.parametrize("rec_id", ["a,b", 'a"b', "c\nd", "c\rd"])
+    def test_id_a_csv_field_would_quote_is_rejected(self, rec_id):
+        # report.csv writes pair ids "a:b" unquoted, so such an id would
+        # split or break its row
+        message = "holds a comma, a double quote or a line break"
+        with pytest.raises(ValueError, match=message) as info:
+            PoseRecord(id=rec_id, pose=ZERO_POSE)
+        assert repr(rec_id) in str(info.value)
+        data = replaced(VALID_POSE_FILE, ("records", 1, "id"), rec_id)
+        with pytest.raises(ValueError, match=message) as info:
+            parse_pose_file(data)
+        assert str(info.value).startswith(f"record {rec_id!r}: ")
+
     def test_confidence_bounds(self):
         ok = PoseRecord(id="a", pose=ZERO_POSE, confidences=[0.5] * 15)
         assert ok.confidences == (0.5,) * 15
@@ -360,6 +373,87 @@ class TestParserProperties:
                                                                 value):
         parses_or_raises_value_error(
             parse_pair_file, replaced(VALID_PAIR_FILE, path, value))
+
+
+# non-finite values, leaves numpy would convert but the rule refuses, and
+# coordinates whose extent may overflow
+BAD_LEAVES = st.sampled_from([math.nan, math.inf, -math.inf, True, False,
+                              "0.5", None, 1e308, -1e308, 10 ** 400])
+# finite and valid, but a pose's sum of squares overflows
+HUGE_LEAVES = st.sampled_from([1e200, -1e200, 1.5e154, -1e300])
+
+
+@st.composite
+def pose_documents(draw):
+    """Pose-file documents of 1-5 records, each good or with one fault: a
+    bad leaf, a huge but valid leaf, or a row or coordinate too many or too
+    few. Good leaves are seeded draws of floats, -0.0 and ints."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    records = []
+    for i in range(draw(st.integers(1, 5))):
+        # floats, ints or -0.0 in every place
+        kp = np.where(rng.random((NUM_KEYPOINTS, 2)) < 0.5,
+                      rng.uniform(-1e3, 1e3, (NUM_KEYPOINTS, 2)),
+                      -0.0).tolist()
+        if draw(st.booleans()):
+            kp[0] = rng.integers(-1000, 1000, 2).tolist()
+        fault = draw(st.sampled_from(["none"] * 4 + ["leaf", "huge", "rows",
+                                                     "coords"]))
+        row = draw(st.integers(0, NUM_KEYPOINTS - 1))
+        if fault in ("leaf", "huge"):
+            kp[row][draw(st.integers(0, 1))] = draw(
+                BAD_LEAVES if fault == "leaf" else HUGE_LEAVES)
+        elif fault == "rows":
+            kp = kp[1:] if draw(st.booleans()) else kp + [[0.0, 0.0]]
+        elif fault == "coords":
+            kp[row] = kp[row][1:] if draw(st.booleans()) else kp[row] + [0.0]
+        records.append({"id": f"r{i}", "keypoints": kp})
+    return {"format_version": 1, "keypoint_order": list(KEYPOINT_NAMES),
+            "records": records}
+
+
+def per_record_keypoints(doc):
+    """Each record's keypoints as its own Pose admits them, or the parse
+    error of the first record that fails. The keypoints go in as a tuple,
+    which takes number_array's general conversion and checks: the path
+    every record took before the stack was admitted at once."""
+    out = []
+    for raw in doc["records"]:
+        try:
+            out.append(Pose(tuple(raw["keypoints"])).keypoints)
+        except ValueError as exc:
+            return f"record {raw['id']!r}: {exc}"
+    return out
+
+
+class TestStackAdmission:
+    """parse_pose_file admits all keypoints as one stack when it can; it
+    must give what admitting each record on its own gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=pose_documents())
+    @example(doc={"format_version": 1, "keypoint_order": list(KEYPOINT_NAMES),
+                  "records": [{"id": "r0", "keypoints": [[1e200, -0.0]] * 15},
+                              {"id": "r1", "keypoints": [[0.5, 2]] * 15}]})
+    def test_matches_per_record_admission(self, doc):
+        expected = per_record_keypoints(doc)
+        data = json.dumps(doc).encode()
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as info:
+                parse_pose_file(data)
+            assert str(info.value) == expected
+            return
+        records = parse_pose_file(data)
+        assert [rec.pose.keypoints.tobytes() for rec in records] == [
+            kp.tobytes() for kp in expected]
+        for rec in records:
+            kp = rec.pose.keypoints
+            # neither the row nor the stack it may be a view of is writable
+            for arr in (kp, kp.base):
+                if arr is not None:
+                    assert not arr.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr.flat[0] = 1.0
 
 
 class TestBuildPosePairs:

@@ -12,6 +12,7 @@ import pytest
 from posesim.network import init_model
 from posesim.scoring import (
     EvalReport,
+    EvalRow,
     ScoreParams,
     _clipped_distances,
     evaluate,
@@ -330,6 +331,27 @@ class TestEvaluate:
         assert [r.pair_id for r in report.rows] == ["a", "b", "c"]
         with pytest.raises(ValueError):
             evaluate(init_model(h=2, seed=5), TOPO, pairs, pair_ids=["a"])
+
+    def test_pair_id_a_csv_field_would_quote_is_rejected(self):
+        pose = Pose(np.zeros((NUM_KEYPOINTS, 2)))
+        pairs = [PosePair(pose, pose, 1)] * 4
+        model = init_model(h=2, seed=5)
+        for bad in ("a,b", 'a"b', "c\nd", "c\rd"):
+            # the first offending id is named, not the later one
+            with pytest.raises(ValueError, match="holds a comma, a double "
+                                                 "quote or a line break") as info:
+                evaluate(model, TOPO, pairs, pair_ids=["ok", bad, "x,y", "z"])
+            assert str(info.value).startswith(f"pair_id {bad!r} ")
+
+    def test_rows_are_named_tuples_in_field_order(self):
+        pose = Pose(np.zeros((NUM_KEYPOINTS, 2)))
+        report = evaluate(init_model(h=2, seed=5), TOPO,
+                          [PosePair(pose, pose, 1, magnitude=0.5)])
+        row = report.rows[0]
+        assert isinstance(row, EvalRow)
+        assert row._fields == ("pair_id", "d_c", "score", "label", "magnitude")
+        assert tuple(row) == ("0", row.d_c, row.score, 1, 0.5)
+        assert type(row.d_c) is float and type(row.score) is float
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):

@@ -11,8 +11,11 @@ from posesim.skeleton import (
     NormalizedPose,
     Pose,
     build_skeleton_topology,
+    distinct_poses,
     normalize_pose,
     normalize_stack,
+    number_array,
+    pose_rows,
 )
 
 
@@ -216,6 +219,78 @@ class TestPoseValidation:
         bad = np.full((NUM_KEYPOINTS, 2), 1.5)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             NormalizedPose(bad)
+
+
+# leaves of nested lists: JSON's floats and ints, a huge int, and leaves
+# numpy converts but the rule refuses
+NESTED_LEAVES = (st.floats() | st.integers(-2 ** 70, 2 ** 70)
+                 | st.sampled_from([10 ** 400, True, "0.5", None, b"1"]))
+
+
+class TestNumberArrayFlatPath:
+    """Nested lists of plain floats and ints convert from their flattened
+    leaves; the result, or the error, is that of the general conversion,
+    which a tuple at the top level takes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.lists(NESTED_LEAVES, min_size=1, max_size=3),
+                           min_size=1, max_size=3),
+           shape=st.sampled_from([(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)]))
+    @example(values=[[1, 2.5], [-0.0, 2 ** 70]], shape=(2, 2))
+    @example(values=[[1.0, 10 ** 400]], shape=(1, 2))
+    def test_matches_the_general_conversion(self, values, shape):
+        def convert(v):
+            try:
+                return number_array(v, shape, "x").tobytes()
+            except ValueError as exc:
+                return str(exc)
+        assert convert(values) == convert(tuple(values))
+
+
+def bytes_only_distinct(poses):
+    """distinct_poses as a loop that keys every pose on its bytes alone."""
+    rows, stack, index = {}, [], []
+    for pose in poses:
+        row = rows.setdefault(pose.keypoints.tobytes(), len(stack))
+        if row == len(stack):
+            stack.append(pose.keypoints)
+        index.append(row)
+    return np.array(stack).reshape(-1, NUM_KEYPOINTS, 2), np.array(index)
+
+
+def _distinct_cases():
+    rng = np.random.default_rng(8)
+    a, b = random_pose(rng), random_pose(rng)
+    zero = Pose(np.zeros((NUM_KEYPOINTS, 2)))
+    negative_zero = Pose(-np.zeros((NUM_KEYPOINTS, 2)))
+    stacked = pose_rows(np.stack([a.keypoints, b.keypoints, a.keypoints]))
+    return {
+        "one-object-repeated": [a, a, b, a, b, b],
+        "equal-bytes-objects": [a, Pose(a.keypoints.copy()), b,
+                                Pose(b.keypoints.tolist()), a],
+        "signed-zeros": [zero, negative_zero, negative_zero, zero],
+        "stack-rows": stacked + [a, stacked[1]],
+        "empty": [],
+    }
+
+
+class TestDistinctPoses:
+    @pytest.mark.parametrize("name", list(_distinct_cases()))
+    def test_matches_the_bytes_only_reference(self, name):
+        poses = _distinct_cases()[name]
+        keypoints, index = distinct_poses(poses)
+        want_keypoints, want_index = bytes_only_distinct(poses)
+        assert keypoints.shape == want_keypoints.shape
+        assert keypoints.tobytes() == want_keypoints.tobytes()
+        assert index.dtype == np.intp
+        assert index.tolist() == want_index.tolist()
+
+    def test_signed_zeros_stay_distinct_rows(self):
+        poses = _distinct_cases()["signed-zeros"]
+        keypoints, index = distinct_poses(poses)
+        assert index.tolist() == [0, 1, 1, 0]
+        assert not np.signbit(keypoints[0]).any()
+        assert np.signbit(keypoints[1]).all()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
