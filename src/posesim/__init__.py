@@ -52,6 +52,7 @@ from posesim.skeleton import (
     normalize_pose,
 )
 from posesim.training import (
+    PairTable,
     PosePair,
     TrainConfig,
     TrainHistory,
@@ -73,6 +74,7 @@ __all__ = [
     "NormalizedPose",
     "PairEntry",
     "PairFile",
+    "PairTable",
     "Pose",
     "PoseRecord",
     "PosePair",

@@ -19,9 +19,9 @@ import numpy as np
 from posesim.network import (any_finite, check_count, check_seed, checked_float,
                              nonnegative, read_document, write_document)
 from posesim.scoring import check_csv_ids
-from posesim.skeleton import (KEYPOINT_NAMES, NUM_KEYPOINTS, Pose, admitted,
-                              number_array, pose_rows)
-from posesim.training import PosePair, checked_label
+from posesim.skeleton import (KEYPOINT_NAMES, NUM_KEYPOINTS, Pose, admits_stack,
+                              admitted, number_array)
+from posesim.training import PairTable, PosePair, checked_label
 
 FILE_VERSION = 1
 
@@ -108,21 +108,20 @@ class PoseRecord:
     quality_score: float | None = None
 
     def __post_init__(self):
-        fields = _checked_record(self.id, self.pose, self.confidences,
-                                 self.category, self.quality_score)
+        fields = _checked_record(self.id, self.confidences, self.category,
+                                 self.quality_score)
+        if not isinstance(self.pose, Pose):
+            raise TypeError(f"pose must be a Pose, got {type(self.pose).__name__}")
         for name in ("confidences", "quality_score"):
             object.__setattr__(self, name, fields[name])
 
 
-def _checked_record(rec_id, pose, confidences, category,
-                    quality_score) -> dict:
-    """PoseRecord's fields, by its rule; confidences become a tuple of
-    floats and quality_score a float."""
+def _checked_record(rec_id, confidences, category, quality_score) -> dict:
+    """PoseRecord's fields but its pose, by its rule; confidences become a
+    tuple of floats and quality_score a float."""
     if not isinstance(rec_id, str) or not rec_id:
         raise ValueError(f"record id must be a nonempty string, got {rec_id!r}")
     check_csv_ids((rec_id,), "record id")
-    if not isinstance(pose, Pose):
-        raise TypeError(f"pose must be a Pose, got {type(pose).__name__}")
     if confidences is not None:
         conf = tuple(confidences)
         if len(conf) != NUM_KEYPOINTS:
@@ -135,8 +134,8 @@ def _checked_record(rec_id, pose, confidences, category,
     if quality_score is not None:
         quality_score = checked_float(quality_score, any_finite,
                                       "quality_score must be a finite number")
-    return {"id": rec_id, "pose": pose, "confidences": confidences,
-            "category": category, "quality_score": quality_score}
+    return {"id": rec_id, "confidences": confidences, "category": category,
+            "quality_score": quality_score}
 
 
 def _checked_magnitude(a, b, y, magnitude) -> float | None:
@@ -199,12 +198,15 @@ def parse_pose_file(data: bytes) -> list[PoseRecord]:
     which each record's Pose holds a read-only row; if the stack fails,
     each record's own Pose check names the faulty record.
     """
-    return [admitted(PoseRecord, fields) for fields in _record_fields(data)]
+    stack, records = _record_fields(data)
+    return [admitted(PoseRecord, {**fields, "pose": admitted(Pose, {"keypoints": kp})})
+            for fields, kp in zip(records, stack)]
 
 
-def _record_fields(data: bytes) -> list[dict]:
-    """The checked fields of each record of a pose file, in file order:
-    parse_pose_file short of building the records."""
+def _record_fields(data: bytes) -> tuple[np.ndarray, list[dict]]:
+    """A pose file's read-only (n, 15, 2) keypoint stack and the other
+    checked fields of each record, in file order: parse_pose_file short of
+    building the records and their Poses."""
     doc = read_document(data, "pose file", FILE_VERSION)
     if doc.get("keypoint_order") != list(KEYPOINT_NAMES):
         raise ValueError("pose file keypoint_order does not match the "
@@ -217,9 +219,10 @@ def _record_fields(data: bytes) -> list[dict]:
     try:
         keypoints = number_array(keypoints, (len(keypoints), NUM_KEYPOINTS, 2),
                                  "keypoints")
-        poses = pose_rows(keypoints)
+        keypoints.setflags(write=False)
+        stacked = admits_stack(keypoints)
     except ValueError:
-        poses = None
+        stacked = False
     records = []
     seen = set()
     for i, raw in enumerate(raw_records):
@@ -232,20 +235,21 @@ def _record_fields(data: bytes) -> list[dict]:
             raise ValueError(f"duplicate record id {rec_id!r}")
         seen.add(rec_id)
         try:
-            fields = _checked_record(
-                rec_id, Pose(keypoints[i]) if poses is None else poses[i],
-                raw.get("confidences"), raw.get("category"),
-                raw.get("quality_score"))
+            if not stacked:
+                Pose(keypoints[i])  # its exact checks name the faulty record
+            fields = _checked_record(rec_id, raw.get("confidences"),
+                                     raw.get("category"), raw.get("quality_score"))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"record {rec_id!r}: {exc}") from exc
         records.append(fields)
-    return records
+    # every record passed its Pose check, so the keypoints converted, if any
+    return np.reshape(keypoints, (-1, NUM_KEYPOINTS, 2)), records
 
 
 def write_pose_file(records) -> bytes:
     """Canonical pose-file serialization: sorted keys, full-precision floats,
-    optional fields omitted when absent. parse(write(r)) == r and the bytes
-    are identical across runs."""
+    optional fields omitted when absent. parse(write(r)) == r, each Pose
+    comparing by its keypoint bytes, and the bytes are identical across runs."""
     seen = set()
     out = []
     for rec in records:
@@ -311,25 +315,26 @@ def build_pose_pairs(records, entries):
     Each pair holds its records' own Pose objects. An entry that is not a
     PairEntry is made one first, which checks its fields.
     """
-    entries = (e if type(e) is PairEntry
-               else PairEntry(e.a, e.b, e.y, e.magnitude) for e in entries)
-    return _join({rec.id: rec.pose for rec in records},
-                 ((e.a, e.b, e.y, e.magnitude) for e in entries))
+    rows = [(e.a, e.b, e.y, e.magnitude) for e in (
+        e if type(e) is PairEntry else PairEntry(e.a, e.b, e.y, e.magnitude)
+        for e in entries)]
+    poses = [rec.pose for rec in records]
+    twins, ids = _join({rec.id: i for i, rec in enumerate(records)}, rows)
+    return [admitted(PosePair, {"pose_a": poses[a], "pose_b": poses[b],
+                                "label_y": y, "magnitude": magnitude})
+            for (a, b), (_, _, y, magnitude) in zip(twins, rows)], ids
 
 
-def _join(poses: dict, rows):
-    """build_pose_pairs on a dict of poses by id and (a, b, y, magnitude)
-    rows that passed PairEntry's rule, so each pair takes its label and
-    magnitude without a second check."""
-    pairs, ids = [], []
-    for a, b, y, magnitude in rows:
+def _join(rows: dict, pairs: list):
+    """The twins, (row of a, row of b), and the ids "a:b" of (a, b, y,
+    magnitude) pairs that passed PairEntry's rule, given the row of each
+    pose id."""
+    for a, b, _, _ in pairs:
         for ref in (a, b):
-            if ref not in poses:
+            if ref not in rows:
                 raise ValueError(f"pair references unknown pose id {ref!r}")
-        pairs.append(admitted(PosePair, {"pose_a": poses[a], "pose_b": poses[b],
-                                         "label_y": y, "magnitude": magnitude}))
-        ids.append(f"{a}:{b}")
-    return pairs, ids
+    return ([(rows[a], rows[b]) for a, b, _, _ in pairs],
+            [f"{a}:{b}" for a, b, _, _ in pairs])
 
 
 def _rotate_subtree(points: np.ndarray, joint: int, parent: int,
@@ -433,11 +438,16 @@ def split_corpus(items, train_fraction: float, seed: int = 0):
 def load_corpus(pair_path):
     """Read a pair file, resolve its pose file, and join them.
 
-    Returns (pairs, pair_ids), as build_pose_pairs on the two parsed files
-    would, without building their entries and records. The 'poses'
-    reference is taken relative to the pair file's directory.
+    Returns (PairTable, pair_ids), the pairs of build_pose_pairs on the two
+    parsed files, building no record, entry, Pose or PosePair: the table
+    holds the rows of the pose file's admitted stack that a pair uses. The
+    'poses' reference is taken relative to the pair file's directory.
     """
     pair_path = Path(pair_path)
     pose_file, rows = _pair_rows(pair_path.read_bytes())
-    records = _record_fields((pair_path.parent / pose_file).read_bytes())
-    return _join({rec["id"]: rec["pose"] for rec in records}, rows)
+    stack, records = _record_fields((pair_path.parent / pose_file).read_bytes())
+    twins, ids = _join({rec["id"]: i for i, rec in enumerate(records)}, rows)
+    used, twins = np.unique(np.array(twins, dtype=np.intp), return_inverse=True)
+    return PairTable(stack[used], twins.reshape(-1, 2),
+                     np.array([y for _, _, y, _ in rows], dtype=np.intp),
+                     tuple(magnitude for *_, magnitude in rows)), ids

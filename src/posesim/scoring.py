@@ -20,10 +20,10 @@ import numpy as np
 from posesim.network import (MLP_WIDTHS, EmbeddingModel, _run_layers,
                              _variant_layers, checked_float, nonnegative,
                              positive)
-from posesim.skeleton import TWO, ZERO, Pose, distinct_poses, normalize_stack
-from posesim.training import cosine_distances
+from posesim.skeleton import TWO, ZERO, Pose, normalize_stack
+from posesim.training import cosine_distances, pair_table
 
-# Distinct poses evaluate() embeds per call; the chunk bounds the memory its
+# Table rows evaluate() embeds per call; the chunk bounds the memory its
 # intermediates take on a large corpus.
 EVAL_CHUNK = 256
 
@@ -149,8 +149,8 @@ class EvalReport:
 
 def evaluate(model: EmbeddingModel, topo: np.ndarray | None, pairs,
              variant: str = "gcn", pair_ids=None) -> EvalReport:
-    """Score every pair with the default ScoreParams and aggregate ranking
-    quality.
+    """Score every pair, of a PairTable or PosePairs (see pair_table), with
+    the default ScoreParams and aggregate ranking quality.
 
     spearman_rho correlates predicted score with negated ground-truth
     magnitude over the magnitude-bearing pairs (larger perturbation must
@@ -158,40 +158,30 @@ def evaluate(model: EmbeddingModel, topo: np.ndarray | None, pairs,
     (nan when a label is absent). pair_ids defaults to the pair index; no
     id may hold a comma, a double quote or a line break (check_csv_ids).
 
-    Each distinct pose is normalized and embedded once, EVAL_CHUNK poses per
-    stacked call, with no backward cache kept; every row equals score_pair
-    on that pair bit for bit.
+    Each table row is normalized and embedded once, EVAL_CHUNK rows per
+    stacked call, with no backward cache kept; every report row equals
+    score_pair on that pair bit for bit.
     """
     layers = _variant_layers(model, variant)
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("pairs must be nonempty")
-    if pair_ids is None:
-        pair_ids = [str(i) for i in range(len(pairs))]
-    else:
-        pair_ids = list(map(str, pair_ids))
-        if len(pair_ids) != len(pairs):
-            raise ValueError(f"{len(pairs)} pairs but {len(pair_ids)} pair_ids")
-        check_csv_ids(pair_ids, "pair_id")
-    keypoints, index = distinct_poses(
-        [pose for pair in pairs for pose in (pair.pose_a, pair.pose_b)])
-    emb = np.empty((len(keypoints), MLP_WIDTHS[-1]))
-    for start in range(0, len(keypoints), EVAL_CHUNK):
+    table = pair_table(pairs)
+    pair_ids = list(map(str, range(len(table)) if pair_ids is None else pair_ids))
+    if len(pair_ids) != len(table):
+        raise ValueError(f"{len(table)} pairs but {len(pair_ids)} pair_ids")
+    check_csv_ids(pair_ids, "pair_id")
+    emb = np.empty((len(table.keypoints), MLP_WIDTHS[-1]))
+    for start in range(0, len(table.keypoints), EVAL_CHUNK):
         part = slice(start, start + EVAL_CHUNK)
-        emb[part] = _run_layers(layers, topo, normalize_stack(keypoints[part]))
-    dist_array = _clipped_distances(emb[index])
+        emb[part] = _run_layers(layers, topo, normalize_stack(table.keypoints[part]))
+    dist_array = _clipped_distances(emb[table.twins.reshape(-1)])
     dists = dist_array.tolist()
     scores = list(map(similarity_score, dists))
-    labels = [pair.label_y for pair in pairs]
-    magnitudes = [pair.magnitude for pair in pairs]
-    rows = tuple(map(EvalRow._make,
-                     zip(pair_ids, dists, scores, labels, magnitudes)))
+    rows = tuple(map(EvalRow._make, zip(pair_ids, dists, scores,
+                                        table.labels.tolist(), table.magnitudes)))
     # the masks keep each label's distances in row order, so the means
     # take the same values in the same order as lists of the rows would
-    label_array = np.array(labels)
-    pos = dist_array[label_array == 1]
-    neg = dist_array[label_array == 0]
-    graded = [(s, m) for s, m in zip(scores, magnitudes) if m is not None]
+    pos = dist_array[table.labels == 1]
+    neg = dist_array[table.labels == 0]
+    graded = [(s, m) for s, m in zip(scores, table.magnitudes) if m is not None]
     rho = None
     if len(graded) >= 2:
         try:

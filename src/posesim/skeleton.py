@@ -148,12 +148,13 @@ def _validated_coords(values, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pose:
     """A single 2D pose: 15 keypoints in pixel coordinates, indexed as above.
 
     Coordinates must be finite, and so must each axis's extent (max - min),
-    which normalization divides by.
+    which normalization divides by. Two poses are equal, and hash alike,
+    when their keypoints have the same bytes, so -0.0 and +0.0 differ.
     """
 
     keypoints: np.ndarray
@@ -162,26 +163,24 @@ class Pose:
         kp = _validated_coords(self.keypoints, "keypoints")
         object.__setattr__(self, "keypoints", kp)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.keypoints.tobytes() == other.keypoints.tobytes()
 
-def pose_rows(stack: np.ndarray) -> list[Pose] | None:
-    """A Pose for each row of stack, or None if one check cannot admit all.
+    def __hash__(self):
+        return hash(self.keypoints.tobytes())
 
-    stack is a new (n, 15, 2) float64 array of number_array's that no one
-    else holds. The check is the first of _validated_coords, pose by pose:
-    a finite sum of squares keeps every coordinate and extent finite. The
-    stack then becomes read-only and each Pose holds a view of its row, so
-    no keypoint is copied or checked again. On None, the caller builds each
-    Pose itself, whose exact checks name the faulty pose.
-    """
+
+def admits_stack(stack: np.ndarray) -> bool:
+    """Whether every pose of stack, a (n, 15, 2) float64 array, passes the
+    first check of _validated_coords; on False each needs the exact checks."""
     flat = stack.reshape(len(stack), -1)
     # Per pose, not one vdot of the whole stack: OpenBLAS hands a dot that
     # long to its threads, which then spin and slow the work that follows.
     # vecdot, unlike vdot, warns on the overflow that sends a stack back.
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.vecdot(flat, flat).max(initial=0.0) < math.inf:
-            return None
-    stack.setflags(write=False)
-    return [admitted(Pose, {"keypoints": row}) for row in stack]
+        return bool(np.vecdot(flat, flat).max(initial=0.0) < math.inf)
 
 
 @dataclass(frozen=True)
@@ -221,30 +220,6 @@ def build_skeleton_topology() -> np.ndarray:
     a_norm = np.outer(inv_sqrt, inv_sqrt) * c_hat
     a_norm.flags.writeable = False
     return a_norm
-
-
-def distinct_poses(poses) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the distinct keypoint arrays among poses, in first-seen order.
-
-    Returns (keypoints, index): keypoints has shape (u, 15, 2) and
-    poses[i].keypoints equals keypoints[index[i]] bit for bit, so any
-    per-pose result computed on the stack can be gathered back by index.
-    """
-    # Each pose object's bytes are read once, however often it repeats: the
-    # objects go by identity, and the list keeps every one alive, so no id
-    # is reused
-    poses = list(poses)
-    ids = list(map(id, poses))
-    rows: dict[bytes, int] = {}
-    row_of: dict[int, int] = {}
-    stack = []
-    for key, pose in dict(zip(ids, poses)).items():  # in first-seen order
-        row = row_of[key] = rows.setdefault(pose.keypoints.tobytes(), len(stack))
-        if row == len(stack):
-            stack.append(pose.keypoints)
-    index = np.fromiter(map(row_of.__getitem__, ids), dtype=np.intp,
-                        count=len(ids))
-    return np.array(stack).reshape(-1, NUM_KEYPOINTS, 2), index
 
 
 def normalize_stack(keypoints) -> np.ndarray:

@@ -48,7 +48,6 @@ from posesim.skeleton import (
     ONE,
     Pose,
     build_skeleton_topology,
-    distinct_poses,
     normalize_stack,
     number_array,
     scalar_operand,
@@ -108,6 +107,44 @@ class PosePair:
     def __post_init__(self):
         object.__setattr__(self, "magnitude",
                            checked_label(self.label_y, self.magnitude))
+
+
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """Labelled pose pairs as columns, the form train and evaluate read:
+    pair k joins rows twins[k] of the (n, 15, 2) keypoint stack under
+    labels[k] and magnitudes[k], by PosePair's rule. The arrays are made
+    read-only; nothing checks a table's values again."""
+
+    keypoints: np.ndarray
+    twins: np.ndarray  # (m, 2) intp
+    labels: np.ndarray
+    magnitudes: tuple
+
+    def __post_init__(self):
+        for arr in (self.keypoints, self.twins, self.labels):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.twins)
+
+
+def pair_table(pairs) -> PairTable:
+    """pairs, a PairTable or PosePairs, as a nonempty table; PosePairs take
+    their distinct poses, by Pose equality, as rows in first-seen order."""
+    if not isinstance(pairs, PairTable):
+        pairs = list(pairs)
+        rows: dict[Pose, int] = {}
+        twins = [rows.setdefault(pose, len(rows))
+                 for pair in pairs for pose in (pair.pose_a, pair.pose_b)]
+        pairs = PairTable(
+            np.reshape([pose.keypoints for pose in rows], (-1, NUM_KEYPOINTS, 2)),
+            np.array(twins, dtype=np.intp).reshape(-1, 2),
+            np.array([pair.label_y for pair in pairs], dtype=np.intp),
+            tuple(pair.magnitude for pair in pairs))
+    if not len(pairs):
+        raise ValueError("pairs must be nonempty")
+    return pairs
 
 
 _margin_range = lambda m: 0 < m <= 2  # checked_float's range of margin_m
@@ -405,42 +442,37 @@ def adam_step(model: EmbeddingModel, grads, state: AdamState,
 
 def train(model: EmbeddingModel, topo: np.ndarray, pairs,
           cfg: TrainConfig = TrainConfig(), variant: str = "gcn"):
-    """Fit the model in place on labelled pairs; returns (model, TrainHistory).
+    """Fit the model in place on labelled pairs, a PairTable or PosePairs
+    (see pair_table); returns (model, TrainHistory).
 
     Per epoch: shuffle with the run-level seeded generator, split into
     batches of cfg.batch_size keeping the final short batch, accumulate
     per-pair gradients in shuffled index order, take their mean, then take
     one Adam step per batch. Fully determined by (model, pairs order, cfg).
 
-    Each distinct pose is normalized once per call and embedded once per
+    Each table row is normalized once per call and embedded once per
     batch, only pairs with a nonzero slope are backpropagated, and each Adam
     step is one elementwise pass over the flat theta and moments. The result
     is bit-identical to looping pair_backward over each batch in shuffled
     order and calling adam_step (see _BatchGradient).
     """
     check_variant(variant)
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("pairs must be nonempty")
-    keypoints, index = distinct_poses(
-        [pose for pair in pairs for pose in (pair.pose_a, pair.pose_b)])
-    features = normalize_stack(keypoints)
-    twins = index.reshape(-1, 2)
-    labels = np.array([pair.label_y for pair in pairs])
+    table = pair_table(pairs)
+    features = normalize_stack(table.keypoints)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     theta, state = model.theta, init_adam_state(model)
     batch_grad = _BatchGradient(model)
     history = TrainHistory()
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(pairs))
+        order = rng.permutation(len(table))
         losses, dists = [], []
         # a diverging run overflows silently here and is stopped below
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
                 loss, d = batch_grad.compute(
-                    model, topo, features, twins[batch].reshape(-1),
-                    labels[batch], cfg.margin_m, variant)
+                    model, topo, features, table.twins[batch].reshape(-1),
+                    table.labels[batch], cfg.margin_m, variant)
                 losses.append(loss)
                 dists.append(d)
                 # multiply by the reciprocal: a division would round
@@ -451,7 +483,7 @@ def train(model: EmbeddingModel, topo: np.ndarray, pairs,
             raise ValueError(f"training diverged in epoch {epoch}: the "
                              f"parameters are no longer finite")
         dists = np.concatenate(dists)
-        visited = labels[order]
+        visited = table.labels[order]
         pos_d, neg_d = dists[visited == 1], dists[visited == 0]
         history.mean_loss.append(float(np.mean(np.concatenate(losses))))
         history.mean_pos_dist.append(float(np.mean(pos_d)) if pos_d.size else float("nan"))

@@ -1,5 +1,7 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,11 @@ from posesim.corpus import (
     write_pair_file,
     write_pose_file,
 )
-from posesim.skeleton import KEYPOINT_NAMES, NUM_KEYPOINTS, SKELETON_EDGES, Pose
+from posesim.network import init_model, save_checkpoint
+from posesim.scoring import evaluate, report_csv, report_summary_csv
+from posesim.skeleton import (KEYPOINT_NAMES, NUM_KEYPOINTS, SKELETON_EDGES, Pose,
+                              build_skeleton_topology)
+from posesim.training import TrainConfig, history_csv, train
 
 
 def random_record(rng, rec_id, **kw):
@@ -150,6 +156,30 @@ class TestPairEntry:
             PairEntry(a="", b="y", y=0)
 
 
+@st.composite
+def pose_records(draw):
+    """1-4 records whose coordinates include +-0.0 and 1e300, with and
+    without each optional field; ints where a float field takes one."""
+    coords = st.sampled_from([0.0, -0.0, 1.5, -2.0, 1e300]) | st.floats(-1e6, 1e6)
+    records = []
+    for i in range(draw(st.integers(1, 4))):
+        kp = draw(st.lists(coords, min_size=2 * NUM_KEYPOINTS,
+                           max_size=2 * NUM_KEYPOINTS))
+        fields = {}
+        if draw(st.booleans()):
+            fields["confidences"] = draw(st.lists(
+                st.floats(0.0, 1.0) | st.integers(0, 1),
+                min_size=NUM_KEYPOINTS, max_size=NUM_KEYPOINTS))
+        if draw(st.booleans()):
+            fields["category"] = draw(st.text(max_size=4))
+        if draw(st.booleans()):
+            fields["quality_score"] = draw(
+                st.floats(allow_nan=False, allow_infinity=False) | st.integers(-3, 3))
+        records.append(PoseRecord(id=f"r{i}", pose=Pose(np.reshape(kp, (-1, 2))),
+                                  **fields))
+    return records
+
+
 class TestPoseFileRoundTrip:
     def test_write_then_parse_identity(self):
         rng = np.random.Generator(np.random.PCG64(7))
@@ -191,6 +221,20 @@ class TestPoseFileRoundTrip:
         rec = PoseRecord(id="dup", pose=ZERO_POSE)
         with pytest.raises(ValueError, match="duplicate record id 'dup'"):
             write_pose_file([rec, rec])
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=pose_records())
+    def test_parse_inverts_write(self, records):
+        # 1e300 sends a stack to each record's exact checks
+        back = parse_pose_file(write_pose_file(records))
+        assert back == records
+        assert list(map(hash, back)) == list(map(hash, records))
+
+    def test_signed_zeros_stay_apart(self):
+        negative = PoseRecord(id="z", pose=Pose(-np.zeros((NUM_KEYPOINTS, 2))))
+        back = parse_pose_file(write_pose_file([negative]))
+        assert back == [negative]
+        assert back != [PoseRecord(id="z", pose=ZERO_POSE)]
 
 
 class TestPoseFileErrors:
@@ -640,19 +684,95 @@ class TestSplitCorpus:
         assert sorted(train + held) == sorted(items)
 
 
+def write_corpus(directory, records, entries):
+    (directory / "poses.json").write_bytes(write_pose_file(records))
+    (directory / "pairs.json").write_bytes(write_pair_file(
+        PairFile(poses="poses.json", entries=tuple(entries))))
+    return directory / "pairs.json"
+
+
+def assert_same_pairs(table, pairs):
+    """table holds pairs' columns, each pose at a row of its own bytes, and
+    no row that no pair references."""
+    assert len(table) == len(pairs)
+    assert table.twins.dtype == np.intp
+    for (a, b), pair in zip(table.twins.tolist(), pairs):
+        assert table.keypoints[a].tobytes() == pair.pose_a.keypoints.tobytes()
+        assert table.keypoints[b].tobytes() == pair.pose_b.keypoints.tobytes()
+    assert sorted(set(table.twins.reshape(-1).tolist())) == list(range(len(table.keypoints)))
+    assert table.labels.tolist() == [pair.label_y for pair in pairs]
+    assert table.magnitudes == tuple(pair.magnitude for pair in pairs)
+    assert not table.keypoints.flags.writeable
+
+
+def twinned_corpus(seed, templates, per_template):
+    """A generated corpus plus the cases a table keeps apart from a list of
+    PosePairs: a second id with another record's bytes, a -0.0 twin of a
+    record with +0.0 coordinates, an unreferenced record and a repeated
+    pair. Returns (records, entries)."""
+    records, entries = generate_corpus_files(SynthConfig(
+        template_count=templates, pairs_per_template=per_template, seed=seed))
+    # t00 is the standing template, whose pelvis, neck and head sit at x = 0.0
+    standing = records[0].pose.keypoints
+    flipped = np.where(standing == 0.0, -0.0, standing)
+    assert np.signbit(flipped).any()
+    records += [PoseRecord(id="same_bytes", pose=Pose(records[-1].pose.keypoints.copy())),
+                PoseRecord(id="negative_zero", pose=Pose(flipped)),
+                PoseRecord(id="unused", pose=Pose(standing + 1.0))]
+    entries += [PairEntry(a="same_bytes", b=records[1].id, y=1, magnitude=0.0),
+                PairEntry(a="negative_zero", b="t00", y=1, magnitude=0.0),
+                PairEntry(a="negative_zero", b=records[-4].id, y=0),
+                entries[0]]
+    return records, entries
+
+
 class TestLoadCorpus:
     def test_end_to_end_files(self, tmp_path):
         cfg = SynthConfig(pairs_per_template=2, seed=21)
         records, entries = generate_corpus_files(cfg)
-        (tmp_path / "poses.json").write_bytes(write_pose_file(records))
-        pf = PairFile(poses="poses.json", entries=tuple(entries))
-        (tmp_path / "pairs.json").write_bytes(write_pair_file(pf))
-        pairs, ids = load_corpus(tmp_path / "pairs.json")
-        direct_pairs, direct_ids = build_pose_pairs(records, entries)
+        table, ids = load_corpus(write_corpus(tmp_path, records, entries))
+        pairs, direct_ids = build_pose_pairs(records, entries)
         assert ids == direct_ids
-        assert len(pairs) == len(direct_pairs)
-        for got, want in zip(pairs, direct_pairs):
-            np.testing.assert_array_equal(got.pose_a.keypoints, want.pose_a.keypoints)
-            np.testing.assert_array_equal(got.pose_b.keypoints, want.pose_b.keypoints)
-            assert got.label_y == want.label_y
-            assert got.magnitude == want.magnitude
+        assert_same_pairs(table, pairs)
+
+    def test_stack_that_takes_the_exact_checks(self, tmp_path):
+        # each pose's sum of squares overflows at 1e200, so every record
+        # takes its own exact checks; the table holds the same rows
+        records, entries = generate_corpus_files(SynthConfig(
+            pairs_per_template=1, seed=4))
+        records = [PoseRecord(id=r.id, pose=Pose(r.pose.keypoints * 1e200))
+                   for r in records]
+        table, ids = load_corpus(write_corpus(tmp_path, records, entries))
+        pairs, direct_ids = build_pose_pairs(records, entries)
+        assert ids == direct_ids
+        assert_same_pairs(table, pairs)
+
+    def test_twins_and_unreferenced_records(self, tmp_path):
+        records, entries = twinned_corpus(3, 2, 1)
+        table, _ = load_corpus(write_corpus(tmp_path, records, entries))
+        pairs, _ = build_pose_pairs(records, entries)
+        assert_same_pairs(table, pairs)
+        # the file's rows, not the distinct bytes: same_bytes keeps a row
+        assert len(table.keypoints) == len(records) - 1
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), templates=st.integers(2, 3),
+           per_template=st.integers(1, 3), init_seed=st.integers(0, 2 ** 16),
+           variant=st.sampled_from(["gcn", "mlp"]))
+    def test_table_and_pose_pairs_give_the_same_bytes(
+            self, seed, templates, per_template, init_seed, variant):
+        records, entries = twinned_corpus(seed, templates, per_template)
+        with tempfile.TemporaryDirectory() as tmp:
+            table, ids = load_corpus(write_corpus(Path(tmp), records, entries))
+        pairs, direct_ids = build_pose_pairs(records, entries)
+        assert ids == direct_ids
+        topo = build_skeleton_topology()
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=seed)
+        outputs = []
+        for corpus in (table, pairs):
+            model, history = train(init_model(h=2, seed=init_seed), topo, corpus,
+                                   cfg, variant=variant)
+            report = evaluate(model, topo, corpus, variant=variant, pair_ids=ids)
+            outputs.append((save_checkpoint(model), history_csv(history),
+                            report_csv(report), report_summary_csv(report)))
+        assert outputs[0] == outputs[1]

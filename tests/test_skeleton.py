@@ -11,11 +11,9 @@ from posesim.skeleton import (
     NormalizedPose,
     Pose,
     build_skeleton_topology,
-    distinct_poses,
     normalize_pose,
     normalize_stack,
     number_array,
-    pose_rows,
 )
 
 
@@ -247,52 +245,6 @@ class TestNumberArrayFlatPath:
         assert convert(values) == convert(tuple(values))
 
 
-def bytes_only_distinct(poses):
-    """distinct_poses as a loop that keys every pose on its bytes alone."""
-    rows, stack, index = {}, [], []
-    for pose in poses:
-        row = rows.setdefault(pose.keypoints.tobytes(), len(stack))
-        if row == len(stack):
-            stack.append(pose.keypoints)
-        index.append(row)
-    return np.array(stack).reshape(-1, NUM_KEYPOINTS, 2), np.array(index)
-
-
-def _distinct_cases():
-    rng = np.random.default_rng(8)
-    a, b = random_pose(rng), random_pose(rng)
-    zero = Pose(np.zeros((NUM_KEYPOINTS, 2)))
-    negative_zero = Pose(-np.zeros((NUM_KEYPOINTS, 2)))
-    stacked = pose_rows(np.stack([a.keypoints, b.keypoints, a.keypoints]))
-    return {
-        "one-object-repeated": [a, a, b, a, b, b],
-        "equal-bytes-objects": [a, Pose(a.keypoints.copy()), b,
-                                Pose(b.keypoints.tolist()), a],
-        "signed-zeros": [zero, negative_zero, negative_zero, zero],
-        "stack-rows": stacked + [a, stacked[1]],
-        "empty": [],
-    }
-
-
-class TestDistinctPoses:
-    @pytest.mark.parametrize("name", list(_distinct_cases()))
-    def test_matches_the_bytes_only_reference(self, name):
-        poses = _distinct_cases()[name]
-        keypoints, index = distinct_poses(poses)
-        want_keypoints, want_index = bytes_only_distinct(poses)
-        assert keypoints.shape == want_keypoints.shape
-        assert keypoints.tobytes() == want_keypoints.tobytes()
-        assert index.dtype == np.intp
-        assert index.tolist() == want_index.tolist()
-
-    def test_signed_zeros_stay_distinct_rows(self):
-        poses = _distinct_cases()["signed-zeros"]
-        keypoints, index = distinct_poses(poses)
-        assert index.tolist() == [0, 1, 1, 0]
-        assert not np.signbit(keypoints[0]).any()
-        assert np.signbit(keypoints[1]).all()
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestExtentOverflow:
     """Finite keypoints whose extent overflows float64 are rejected at Pose,
@@ -417,3 +369,33 @@ class TestPoseAdmission:
             with pytest.raises(ValueError) as info:
                 Pose(kp)
             assert str(info.value) == expected
+
+
+class TestPoseEquality:
+    """Poses compare and hash by their keypoint bytes, which PoseRecord,
+    PosePair and pair_table's rows rely on."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=poses_of(SIGNED_ZEROS), b=poses_of(SIGNED_ZEROS))
+    @example(a=column_pose(0.0, 1.0), b=column_pose(-0.0, 1.0))
+    @example(a=column_pose(1.0, 5e-324), b=column_pose(1.0, 5e-324))
+    def test_equal_exactly_when_the_bytes_are(self, a, b):
+        pa, pb = Pose(a), Pose(b)
+        same = a.tobytes() == b.tobytes()
+        assert (pa == pb) is same and (pa != pb) is not same
+        if same:
+            assert hash(pa) == hash(pb)
+        twin = Pose(a.tolist())
+        assert twin == pa and twin is not pa and hash(twin) == hash(pa)
+
+    def test_signed_zeros_differ(self):
+        zero = Pose(np.zeros((NUM_KEYPOINTS, 2)))
+        negative_zero = Pose(-np.zeros((NUM_KEYPOINTS, 2)))
+        assert zero != negative_zero
+        assert {zero, negative_zero, Pose(np.zeros((NUM_KEYPOINTS, 2)))} == {
+            zero, negative_zero}
+
+    def test_other_types_are_unequal(self):
+        pose = Pose(np.zeros((NUM_KEYPOINTS, 2)))
+        assert pose != "pose"
+        assert pose != NormalizedPose(np.zeros((NUM_KEYPOINTS, 2)))

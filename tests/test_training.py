@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posesim.corpus import SynthConfig, split_corpus
+from posesim.corpus import (PoseRecord, SynthConfig, parse_pose_file,
+                            split_corpus, write_pose_file)
 from posesim.network import (
     AffineLayer,
     ArchMeta,
@@ -25,6 +26,7 @@ from posesim.training import (
     ADAM_BETA2,
     ADAM_EPSILON,
     AdamState,
+    PairTable,
     PosePair,
     TrainConfig,
     TrainHistory,
@@ -37,6 +39,7 @@ from posesim.training import (
     history_csv,
     init_adam_state,
     pair_backward,
+    pair_table,
     random_check_instance,
     train,
 )
@@ -605,3 +608,76 @@ class TestConfigAndPairValidation:
         np.testing.assert_array_equal(p1.pose_a.keypoints, p2.pose_a.keypoints)
         assert random_check_instance(10)[1].label_y == 0
         assert random_check_instance(11)[1].label_y == 1
+
+
+def bytes_only_table(pairs):
+    """pair_table's keypoints and twins as a loop that keys every pose on
+    its bytes alone."""
+    rows, stack, twins = {}, [], []
+    for pair in pairs:
+        for pose in (pair.pose_a, pair.pose_b):
+            row = rows.setdefault(pose.keypoints.tobytes(), len(stack))
+            if row == len(stack):
+                stack.append(pose.keypoints)
+            twins.append(row)
+    return (np.array(stack).reshape(-1, NUM_KEYPOINTS, 2),
+            np.array(twins).reshape(-1, 2))
+
+
+def _table_cases():
+    """Poses, read two at a time as pairs."""
+    rng = np.random.default_rng(8)
+    a = Pose(rng.uniform(0.0, 300.0, size=(NUM_KEYPOINTS, 2)))
+    b = Pose(rng.uniform(0.0, 300.0, size=(NUM_KEYPOINTS, 2)))
+    zero = Pose(np.zeros((NUM_KEYPOINTS, 2)))
+    negative_zero = Pose(-np.zeros((NUM_KEYPOINTS, 2)))
+    # rows of one admitted stack, as a parsed pose file holds them
+    stacked = [rec.pose for rec in parse_pose_file(write_pose_file(
+        [PoseRecord(id=f"r{i}", pose=pose) for i, pose in enumerate([a, b, a])]))]
+    return {
+        "one-object-repeated": [a, a, b, a, b, b],
+        "equal-bytes-objects": [a, Pose(a.keypoints.copy()), b,
+                                Pose(b.keypoints.tolist()), a, b],
+        "signed-zeros": [zero, negative_zero, negative_zero, zero],
+        "stack-rows": stacked + [a, stacked[1], b],
+    }
+
+
+def pairs_of(poses):
+    return [PosePair(poses[i], poses[i + 1], i // 2 % 2,
+                     magnitude=None if i % 3 else 0.25 * i)
+            for i in range(0, len(poses), 2)]
+
+
+class TestPairTable:
+    @pytest.mark.parametrize("name", list(_table_cases()))
+    def test_matches_the_bytes_only_reference(self, name):
+        pairs = pairs_of(_table_cases()[name])
+        table = pair_table(iter(pairs))
+        keypoints, twins = bytes_only_table(pairs)
+        assert table.keypoints.shape == keypoints.shape
+        assert table.keypoints.tobytes() == keypoints.tobytes()
+        assert table.twins.dtype == np.intp
+        assert table.twins.tolist() == twins.tolist()
+        assert table.labels.tolist() == [pair.label_y for pair in pairs]
+        assert table.magnitudes == tuple(pair.magnitude for pair in pairs)
+        assert len(table) == len(pairs)
+        for arr in (table.keypoints, table.twins, table.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 0
+        assert pair_table(table) is table
+
+    def test_signed_zeros_stay_distinct_rows(self):
+        table = pair_table(pairs_of(_table_cases()["signed-zeros"]))
+        assert table.twins.tolist() == [[0, 1], [1, 0]]
+        assert not np.signbit(table.keypoints[0]).any()
+        assert np.signbit(table.keypoints[1]).all()
+
+    @pytest.mark.parametrize("pairs", [
+        pytest.param([], id="no-pairs"),
+        pytest.param(PairTable(np.empty((0, NUM_KEYPOINTS, 2)),
+                               np.empty((0, 2), dtype=np.intp),
+                               np.empty(0, dtype=np.intp), ()), id="empty-table")])
+    def test_empty_input_is_rejected(self, pairs):
+        with pytest.raises(ValueError, match="pairs must be nonempty"):
+            pair_table(pairs)
