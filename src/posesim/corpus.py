@@ -1,7 +1,10 @@
 """Pose corpora: JSON file formats, synthetic generation, pairing, splitting.
 
-The pose file carries raw keypoints in pixel-like coordinates; the pair file
-references pose ids and stores a label plus an optional ground-truth
+The pose file carries raw keypoints in pixel-like coordinates. Its format 2,
+which write_pose_file writes, holds every record's keypoints in one base64
+block of little-endian float64s beside the records' other fields; format 1,
+which is still read, holds them as each record's nested lists. The pair
+file references pose ids and stores a label plus an optional ground-truth
 perturbation magnitude. The synthetic generator stands in for an upstream
 pose-estimation stage: it jitters hand-authored template skeletons by graded
 amounts for positive pairs and crosses distinct templates for negatives, all
@@ -10,6 +13,7 @@ deterministically from one seed.
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,9 +25,12 @@ from posesim.network import (any_finite, check_count, check_seed, checked_float,
 from posesim.scoring import check_csv_ids
 from posesim.skeleton import (KEYPOINT_NAMES, NUM_KEYPOINTS, Pose, admits_stack,
                               admitted, number_array)
-from posesim.training import PairTable, PosePair, checked_label
+from posesim.training import PosePair, _admitted_table, checked_label
 
-FILE_VERSION = 1
+FILE_VERSION = 1  # of a pair file, and of the pose file's first format
+POSE_FILE_VERSION = 2
+# bytes of one record's keypoints in a format 2 pose file
+_POSE_BYTES = NUM_KEYPOINTS * 2 * 8
 
 # Template skeletons in keypoint order (r_ankle, r_knee, r_hip, pelvis,
 # l_hip, l_knee, l_ankle, r_wrist, r_elbow, r_shoulder, neck, l_shoulder,
@@ -191,12 +198,14 @@ class SynthConfig:
 
 
 def parse_pose_file(data: bytes) -> list[PoseRecord]:
-    """Parse and validate a pose file; record order is preserved.
+    """Parse and validate a pose file of format 1 or 2; record order is
+    preserved.
 
-    Errors name the offending record wherever an id is available. The
-    keypoints of all records are converted and admitted as one stack, of
-    which each record's Pose holds a read-only row; if the stack fails,
-    each record's own Pose check names the faulty record.
+    Errors name the offending record wherever an id is available, and a
+    fault of format 2's keypoint block names its field. The keypoints of
+    all records are admitted as one stack, of which each record's Pose
+    holds a read-only row; if the stack fails, each record's own Pose
+    check names the faulty record.
     """
     stack, records = _record_fields(data)
     return [admitted(PoseRecord, {**fields, "pose": admitted(Pose, {"keypoints": kp})})
@@ -207,22 +216,27 @@ def _record_fields(data: bytes) -> tuple[np.ndarray, list[dict]]:
     """A pose file's read-only (n, 15, 2) keypoint stack and the other
     checked fields of each record, in file order: parse_pose_file short of
     building the records and their Poses."""
-    doc = read_document(data, "pose file", FILE_VERSION)
+    doc = read_document(data, "pose file", FILE_VERSION, POSE_FILE_VERSION)
     if doc.get("keypoint_order") != list(KEYPOINT_NAMES):
         raise ValueError("pose file keypoint_order does not match the "
                          "15-joint skeleton layout")
     raw_records = doc.get("records")
     if not isinstance(raw_records, list):
         raise ValueError("pose file must carry a 'records' array")
-    keypoints = [raw.get("keypoints") if isinstance(raw, dict) else None
-                 for raw in raw_records]
-    try:
-        keypoints = number_array(keypoints, (len(keypoints), NUM_KEYPOINTS, 2),
-                                 "keypoints")
-        keypoints.setflags(write=False)
+    blocked = doc["format_version"] == POSE_FILE_VERSION
+    if blocked:
+        keypoints = _keypoint_block(doc.get("keypoints"), len(raw_records))
         stacked = admits_stack(keypoints)
-    except ValueError:
-        stacked = False
+    else:
+        keypoints = [raw.get("keypoints") if isinstance(raw, dict) else None
+                     for raw in raw_records]
+        try:
+            keypoints = number_array(keypoints, (len(keypoints), NUM_KEYPOINTS, 2),
+                                     "keypoints")
+            keypoints.setflags(write=False)
+            stacked = admits_stack(keypoints)
+        except ValueError:
+            stacked = False
     records = []
     seen = set()
     for i, raw in enumerate(raw_records):
@@ -235,6 +249,9 @@ def _record_fields(data: bytes) -> tuple[np.ndarray, list[dict]]:
             raise ValueError(f"duplicate record id {rec_id!r}")
         seen.add(rec_id)
         try:
+            if blocked and "keypoints" in raw:
+                raise ValueError("keypoints belong in the file's 'keypoints' "
+                                 "block in format_version 2, not in a record")
             if not stacked:
                 Pose(keypoints[i])  # its exact checks name the faulty record
             fields = _checked_record(rec_id, raw.get("confidences"),
@@ -246,17 +263,42 @@ def _record_fields(data: bytes) -> tuple[np.ndarray, list[dict]]:
     return np.reshape(keypoints, (-1, NUM_KEYPOINTS, 2)), records
 
 
+def _keypoint_block(block, n: int) -> np.ndarray:
+    """The read-only (n, 15, 2) stack of a format 2 pose file's 'keypoints'
+    field, which holds n records' keypoints as little-endian float64s in C
+    order, base64-encoded with the standard alphabet and padding;
+    ValueError naming the field for anything else."""
+    if not isinstance(block, str):
+        raise ValueError(f"pose file 'keypoints' must be a base64 string, "
+                         f"got {type(block).__name__}")
+    try:
+        raw = base64.b64decode(block, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"pose file 'keypoints' is not valid base64 "
+                         f"({exc})") from exc
+    if len(raw) != n * _POSE_BYTES:
+        raise ValueError(f"pose file 'keypoints' holds {len(raw)} bytes, "
+                         f"not the {n * _POSE_BYTES} of {n} records")
+    stack = np.frombuffer(raw, "<f8").reshape(n, NUM_KEYPOINTS, 2)
+    stack.setflags(write=False)
+    return stack
+
+
 def write_pose_file(records) -> bytes:
-    """Canonical pose-file serialization: sorted keys, full-precision floats,
-    optional fields omitted when absent. parse(write(r)) == r, each Pose
-    comparing by its keypoint bytes, and the bytes are identical across runs."""
+    """Canonical pose-file serialization, format 2: the keypoints of all
+    records, in record order, as one base64 block of little-endian float64s
+    in C order, which keeps each coordinate's bits, and each record's other
+    fields with sorted keys, full-precision floats and optional fields
+    omitted when absent. parse(write(r)) == r, each Pose comparing by its
+    keypoint bytes, and the bytes are identical across runs."""
     seen = set()
-    out = []
+    out, stack = [], []
     for rec in records:
         if rec.id in seen:
             raise ValueError(f"duplicate record id {rec.id!r}")
         seen.add(rec.id)
-        row = {"id": rec.id, "keypoints": rec.pose.keypoints.tolist()}
+        stack.append(rec.pose.keypoints)
+        row = {"id": rec.id}
         if rec.confidences is not None:
             row["confidences"] = list(rec.confidences)
         if rec.category is not None:
@@ -264,8 +306,10 @@ def write_pose_file(records) -> bytes:
         if rec.quality_score is not None:
             row["quality_score"] = rec.quality_score
         out.append(row)
+    block = base64.b64encode(np.array(stack, dtype="<f8").tobytes())
     return write_document({"keypoint_order": list(KEYPOINT_NAMES),
-                           "records": out}, FILE_VERSION)
+                           "keypoints": block.decode("ascii"),
+                           "records": out}, POSE_FILE_VERSION)
 
 
 def parse_pair_file(data: bytes) -> PairFile:
@@ -448,6 +492,6 @@ def load_corpus(pair_path):
     stack, records = _record_fields((pair_path.parent / pose_file).read_bytes())
     twins, ids = _join({rec["id"]: i for i, rec in enumerate(records)}, rows)
     used, twins = np.unique(np.array(twins, dtype=np.intp), return_inverse=True)
-    return PairTable(stack[used], twins.reshape(-1, 2),
-                     np.array([y for _, _, y, _ in rows], dtype=np.intp),
-                     tuple(magnitude for *_, magnitude in rows)), ids
+    return _admitted_table(stack[used], twins.reshape(-1, 2),
+                           np.array([y for _, _, y, _ in rows], dtype=np.intp),
+                           tuple(magnitude for *_, magnitude in rows)), ids

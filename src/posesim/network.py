@@ -358,11 +358,11 @@ def checked_float(value, ok, rule: str) -> float:
 positive, nonnegative, any_finite = (0.0).__lt__, (0.0).__le__, math.isfinite
 
 
-def read_document(data: bytes, what: str, version: int) -> dict:
-    """Decode JSON whose top level is an object with format_version the int
-    `version` itself (not true, not 1.0); ValueError naming `what` for any
-    other bytes. The version decides which fields a document has, so it is
-    checked before the caller reads any other field."""
+def read_document(data: bytes, what: str, *versions: int) -> dict:
+    """Decode JSON whose top level is an object with format_version one of
+    the ints `versions` itself (not true, not 1.0); ValueError naming `what`
+    for any other bytes. The version decides which fields a document has,
+    so it is checked before the caller reads any other field."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -370,7 +370,7 @@ def read_document(data: bytes, what: str, version: int) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"malformed {what}: top level must be an object")
     found = doc.get("format_version")
-    if not _is_int(found) or found != version:
+    if not _is_int(found) or found not in versions:
         raise ValueError(f"unsupported {what} format_version {found!r}")
     return doc
 

@@ -55,17 +55,25 @@ class ScoreParams:
                 f"{name} must be finite and > 0 (an int or a float)"))
 
 
-def similarity_score(d_c: float, p: ScoreParams = ScoreParams()) -> float:
+_DEFAULT_PARAMS = ScoreParams()
+
+
+def similarity_score(d_c: float, p: ScoreParams = _DEFAULT_PARAMS) -> float:
     """Map a cosine distance to a score in (0, amplitude_sigma].
 
     Strictly decreasing in d_c; score(0) equals amplitude_sigma exactly.
     """
-    z = checked_float(d_c, nonnegative, "d_c must be finite and >= 0") / p.width_u
+    return _score(checked_float(d_c, nonnegative, "d_c must be finite and >= 0"), p)
+
+
+def _score(d: float, p: ScoreParams) -> float:
+    """similarity_score of d, a float already known to be finite and >= 0."""
+    z = d / p.width_u
     return p.amplitude_sigma * math.exp(-0.5 * z * z)
 
 
 def score_pair(model: EmbeddingModel, topo: np.ndarray | None, a: Pose,
-               b: Pose, p: ScoreParams = ScoreParams(),
+               b: Pose, p: ScoreParams = _DEFAULT_PARAMS,
                variant: str = "gcn") -> tuple[float, float]:
     """Normalize, embed and score two poses; returns (d_c, score).
 
@@ -174,7 +182,8 @@ def evaluate(model: EmbeddingModel, topo: np.ndarray | None, pairs,
         emb[part] = _run_layers(layers, topo, normalize_stack(table.keypoints[part]))
     dist_array = _clipped_distances(emb[table.twins.reshape(-1)])
     dists = dist_array.tolist()
-    scores = list(map(similarity_score, dists))
+    # the distances are clipped to [0, 2], so similarity_score's check is moot
+    scores = [_score(d, _DEFAULT_PARAMS) for d in dists]
     rows = tuple(map(EvalRow._make, zip(pair_ids, dists, scores,
                                         table.labels.tolist(), table.magnitudes)))
     # the masks keep each label's distances in row order, so the means

@@ -175,7 +175,7 @@ class Pose:
 def admits_stack(stack: np.ndarray) -> bool:
     """Whether every pose of stack, a (n, 15, 2) float64 array, passes the
     first check of _validated_coords; on False each needs the exact checks."""
-    flat = stack.reshape(len(stack), -1)
+    flat = stack.reshape(-1, NUM_KEYPOINTS * 2)
     # Per pose, not one vdot of the whole stack: OpenBLAS hands a dot that
     # long to its threads, which then spin and slow the work that follows.
     # vecdot, unlike vdot, warns on the overflow that sends a stack back.

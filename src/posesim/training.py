@@ -16,6 +16,7 @@ batch is trained rather than dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,9 @@ from posesim.skeleton import (
     NUM_KEYPOINTS,
     ONE,
     Pose,
+    _validated_coords,
+    admits_stack,
+    admitted,
     build_skeleton_topology,
     normalize_stack,
     number_array,
@@ -109,12 +113,34 @@ class PosePair:
                            checked_label(self.label_y, self.magnitude))
 
 
+def _check_range(arr: np.ndarray, top: int, rule: str) -> None:
+    """ValueError(f"{rule}, got {v}") for v, the least or the greatest value
+    of the integer array arr, outside [0, top]."""
+    for v in (arr.min(), arr.max()) if arr.size else ():
+        if not 0 <= v <= top:
+            raise ValueError(f"{rule}, got {v}")
+
+
+def _described(value) -> str:
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype} array of shape {value.shape}"
+    if isinstance(value, (tuple, list)):
+        return f"{type(value).__name__} of length {len(value)}"
+    return type(value).__name__
+
+
 @dataclass(frozen=True, eq=False)
 class PairTable:
     """Labelled pose pairs as columns, the form train and evaluate read:
-    pair k joins rows twins[k] of the (n, 15, 2) keypoint stack under
-    labels[k] and magnitudes[k], by PosePair's rule. The arrays are made
-    read-only; nothing checks a table's values again."""
+    pair k joins rows twins[k] of the (n, 15, 2) float64 keypoint stack
+    under labels[k] and magnitudes[k], by PosePair's rule.
+
+    Every row is checked as a Pose's keypoints are, twins is an (m, 2)
+    integer array of rows of the stack, labels an integer array of m 0s
+    and 1s, and magnitudes a tuple of m values, each None or a finite float
+    >= 0; a fault raises ValueError naming its field. The arrays are made
+    read-only; nothing checks a table's values again.
+    """
 
     keypoints: np.ndarray
     twins: np.ndarray  # (m, 2) intp
@@ -122,11 +148,49 @@ class PairTable:
     magnitudes: tuple
 
     def __post_init__(self):
-        for arr in (self.keypoints, self.twins, self.labels):
+        kp, twins, labels = self.keypoints, self.twins, self.labels
+        if not (isinstance(kp, np.ndarray) and kp.dtype == np.float64
+                and kp.shape[1:] == (NUM_KEYPOINTS, 2)):
+            raise ValueError(f"keypoints must be a float64 array of shape "
+                             f"(n, {NUM_KEYPOINTS}, 2), got {_described(kp)}")
+        if not admits_stack(kp):
+            for i, row in enumerate(kp):
+                _validated_coords(row, f"keypoints row {i}")
+        if not (isinstance(twins, np.ndarray) and twins.dtype.kind in "iu"
+                and twins.ndim == 2 and twins.shape[1] == 2):
+            raise ValueError(f"twins must be an integer array of shape (m, 2), "
+                             f"got {_described(twins)}")
+        _check_range(twins, len(kp) - 1,
+                     f"twins must be rows of keypoints, in [0, {len(kp)})")
+        if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu"
+                and labels.shape == (len(twins),)):
+            raise ValueError(f"labels must be an integer array of shape "
+                             f"({len(twins)},), got {_described(labels)}")
+        _check_range(labels, 1, "labels must be 0 or 1")
+        if type(self.magnitudes) is not tuple or len(self.magnitudes) != len(twins):
+            raise ValueError(f"magnitudes must be a tuple of {len(twins)} "
+                             f"values, got {_described(self.magnitudes)}")
+        given = [m for m in self.magnitudes if m is not None]
+        if not (set(map(type, given)) <= {float}
+                and np.all(np.greater_equal(given, 0.0) & np.isfinite(given))):
+            bad = next(m for m in given
+                       if type(m) is not float or not 0.0 <= m < math.inf)
+            raise ValueError(f"magnitudes must be None or finite floats >= 0, "
+                             f"got {bad!r}")
+        for arr in (kp, twins, labels):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.twins)
+
+
+def _admitted_table(keypoints, twins, labels, magnitudes) -> PairTable:
+    """A PairTable of columns that already pass its rule, made read-only
+    without its checks."""
+    for arr in (keypoints, twins, labels):
+        arr.setflags(write=False)
+    return admitted(PairTable, {"keypoints": keypoints, "twins": twins,
+                                "labels": labels, "magnitudes": magnitudes})
 
 
 def pair_table(pairs) -> PairTable:
@@ -137,7 +201,7 @@ def pair_table(pairs) -> PairTable:
         rows: dict[Pose, int] = {}
         twins = [rows.setdefault(pose, len(rows))
                  for pair in pairs for pose in (pair.pose_a, pair.pose_b)]
-        pairs = PairTable(
+        pairs = _admitted_table(
             np.reshape([pose.keypoints for pose in rows], (-1, NUM_KEYPOINTS, 2)),
             np.array(twins, dtype=np.intp).reshape(-1, 2),
             np.array([pair.label_y for pair in pairs], dtype=np.intp),

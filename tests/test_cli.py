@@ -16,6 +16,8 @@ from posesim.network import ArchMeta, init_model, load_checkpoint, save_checkpoi
 from posesim.scoring import ScoreParams
 from posesim.training import TrainConfig
 
+from v1_files import v1_from_v2
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -148,7 +150,8 @@ class TestTrain:
         assert err.startswith("error:")
 
     # edits None: the whole file becomes JSON nested too deep to parse;
-    # otherwise each (path, value) edit sets that field
+    # otherwise each (path, value) edit sets that field, of poses.json
+    # turned into format 1, whose records hold their keypoints
     @pytest.mark.parametrize("name, edits", [
         ("pairs.json", None),
         ("pairs.json", [(("pairs", 0, "magnitude"), 10 ** 400)]),
@@ -162,7 +165,8 @@ class TestTrain:
         target = corpus / name
         data = b"[" * 100_000
         if edits is not None:
-            doc = json.loads(target.read_bytes())
+            data = target.read_bytes()
+            doc = json.loads(v1_from_v2(data) if name == "poses.json" else data)
             for path, value in edits:
                 parent = doc
                 for key in path[:-1]:
@@ -288,6 +292,32 @@ class TestEval:
         assert len(report) == 65
         summary = (out / "summary.csv").read_text().strip().splitlines()
         assert summary[0] == "spearman_rho,mean_pos_dist,mean_neg_dist"
+
+    def test_format_1_pose_file_gives_the_same_outputs(self, tmp_path, capsys):
+        # train, eval and score read the format 1 file of the same records
+        # and write the bytes they write on the format 2 file gen wrote
+        corpus = gen_small(tmp_path, capsys)
+        old = tmp_path / "v1"
+        old.mkdir()
+        (old / "poses.json").write_bytes(v1_from_v2((corpus / "poses.json").read_bytes()))
+        (old / "pairs.json").write_bytes((corpus / "pairs.json").read_bytes())
+        outputs = []
+        for directory in (corpus, old):
+            run_dir = tmp_path / f"run_{directory.name}"
+            ev = tmp_path / f"eval_{directory.name}"
+            score = tmp_path / f"score_{directory.name}.csv"
+            for argv in (["train", "--pairs", str(directory / "pairs.json"),
+                          "--out", str(run_dir), "--epochs", "2"],
+                         ["eval", "--checkpoint", str(run_dir / "model.json"),
+                          "--pairs", str(directory / "pairs.json"), "--out", str(ev)],
+                         ["score", "--checkpoint", str(run_dir / "model.json"),
+                          "--poses", str(directory / "poses.json"), "--a", "t00",
+                          "--b", "t01_p002", "--out", str(score)]):
+                assert run(capsys, *argv)[0] == 0
+            outputs.append([path.read_bytes() for path in (
+                run_dir / "model.json", run_dir / "history.csv",
+                ev / "report.csv", ev / "summary.csv", score)])
+        assert outputs[0] == outputs[1]
 
     def test_rho_omitted_without_magnitudes(self, tmp_path, capsys):
         corpus = gen_small(tmp_path, capsys)

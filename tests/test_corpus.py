@@ -1,5 +1,7 @@
+import base64
 import json
 import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -30,17 +32,22 @@ from posesim.skeleton import (KEYPOINT_NAMES, NUM_KEYPOINTS, SKELETON_EDGES, Pos
                               build_skeleton_topology)
 from posesim.training import TrainConfig, history_csv, train
 
+from v1_files import dumped, v1_document
+
 
 def random_record(rng, rec_id, **kw):
     return PoseRecord(id=rec_id, pose=Pose(rng.uniform(-2, 2, (15, 2))), **kw)
 
 
 _RNG = np.random.Generator(np.random.PCG64(5))
-VALID_POSE_FILE = write_pose_file([
+VALID_RECORDS = [
     random_record(_RNG, "a", confidences=(0.5,) * NUM_KEYPOINTS,
                   category="standing", quality_score=0.25),
     random_record(_RNG, "b"),
-])
+]
+# format 1, whose records hold their keypoints, which the tests below edit
+VALID_POSE_FILE = dumped(v1_document(VALID_RECORDS))
+VALID_POSE_FILE_V2 = write_pose_file(VALID_RECORDS)
 VALID_PAIR_FILE = write_pair_file(PairFile(poses="poses.json", entries=(
     PairEntry(a="a", b="b", y=1, magnitude=0.03),
     PairEntry(a="b", b="a", y=0),
@@ -54,6 +61,11 @@ POSE_FILE_PATHS = (
     ("records", 0, "keypoints", 4, 1), ("records", 0, "confidences"),
     ("records", 0, "confidences", 2), ("records", 0, "category"),
     ("records", 0, "quality_score"),
+)
+POSE_FILE_V2_PATHS = (
+    ("format_version",), ("keypoint_order",), ("keypoints",), ("records",),
+    ("records", 0), ("records", 1, "id"), ("records", 0, "keypoints"),
+    ("records", 0, "confidences"), ("records", 0, "quality_score"),
 )
 PAIR_FILE_PATHS = (
     ("format_version",), ("poses",), ("pairs",), ("pairs", 0),
@@ -70,13 +82,15 @@ json_values = st.recursive(
 
 
 def replaced(data: bytes, path, value) -> bytes:
-    """data with the field at path set to value, or deleted for KeyError."""
+    """data with the field at path set to value, or deleted, if present,
+    for KeyError."""
     doc = json.loads(data)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     if value is KeyError:
-        del parent[path[-1]]
+        if isinstance(parent, list) or path[-1] in parent:
+            del parent[path[-1]]
     else:
         parent[path[-1]] = value
     return json.dumps(doc).encode()
@@ -158,9 +172,11 @@ class TestPairEntry:
 
 @st.composite
 def pose_records(draw):
-    """1-4 records whose coordinates include +-0.0 and 1e300, with and
-    without each optional field; ints where a float field takes one."""
-    coords = st.sampled_from([0.0, -0.0, 1.5, -2.0, 1e300]) | st.floats(-1e6, 1e6)
+    """1-4 records whose coordinates include +-0.0, subnormals and 1e300,
+    with and without each optional field; ints where a float field takes
+    one."""
+    coords = (st.sampled_from([0.0, -0.0, 1.5, -2.0, 1e300, 5e-324, -2.5e-310])
+              | st.floats(-1e6, 1e6))
     records = []
     for i in range(draw(st.integers(1, 4))):
         kp = draw(st.lists(coords, min_size=2 * NUM_KEYPOINTS,
@@ -210,12 +226,21 @@ class TestPoseFileRoundTrip:
         assert a == b
 
     def test_layout_matches_format(self):
-        doc = json.loads(write_pose_file([PoseRecord(id="a", pose=ZERO_POSE)]))
-        assert doc["format_version"] == 1
+        kp = np.arange(2.0 * NUM_KEYPOINTS).reshape(-1, 2) - 0.5
+        doc = json.loads(write_pose_file([
+            PoseRecord(id="a", pose=ZERO_POSE),
+            PoseRecord(id="b", pose=Pose(kp), category="squat")]))
+        assert sorted(doc) == ["format_version", "keypoint_order", "keypoints",
+                               "records"]
+        assert doc["format_version"] == 2
         assert doc["keypoint_order"] == list(KEYPOINT_NAMES)
-        assert doc["records"][0]["id"] == "a"
-        assert len(doc["records"][0]["keypoints"]) == NUM_KEYPOINTS
-        assert "confidences" not in doc["records"][0]
+        # the records keep their other fields and carry no keypoints
+        assert doc["records"] == [{"id": "a"}, {"id": "b", "category": "squat"}]
+        # one block: both records' keypoints, little-endian float64, C order
+        block = base64.b64decode(doc["keypoints"], validate=True)
+        assert base64.b64encode(block).decode("ascii") == doc["keypoints"]
+        assert struct.unpack(f"<{4 * NUM_KEYPOINTS}d", block) == (
+            (0.0,) * 2 * NUM_KEYPOINTS + tuple(kp.reshape(-1).tolist()))
 
     def test_write_rejects_duplicate_ids(self):
         rec = PoseRecord(id="dup", pose=ZERO_POSE)
@@ -236,11 +261,23 @@ class TestPoseFileRoundTrip:
         assert back == [negative]
         assert back != [PoseRecord(id="z", pose=ZERO_POSE)]
 
+    @settings(max_examples=100, deadline=None)
+    @given(records=pose_records())
+    def test_format_1_and_2_give_equal_records(self, records):
+        v1 = parse_pose_file(dumped(v1_document(records)))
+        v2 = parse_pose_file(write_pose_file(records))
+        assert v1 == v2 == records
+
+    def test_empty_file(self):
+        assert parse_pose_file(write_pose_file([])) == []
+        assert parse_pose_file(dumped(v1_document([]))) == []
+
 
 class TestPoseFileErrors:
+    """Faults of a format 1 file, whose records hold their keypoints."""
+
     def good_doc(self):
-        return json.loads(write_pose_file(
-            [PoseRecord(id="a", pose=ZERO_POSE)]))
+        return v1_document([PoseRecord(id="a", pose=ZERO_POSE)])
 
     def as_bytes(self, doc):
         return json.dumps(doc).encode("utf-8")
@@ -255,7 +292,7 @@ class TestPoseFileErrors:
 
     def test_wrong_version(self):
         doc = self.good_doc()
-        doc["format_version"] = 2
+        doc["format_version"] = 3
         with pytest.raises(ValueError, match="format_version"):
             parse_pose_file(self.as_bytes(doc))
 
@@ -313,6 +350,94 @@ class TestPoseFileErrors:
         assert str(info.value).count("record 'a'") == 1
 
 
+def encoded(stack) -> str:
+    return base64.b64encode(np.asarray(stack, "<f8").tobytes()).decode("ascii")
+
+
+class TestPoseFileV2Errors:
+    """Each fault of a format 2 file raises a ValueError naming its field."""
+
+    def parse(self, doc):
+        return parse_pose_file(json.dumps(doc).encode("utf-8"))
+
+    def good_doc(self):
+        return json.loads(VALID_POSE_FILE_V2)
+
+    def test_other_version(self):
+        doc = self.good_doc()
+        doc["format_version"] = 3
+        with pytest.raises(ValueError, match="^unsupported pose file "
+                                             "format_version 3$"):
+            self.parse(doc)
+
+    @pytest.mark.parametrize("block, kind", [
+        (KeyError, "NoneType"), (None, "NoneType"), ([0.5] * 60, "list"),
+        (7, "int"), ({"data": ""}, "dict")])
+    def test_block_must_be_a_string(self, block, kind):
+        doc = self.good_doc()
+        if block is KeyError:
+            del doc["keypoints"]
+        else:
+            doc["keypoints"] = block
+        with pytest.raises(ValueError, match=f"^pose file 'keypoints' must be "
+                                             f"a base64 string, got {kind}$"):
+            self.parse(doc)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text[:-1],                  # a character short
+        lambda text: text[:4] + "==" + text[4:],  # padding inside the data
+        lambda text: "*" + text[1:],             # outside the alphabet
+        lambda text: text[:4] + "\n" + text[4:],  # a line break
+        lambda text: "-" + text[1:],             # the URL-safe alphabet
+        lambda text: "\u00e9" + text[1:],        # not ASCII
+    ], ids=["short", "inner-padding", "star", "newline", "urlsafe", "non-ascii"])
+    def test_invalid_base64(self, edit):
+        doc = self.good_doc()
+        doc["keypoints"] = edit(doc["keypoints"])
+        with pytest.raises(ValueError, match="^pose file 'keypoints' is not "
+                                             "valid base64"):
+            self.parse(doc)
+
+    @pytest.mark.parametrize("edit, size", [
+        (lambda raw: raw[:-8], 472), (lambda raw: raw[:240], 240),
+        (lambda raw: b"", 0), (lambda raw: raw + bytes(8), 488)],
+        ids=["a-float-short", "a-record-short", "empty", "a-float-long"])
+    def test_wrong_byte_length(self, edit, size):
+        doc = self.good_doc()
+        raw = edit(base64.b64decode(doc["keypoints"]))
+        doc["keypoints"] = base64.b64encode(raw).decode("ascii")
+        with pytest.raises(ValueError, match=f"^pose file 'keypoints' holds "
+                                             f"{size} bytes, not the 480 of 2 "
+                                             f"records$"):
+            self.parse(doc)
+
+    def test_record_with_its_own_keypoints(self):
+        doc = self.good_doc()
+        doc["records"][1]["keypoints"] = [[0.0, 0.0]] * NUM_KEYPOINTS
+        with pytest.raises(ValueError, match="^record 'b': keypoints belong in "
+                                             "the file's 'keypoints' block"):
+            self.parse(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_keypoint_names_record(self, value):
+        doc = self.good_doc()
+        stack = np.array([rec.pose.keypoints for rec in VALID_RECORDS])
+        stack[1, 4, 1] = value
+        doc["keypoints"] = encoded(stack)
+        with pytest.raises(ValueError, match="^record 'b': keypoints contains "
+                                             "non-finite values$"):
+            self.parse(doc)
+
+    def test_overflowing_extent_names_record(self):
+        doc = self.good_doc()
+        stack = np.array([rec.pose.keypoints for rec in VALID_RECORDS])
+        stack[0, :2, 0] = (-1e308, 1e308)
+        doc["keypoints"] = encoded(stack)
+        with pytest.raises(ValueError, match="^record 'a': keypoints x extent "
+                                             ".* overflows float64$"):
+            self.parse(doc)
+
+
 class TestPairFile:
     def test_round_trip(self):
         pf = PairFile(poses="poses.json", entries=(
@@ -345,10 +470,11 @@ class TestPairFile:
             parse_pair_file(json.dumps(raw).encode())
 
 
-@pytest.mark.parametrize("version", [True, 1.0])
+@pytest.mark.parametrize("version", [True, 1.0, 2.0])
 @pytest.mark.parametrize("parse, data", [
-    (parse_pose_file, VALID_POSE_FILE), (parse_pair_file, VALID_PAIR_FILE),
-], ids=["pose", "pair"])
+    (parse_pose_file, VALID_POSE_FILE), (parse_pose_file, VALID_POSE_FILE_V2),
+    (parse_pair_file, VALID_PAIR_FILE),
+], ids=["pose", "pose-v2", "pair"])
 def test_format_version_must_be_the_int_itself(parse, data, version):
     with pytest.raises(ValueError, match="format_version"):
         parse(replaced(data, ("format_version",), version))
@@ -408,6 +534,17 @@ class TestParserProperties:
                                                                 value):
         parses_or_raises_value_error(
             parse_pose_file, replaced(VALID_POSE_FILE, path, value))
+
+    @settings(max_examples=150, deadline=None)
+    @given(path=st.sampled_from(POSE_FILE_V2_PATHS),
+           value=json_values | st.just(KeyError))
+    @example(path=("keypoints",), value="AAAA")
+    @example(path=("keypoints",), value="\u00e9")
+    @example(path=("keypoints",), value="A")
+    def test_v2_pose_field_replacements_parse_or_raise_value_error(self, path,
+                                                                   value):
+        parses_or_raises_value_error(
+            parse_pose_file, replaced(VALID_POSE_FILE_V2, path, value))
 
     @settings(max_examples=150, deadline=None)
     @given(path=st.sampled_from(PAIR_FILE_PATHS),
@@ -470,6 +607,26 @@ def per_record_keypoints(doc):
     return out
 
 
+# float64 values a format 2 block can hold that the rule refuses, or whose
+# extent or sum of squares overflows, and subnormals
+SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308,
+                                  1e200, -1.5e154, 5e-324, -2.5e-310])
+
+
+@st.composite
+def pose_blocks(draw):
+    """(n, 15, 2) stacks of 1-5 poses of seeded floats and -0.0, with up to
+    three coordinates replaced by SPECIAL_FLOATS."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 5))
+    stack = rng.uniform(-1e3, 1e3, (n, NUM_KEYPOINTS, 2))
+    stack[rng.random(stack.shape) < 0.2] = -0.0
+    for _ in range(draw(st.integers(0, 3))):
+        stack[draw(st.integers(0, n - 1)), draw(st.integers(0, NUM_KEYPOINTS - 1)),
+              draw(st.integers(0, 1))] = draw(SPECIAL_FLOATS)
+    return stack
+
+
 class TestStackAdmission:
     """parse_pose_file admits all keypoints as one stack when it can; it
     must give what admitting each record on its own gives."""
@@ -498,6 +655,26 @@ class TestStackAdmission:
                     assert not arr.flags.writeable
                     with pytest.raises(ValueError, match="read-only"):
                         arr.flat[0] = 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack=pose_blocks())
+    def test_format_2_block_matches_per_record_admission(self, stack):
+        doc = {"format_version": 2, "keypoint_order": list(KEYPOINT_NAMES),
+               "keypoints": encoded(stack),
+               "records": [{"id": f"r{i}"} for i in range(len(stack))]}
+        expected = per_record_keypoints({"records": [
+            {"id": f"r{i}", "keypoints": kp} for i, kp in enumerate(stack)]})
+        data = dumped(doc)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as info:
+                parse_pose_file(data)
+            assert str(info.value) == expected
+            return
+        records = parse_pose_file(data)
+        assert [rec.pose.keypoints.tobytes() for rec in records] == [
+            kp.tobytes() for kp in expected]
+        for rec in records:
+            assert not rec.pose.keypoints.flags.writeable
 
 
 class TestBuildPosePairs:
@@ -754,6 +931,29 @@ class TestLoadCorpus:
         assert_same_pairs(table, pairs)
         # the file's rows, not the distinct bytes: same_bytes keeps a row
         assert len(table.keypoints) == len(records) - 1
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), templates=st.integers(2, 3),
+           per_template=st.integers(1, 3), scale=st.sampled_from([1.0, 1e-310]))
+    def test_format_1_and_2_give_tables_with_equal_bytes(
+            self, seed, templates, per_template, scale):
+        # a scale of 1e-310 makes every coordinate subnormal
+        records, entries = twinned_corpus(seed, templates, per_template)
+        records = [PoseRecord(id=r.id, pose=Pose(r.pose.keypoints * scale),
+                              category=r.category) for r in records]
+        loaded = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_corpus(Path(tmp), records, entries)
+            loaded.append(load_corpus(path))
+            (Path(tmp) / "poses.json").write_bytes(dumped(v1_document(records)))
+            loaded.append(load_corpus(path))
+        (v2, v2_ids), (v1, v1_ids) = loaded
+        assert v2_ids == v1_ids
+        for name in ("keypoints", "twins", "labels"):
+            a, b = getattr(v2, name), getattr(v1, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert not a.flags.writeable and not b.flags.writeable
+        assert v2.magnitudes == v1.magnitudes
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), templates=st.integers(2, 3),
