@@ -168,10 +168,27 @@ class PairEntry:
             self.a, self.b, self.y, self.magnitude))
 
 
+def _check_poses_reference(poses) -> None:
+    """The rule of a pair file's poses: a nonempty string, its pose file."""
+    if not isinstance(poses, str) or not poses:
+        raise ValueError("pair file must reference a pose file in 'poses'")
+
+
 @dataclass(frozen=True)
 class PairFile:
+    """A pair file: the pose file its ids refer to and its PairEntries."""
+
     poses: str
     entries: tuple
+
+    def __post_init__(self):
+        _check_poses_reference(self.poses)
+        entries = tuple(self.entries)
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, PairEntry):
+                raise ValueError(f"pair at index {i} must be a PairEntry, "
+                                 f"got {entry!r}")
+        object.__setattr__(self, "entries", entries)
 
 
 @dataclass(frozen=True)
@@ -314,9 +331,9 @@ def write_pose_file(records) -> bytes:
 
 def parse_pair_file(data: bytes) -> PairFile:
     poses, rows = _pair_rows(data)
-    return PairFile(poses=poses, entries=tuple(
+    return admitted(PairFile, {"poses": poses, "entries": tuple(
         admitted(PairEntry, {"a": a, "b": b, "y": y, "magnitude": magnitude})
-        for a, b, y, magnitude in rows))
+        for a, b, y, magnitude in rows)})
 
 
 def _pair_rows(data: bytes) -> tuple[str, list[tuple]]:
@@ -324,8 +341,7 @@ def _pair_rows(data: bytes) -> tuple[str, list[tuple]]:
     magnitude) rows: parse_pair_file short of building the entries."""
     doc = read_document(data, "pair file", FILE_VERSION)
     poses = doc.get("poses")
-    if not isinstance(poses, str) or not poses:
-        raise ValueError("pair file must reference a pose file in 'poses'")
+    _check_poses_reference(poses)
     raw_pairs = doc.get("pairs")
     if not isinstance(raw_pairs, list):
         raise ValueError("pair file must carry a 'pairs' array")

@@ -1,5 +1,5 @@
-"""The pose embedding network, its checkpoint format, and the versioned-JSON
-codec that checkpoints, pose files and pair files share.
+"""The pose embedding network, its checkpoint format, and the reader and writer
+of versioned JSON that checkpoints, pose files and pair files share.
 
 Two graph convolution layers propagate normalized keypoint features over the
 skeleton graph, the 15x2 result is flattened node-major into a 30-vector, and
@@ -19,7 +19,6 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -375,91 +374,17 @@ def read_document(data: bytes, what: str, *versions: int) -> dict:
     return doc
 
 
-_string_text = json.encoder.encode_basestring_ascii
-
-
-def _finite(text: str, values) -> str:
-    """text, the float reprs of values, or ValueError if one is NaN or
-    infinite: only those reprs ("nan", "inf") hold the letter n."""
-    if "n" in text:
-        bad = next(v for v in values if not math.isfinite(v))
-        raise ValueError(f"Out of range float values are not JSON compliant: "
-                         f"{bad!r}")
-    return text
-
-
-@lru_cache(maxsize=128)
-def _matrix_template(rows: int, cols: int, depth: int) -> str:
-    """The %-template of rows lists of cols floats each, opened at indent
-    depth: one %s per float, row-major."""
-    pad, row_pad = "\n" + " " * (depth + 1), "\n" + " " * (depth + 2)
-    row = ("[" + row_pad + ("," + row_pad).join(["%s"] * cols) + pad + "]"
-           if cols else "[]")
-    return "[" + pad + ("," + pad).join([row] * rows) + pad[:-1] + "]"
-
-
-def _encode(value, depth: int, out: list) -> None:
-    """Append the JSON of value, opened at indent depth, to out, as
-    json.dumps(sort_keys=True, indent=1, allow_nan=False) writes it; dict
-    keys must be str. A list of floats goes out in one join and a list of
-    equal-length float lists in one formatting call."""
-    if isinstance(value, str):
-        out.append(_string_text(value))
-    elif value is None or value is True or value is False:
-        out.append("null" if value is None else "true" if value else "false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_finite(float.__repr__(value), (value,)))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError("keys must be str")
-        pad = "\n" + " " * (depth + 1)
-        sep = "{" + pad
-        for key in sorted(value):
-            out.append(sep + _string_text(key) + ": ")
-            _encode(value[key], depth + 1, out)
-            sep = "," + pad
-        out.append(pad[:-1] + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        pad = "\n" + " " * (depth + 1)
-        kinds = set(map(type, value))
-        if kinds == {float}:
-            text = ("," + pad).join(map(float.__repr__, value))
-            out.append("[" + pad + _finite(text, value) + pad[:-1] + "]")
-        elif (kinds == {list} and len(cols := set(map(len, value))) == 1
-              and set(map(type, chain.from_iterable(value))) <= {float}):
-            template = _matrix_template(len(value), cols.pop(), depth)
-            floats = tuple(map(float.__repr__, chain.from_iterable(value)))
-            out.append(_finite(template % floats, chain.from_iterable(value)))
-        else:
-            sep = "[" + pad
-            for item in value:
-                out.append(sep)
-                _encode(item, depth + 1, out)
-                sep = "," + pad
-            out.append(pad[:-1] + "]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON "
-                        f"serializable")
-
-
 def write_document(doc: dict, version: int) -> bytes:
-    """The canonical UTF-8 JSON of doc stamped with format_version: sorted
-    keys, indent 1, a trailing newline, and ASCII with json.dumps's string
-    escapes. Floats keep full round-trip precision, so the bytes are stable
-    and read_document inverts them. A NaN or infinite float, which JSON
-    cannot hold, raises ValueError; a value JSON has no type for, TypeError."""
-    out = []
-    _encode({"format_version": version, **doc}, 0, out)
-    out.append("\n")
-    return "".join(out).encode("utf-8")
+    """The canonical UTF-8 JSON of doc stamped with format_version, as
+    json.dumps writes it: sorted keys, indent 1, ASCII with its string
+    escapes, and a trailing newline. Floats keep full round-trip precision,
+    so the bytes are stable and read_document inverts them. A NaN or
+    infinite float, which JSON cannot hold, raises ValueError; a value JSON
+    has no type for, TypeError. Precondition, not checked here: every dict
+    key is a str, as in every document the package writes; json.dumps would
+    write an int, float or None key as a string."""
+    return (json.dumps({"format_version": version, **doc}, sort_keys=True,
+                       indent=1, allow_nan=False) + "\n").encode("utf-8")
 
 
 def save_checkpoint(model: EmbeddingModel) -> bytes:

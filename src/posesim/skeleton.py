@@ -63,19 +63,6 @@ def scalar_operand(value: float) -> np.ndarray:
 ZERO, ONE, TWO = map(scalar_operand, (0.0, 1.0, 2.0))
 # numpy converts a bool, or a string that spells a number, to a float
 _NOT_NUMBERS = (bool, np.bool_, str, bytes)
-# the leaf types of a JSON number array
-_PLAIN_NUMBERS = {float, int}
-
-
-def _plain_leaves(values, shape: tuple) -> list | None:
-    """The leaves of values, in row-major order, if values is lists nested
-    exactly to shape with only floats and ints as leaves; None otherwise."""
-    level = [values]
-    for n in shape:
-        if set(map(type, level)) != {list} or set(map(len, level)) != {n}:
-            return None
-        level = list(chain.from_iterable(level))
-    return level if set(map(type, level)) <= _PLAIN_NUMBERS else None
 
 
 def number_array(values, shape: tuple, what: str) -> np.ndarray:
@@ -83,20 +70,8 @@ def number_array(values, shape: tuple, what: str) -> np.ndarray:
     array of the given shape; ValueError naming what otherwise.
 
     An array must have an integer or float dtype; of a sequence, no element
-    may be a bool or a string, and the nesting may not be ragged. Nested
-    lists of plain floats and ints, as JSON decodes them, are converted
-    from their flattened leaves, which skips numpy's slower discovery of a
-    nested shape; anything else, or an int too large for a float, takes
-    the general conversion and its checks.
+    may be a bool or a string, and the nesting may not be ragged.
     """
-    leaves = _plain_leaves(values, shape) if type(values) is list else None
-    if leaves is not None:
-        arr = np.empty(shape)
-        try:
-            arr.reshape(-1)[:] = leaves
-            return arr
-        except OverflowError:
-            pass
     try:
         arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -457,6 +457,23 @@ class TestPairFile:
         with pytest.raises(ValueError, match="'poses'"):
             parse_pair_file(json.dumps({"format_version": 1, "pairs": []}).encode())
 
+    @pytest.mark.parametrize("poses", ["", None, 3])
+    def test_pair_file_takes_the_parsers_poses_rule(self, poses):
+        # write_pair_file must never write bytes its own parser refuses
+        raw = {"format_version": 1, "poses": poses, "pairs": []}
+        with pytest.raises(ValueError) as parsed:
+            parse_pair_file(json.dumps(raw).encode())
+        with pytest.raises(ValueError) as built:
+            PairFile(poses=poses, entries=())
+        assert str(built.value) == str(parsed.value)
+
+    def test_entries_must_be_pair_entries(self):
+        # refused where it is built, not in write_pair_file
+        entries = [PairEntry(a="a", b="b", y=0), ("a", "b", 1)]
+        with pytest.raises(ValueError, match=r"^pair at index 1 must be a "
+                                             r"PairEntry, got \('a', 'b', 1\)"):
+            PairFile(poses="p.json", entries=entries)
+
     def test_bool_label_names_pair(self):
         # the parser names the pair, once; PairEntry adds no prefix of its own
         data = replaced(VALID_PAIR_FILE, ("pairs", 1, "y"), True)

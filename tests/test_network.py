@@ -21,6 +21,7 @@ from posesim.network import (
     load_checkpoint,
     parameter_count,
     parameter_list,
+    read_document,
     save_checkpoint,
     write_document,
 )
@@ -388,7 +389,11 @@ class TestWriteDocument:
     @example(doc={"m": [[0.5, -0.0], [5e-324, 1e22]], "e": [[], []], "r": [[1e-7], []]})
     @example(doc={"keypoints": [[0.1, 0.2]] * 15, "w": [[np.float64(0.1)] * 3] * 2})
     def test_writes_the_bytes_of_json_dumps(self, doc):
-        assert write_document(doc, 1) == json_dumps_document(doc)
+        data = write_document(doc, 1)
+        assert data == json_dumps_document(doc)
+        # read_document inverts the writer: the document read back is
+        # written to the same bytes
+        assert write_document(read_document(data, "document", 1), 1) == data
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [
@@ -411,12 +416,6 @@ class TestWriteDocument:
             json_dumps_document({"a": value})
         with pytest.raises(TypeError):
             write_document({"a": value}, 1)
-
-    @pytest.mark.parametrize("doc", [{1: 0.5}, {"a": {None: []}}, {"a": [{2.0: 1}]}])
-    def test_non_str_keys_raise_type_error(self, doc):
-        # json.dumps would write these keys as strings; the codec refuses them
-        with pytest.raises(TypeError, match="keys must be str"):
-            write_document(doc, 1)
 
 
 class TestCheckpoint:
