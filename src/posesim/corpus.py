@@ -16,13 +16,15 @@ from __future__ import annotations
 import base64
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
+from types import NoneType
 
 import numpy as np
 
 from posesim.network import (any_finite, check_count, check_seed, checked_float,
                              nonnegative, read_document, write_document)
-from posesim.scoring import check_csv_ids
+from posesim.scoring import _csv_special, check_csv_ids
 from posesim.skeleton import (KEYPOINT_NAMES, NUM_KEYPOINTS, Pose, admits_stack,
                               admitted, number_array)
 from posesim.training import PosePair, _admitted_table, checked_label
@@ -96,6 +98,11 @@ _PARENT = {0: 1, 1: 2, 2: 3, 4: 3, 5: 4, 6: 5, 10: 3, 9: 10, 11: 10,
 # checked_float's ranges of a confidence and of a train fraction
 _unit_range, _open_unit_range = (lambda v: 0 <= v <= 1), (lambda v: 0 < v < 1)
 
+# a pose record's fields but its pose, and a pair row's fields, in the
+# order of their checked columns
+_RECORD_FIELDS = ("id", "confidences", "category", "quality_score")
+_PAIR_FIELDS = ("a", "b", "y", "magnitude")
+
 
 @dataclass(frozen=True)
 class PoseRecord:
@@ -119,13 +126,13 @@ class PoseRecord:
                                  self.quality_score)
         if not isinstance(self.pose, Pose):
             raise TypeError(f"pose must be a Pose, got {type(self.pose).__name__}")
-        for name in ("confidences", "quality_score"):
-            object.__setattr__(self, name, fields[name])
+        for name, value in zip(_RECORD_FIELDS, fields):
+            object.__setattr__(self, name, value)
 
 
-def _checked_record(rec_id, confidences, category, quality_score) -> dict:
-    """PoseRecord's fields but its pose, by its rule; confidences become a
-    tuple of floats and quality_score a float."""
+def _checked_record(rec_id, confidences, category, quality_score) -> tuple:
+    """PoseRecord's fields but its pose, by its rule, in _RECORD_FIELDS
+    order; confidences become a tuple of floats and quality_score a float."""
     if not isinstance(rec_id, str) or not rec_id:
         raise ValueError(f"record id must be a nonempty string, got {rec_id!r}")
     check_csv_ids((rec_id,), "record id")
@@ -141,8 +148,7 @@ def _checked_record(rec_id, confidences, category, quality_score) -> dict:
     if quality_score is not None:
         quality_score = checked_float(quality_score, any_finite,
                                       "quality_score must be a finite number")
-    return {"id": rec_id, "confidences": confidences, "category": category,
-            "quality_score": quality_score}
+    return rec_id, confidences, category, quality_score
 
 
 def _checked_magnitude(a, b, y, magnitude) -> float | None:
@@ -169,8 +175,9 @@ class PairEntry:
 
 
 def _check_poses_reference(poses) -> None:
-    """The rule of a pair file's poses: a nonempty string, its pose file."""
-    if not isinstance(poses, str) or not poses:
+    """The rule of a pair file's poses: a nonempty string, its pose file,
+    holding no NUL, which no file name can."""
+    if not isinstance(poses, str) or not poses or "\0" in poses:
         raise ValueError("pair file must reference a pose file in 'poses'")
 
 
@@ -224,15 +231,20 @@ def parse_pose_file(data: bytes) -> list[PoseRecord]:
     holds a read-only row; if the stack fails, each record's own Pose
     check names the faulty record.
     """
-    stack, records = _record_fields(data)
-    return [admitted(PoseRecord, {**fields, "pose": admitted(Pose, {"keypoints": kp})})
-            for fields, kp in zip(records, stack)]
+    stack, columns = _record_fields(data)
+    return [admitted(PoseRecord, dict(zip(_RECORD_FIELDS, fields),
+                                      pose=admitted(Pose, {"keypoints": kp})))
+            for kp, *fields in zip(stack, *columns)]
 
 
-def _record_fields(data: bytes) -> tuple[np.ndarray, list[dict]]:
-    """A pose file's read-only (n, 15, 2) keypoint stack and the other
-    checked fields of each record, in file order: parse_pose_file short of
-    building the records and their Poses."""
+def _record_fields(data: bytes) -> tuple[np.ndarray, tuple]:
+    """A pose file's read-only (n, 15, 2) keypoint stack and the checked
+    columns of its records' other fields, in _RECORD_FIELDS and file order:
+    parse_pose_file short of building the records and their Poses.
+
+    A format 2 file whose stack is admitted at once takes the column checks
+    of _record_columns; any other file, or records those checks do not
+    take, the per-row rule of _checked_records."""
     doc = read_document(data, "pose file", FILE_VERSION, POSE_FILE_VERSION)
     if doc.get("keypoint_order") != list(KEYPOINT_NAMES):
         raise ValueError("pose file keypoint_order does not match the "
@@ -254,7 +266,39 @@ def _record_fields(data: bytes) -> tuple[np.ndarray, list[dict]]:
             stacked = admits_stack(keypoints)
         except ValueError:
             stacked = False
-    records = []
+    columns = _record_columns(raw_records) if blocked and stacked else None
+    columns = columns or _checked_records(raw_records, keypoints, stacked, blocked)
+    # every record passed its Pose check, so the keypoints converted, if any
+    return np.reshape(keypoints, (-1, NUM_KEYPOINTS, 2)), columns
+
+
+def _record_columns(raw_records: list) -> tuple | None:
+    """_checked_records' columns of format 2 records whose stack was
+    admitted, checked a column at a time, if every record is an object
+    holding an id and at most a category, the ids nonempty, distinct
+    strings with no character report.csv would quote and the categories
+    strings; None for any other records, which the per-row rule judges."""
+    if not (set(map(type, raw_records)) <= {dict}
+            and set().union(*raw_records) <= {"id", "category"}):
+        return None
+    ids, categories = (list(map(dict.get, raw_records, repeat(key)))
+                       for key in ("id", "category"))
+    if not (set(map(type, ids)) <= {str} and all(ids)
+            and len(set(ids)) == len(ids) and not _csv_special("".join(ids))
+            and set(map(type, categories)) <= {str, NoneType}):
+        return None
+    absent = [None] * len(ids)
+    return ids, absent, categories, absent
+
+
+def _checked_records(raw_records: list, keypoints, stacked: bool,
+                     blocked: bool) -> tuple:
+    """The record rule, a record at a time: the columns of _record_fields,
+    each confidences a tuple of floats and each quality_score a float, or
+    the ValueError of the first record, in file order, that breaks it.
+    Record i's keypoints, keypoints[i], take their own Pose check unless the
+    stack was admitted; blocked says the file is format 2."""
+    columns = ([], [], [], [])
     seen = set()
     for i, raw in enumerate(raw_records):
         if not isinstance(raw, dict):
@@ -275,9 +319,9 @@ def _record_fields(data: bytes) -> tuple[np.ndarray, list[dict]]:
                                      raw.get("category"), raw.get("quality_score"))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"record {rec_id!r}: {exc}") from exc
-        records.append(fields)
-    # every record passed its Pose check, so the keypoints converted, if any
-    return np.reshape(keypoints, (-1, NUM_KEYPOINTS, 2)), records
+        for column, value in zip(columns, fields):
+            column.append(value)
+    return columns
 
 
 def _keypoint_block(block, n: int) -> np.ndarray:
@@ -330,32 +374,61 @@ def write_pose_file(records) -> bytes:
 
 
 def parse_pair_file(data: bytes) -> PairFile:
-    poses, rows = _pair_rows(data)
+    poses, columns = _pair_rows(data)
     return admitted(PairFile, {"poses": poses, "entries": tuple(
-        admitted(PairEntry, {"a": a, "b": b, "y": y, "magnitude": magnitude})
-        for a, b, y, magnitude in rows)})
+        admitted(PairEntry, dict(zip(_PAIR_FIELDS, row)))
+        for row in zip(*columns))})
 
 
-def _pair_rows(data: bytes) -> tuple[str, list[tuple]]:
-    """A pair file's pose-file reference and its checked (a, b, y,
-    magnitude) rows: parse_pair_file short of building the entries."""
+def _pair_rows(data: bytes) -> tuple[str, tuple]:
+    """A pair file's pose-file reference and its rows' checked columns, in
+    _PAIR_FIELDS order: parse_pair_file short of building the entries.
+
+    The column checks of _pair_columns take nearly every file; rows they do
+    not take go to the per-row rule of _checked_pairs."""
     doc = read_document(data, "pair file", FILE_VERSION)
     poses = doc.get("poses")
     _check_poses_reference(poses)
     raw_pairs = doc.get("pairs")
     if not isinstance(raw_pairs, list):
         raise ValueError("pair file must carry a 'pairs' array")
-    rows = []
+    return poses, _pair_columns(raw_pairs) or _checked_pairs(raw_pairs)
+
+
+def _pair_columns(raw_pairs: list) -> tuple | None:
+    """_checked_pairs' columns, checked a column at a time, if every row is
+    an object whose a and b are nonempty strings, y the int 0 or 1 and
+    magnitude absent, None or a float in [0, inf); None for any other rows,
+    an int magnitude's too, which the per-row rule judges."""
+    if not set(map(type, raw_pairs)) <= {dict}:
+        return None
+    a, b, y, magnitudes = (list(map(dict.get, raw_pairs, repeat(key)))
+                           for key in _PAIR_FIELDS)
+    given = [m for m in magnitudes if m is not None]
+    if not ((set(map(type, a)) | set(map(type, b))) <= {str} and all(a)
+            and all(b) and set(map(type, y)) <= {int} and set(y) <= {0, 1}
+            and set(map(type, given)) <= {float}
+            and all(map(nonnegative, given)) and all(map(math.inf.__gt__, given))):
+        return None
+    return a, b, y, magnitudes
+
+
+def _checked_pairs(raw_pairs: list) -> tuple:
+    """The pair rule, a row at a time: the columns of _pair_rows, each
+    magnitude as PairEntry's rule returns it, or the ValueError of the
+    first row, in file order, that breaks the rule."""
+    columns = ([], [], [], [])
     for i, raw in enumerate(raw_pairs):
         if not isinstance(raw, dict):
             raise ValueError(f"pair at index {i} must be an object")
         a, b, y = raw.get("a"), raw.get("b"), raw.get("y")
         try:
-            rows.append((a, b, y, _checked_magnitude(a, b, y,
-                                                     raw.get("magnitude"))))
+            row = (a, b, y, _checked_magnitude(a, b, y, raw.get("magnitude")))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"pair at index {i}: {exc}") from exc
-    return poses, rows
+        for column, value in zip(columns, row):
+            column.append(value)
+    return columns
 
 
 def write_pair_file(pair_file: PairFile) -> bytes:
@@ -375,26 +448,28 @@ def build_pose_pairs(records, entries):
     Each pair holds its records' own Pose objects. An entry that is not a
     PairEntry is made one first, which checks its fields.
     """
-    rows = [(e.a, e.b, e.y, e.magnitude) for e in (
-        e if type(e) is PairEntry else PairEntry(e.a, e.b, e.y, e.magnitude)
-        for e in entries)]
+    entries = [e if type(e) is PairEntry else PairEntry(e.a, e.b, e.y, e.magnitude)
+               for e in entries]
     poses = [rec.pose for rec in records]
-    twins, ids = _join({rec.id: i for i, rec in enumerate(records)}, rows)
+    twins, ids = _join({rec.id: i for i, rec in enumerate(records)},
+                       [e.a for e in entries], [e.b for e in entries])
     return [admitted(PosePair, {"pose_a": poses[a], "pose_b": poses[b],
-                                "label_y": y, "magnitude": magnitude})
-            for (a, b), (_, _, y, magnitude) in zip(twins, rows)], ids
+                                "label_y": e.y, "magnitude": e.magnitude})
+            for (a, b), e in zip(twins.tolist(), entries)], ids
 
 
-def _join(rows: dict, pairs: list):
-    """The twins, (row of a, row of b), and the ids "a:b" of (a, b, y,
-    magnitude) pairs that passed PairEntry's rule, given the row of each
-    pose id."""
-    for a, b, _, _ in pairs:
-        for ref in (a, b):
-            if ref not in rows:
-                raise ValueError(f"pair references unknown pose id {ref!r}")
-    return ([(rows[a], rows[b]) for a, b, _, _ in pairs],
-            [f"{a}:{b}" for a, b, _, _ in pairs])
+def _join(rows: dict, a: list, b: list) -> tuple[np.ndarray, list]:
+    """The twins, an (m, 2) intp array of (row of a, row of b), and the ids
+    "a:b" of pairs whose columns a and b passed PairEntry's rule, given the
+    row of each pose id; ValueError naming the first id, in pair order,
+    that has no row."""
+    try:
+        twins = np.array([list(map(rows.__getitem__, a)),
+                          list(map(rows.__getitem__, b))], dtype=np.intp).T
+    except KeyError:
+        bad = next(ref for pair in zip(a, b) for ref in pair if ref not in rows)
+        raise ValueError(f"pair references unknown pose id {bad!r}") from None
+    return twins, list(map(":".join, zip(a, b)))
 
 
 def _rotate_subtree(points: np.ndarray, joint: int, parent: int,
@@ -504,10 +579,9 @@ def load_corpus(pair_path):
     'poses' reference is taken relative to the pair file's directory.
     """
     pair_path = Path(pair_path)
-    pose_file, rows = _pair_rows(pair_path.read_bytes())
-    stack, records = _record_fields((pair_path.parent / pose_file).read_bytes())
-    twins, ids = _join({rec["id"]: i for i, rec in enumerate(records)}, rows)
-    used, twins = np.unique(np.array(twins, dtype=np.intp), return_inverse=True)
+    pose_file, (a, b, y, magnitudes) = _pair_rows(pair_path.read_bytes())
+    stack, (ids, *_) = _record_fields((pair_path.parent / pose_file).read_bytes())
+    twins, pair_ids = _join(dict(zip(ids, range(len(ids)))), a, b)
+    used, twins = np.unique(twins, return_inverse=True)
     return _admitted_table(stack[used], twins.reshape(-1, 2),
-                           np.array([y for _, _, y, _ in rows], dtype=np.intp),
-                           tuple(magnitude for *_, magnitude in rows)), ids
+                           np.array(y, dtype=np.intp), tuple(magnitudes)), pair_ids

@@ -23,8 +23,9 @@ from posesim.network import (MLP_WIDTHS, EmbeddingModel, _run_layers,
 from posesim.skeleton import TWO, ZERO, Pose, normalize_stack
 from posesim.training import cosine_distances, pair_table
 
-# Table rows evaluate() embeds per call; the chunk bounds the memory its
-# intermediates take on a large corpus.
+# Table rows evaluate() embeds per call, and pairs whose distances it takes
+# per call; the chunk bounds the memory its intermediates take on a large
+# corpus.
 EVAL_CHUNK = 256
 
 # report.csv writes each pair id as it is, so none may hold a character that
@@ -167,8 +168,9 @@ def evaluate(model: EmbeddingModel, topo: np.ndarray | None, pairs,
     id may hold a comma, a double quote or a line break (check_csv_ids).
 
     Each table row is normalized and embedded once, EVAL_CHUNK rows per
-    stacked call, with no backward cache kept; every report row equals
-    score_pair on that pair bit for bit.
+    stacked call, with no backward cache kept, and the distances are taken
+    EVAL_CHUNK pairs per call; every report row equals score_pair on that
+    pair bit for bit.
     """
     layers = _variant_layers(model, variant)
     table = pair_table(pairs)
@@ -180,7 +182,12 @@ def evaluate(model: EmbeddingModel, topo: np.ndarray | None, pairs,
     for start in range(0, len(table.keypoints), EVAL_CHUNK):
         part = slice(start, start + EVAL_CHUNK)
         emb[part] = _run_layers(layers, topo, normalize_stack(table.keypoints[part]))
-    dist_array = _clipped_distances(emb[table.twins.reshape(-1)])
+    # each distance is its own pair's vecdot, so the chunks give the bits
+    # of one gather of all pairs' embeddings
+    dist_array = np.empty(len(table))
+    for start in range(0, len(table), EVAL_CHUNK):
+        part = slice(start, start + EVAL_CHUNK)
+        dist_array[part] = _clipped_distances(emb[table.twins[part].reshape(-1)])
     dists = dist_array.tolist()
     # the distances are clipped to [0, 2], so similarity_score's check is moot
     scores = [_score(d, _DEFAULT_PARAMS) for d in dists]

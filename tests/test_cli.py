@@ -319,6 +319,48 @@ class TestEval:
                 ev / "report.csv", ev / "summary.csv", score)])
         assert outputs[0] == outputs[1]
 
+    def test_per_row_forms_give_the_same_outputs(self, tmp_path, capsys):
+        # int magnitudes and a record's confidences send the pair file and
+        # the pose file to their per-row rule, which must read the values
+        # the column checks read
+        out = tmp_path / "corpus"
+        assert run(capsys, "gen", "--jitter", "0,1", "--pairs-per-template", "4",
+                   "--out", str(out))[0] == 0
+        run_dir = train_small(tmp_path, capsys, out)
+        ints = tmp_path / "ints"
+        ints.mkdir()
+        pairs = json.loads((out / "pairs.json").read_bytes())
+        for row in pairs["pairs"]:
+            if "magnitude" in row:
+                row["magnitude"] = int(row["magnitude"])
+        (ints / "pairs.json").write_bytes(json.dumps(pairs).encode())
+        poses = json.loads((out / "poses.json").read_bytes())
+        poses["records"][1]["confidences"] = [1] * 15
+        (ints / "poses.json").write_bytes(json.dumps(poses).encode())
+        reports = []
+        for directory in (out, ints):
+            ev = tmp_path / f"eval_{directory.name}"
+            assert run(capsys, "eval", "--checkpoint", str(run_dir / "model.json"),
+                       "--pairs", str(directory / "pairs.json"),
+                       "--out", str(ev))[0] == 0
+            reports.append([(ev / name).read_bytes()
+                            for name in ("report.csv", "summary.csv")])
+        assert reports[0] == reports[1]
+        assert b",0.0\n" in reports[0][0] and b",1.0\n" in reports[0][0]
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_nul_in_the_poses_reference_is_named(self, tmp_path, capsys, command):
+        corpus = gen_small(tmp_path, capsys)
+        doc = json.loads((corpus / "pairs.json").read_bytes())
+        doc["poses"] = "poses.json\0"
+        (corpus / "pairs.json").write_bytes(json.dumps(doc).encode())
+        argv = ["--pairs", str(corpus / "pairs.json"), "--out", str(tmp_path / "out")]
+        if command == "eval":
+            argv += ["--checkpoint", str(overflowing_checkpoint(tmp_path))]
+        code, stdout, err = run(capsys, command, *argv)
+        assert (code, stdout) == (1, "")
+        assert err == "error: pair file must reference a pose file in 'poses'\n"
+
     def test_rho_omitted_without_magnitudes(self, tmp_path, capsys):
         corpus = gen_small(tmp_path, capsys)
         run_dir = train_small(tmp_path, capsys, corpus)

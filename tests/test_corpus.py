@@ -1,15 +1,19 @@
 import base64
+import dataclasses
 import json
 import math
 import struct
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from posesim import corpus
 from posesim.corpus import (
     PairEntry,
     PairFile,
@@ -68,9 +72,10 @@ POSE_FILE_V2_PATHS = (
     ("records", 0, "confidences"), ("records", 0, "quality_score"),
 )
 PAIR_FILE_PATHS = (
-    ("format_version",), ("poses",), ("pairs",), ("pairs", 0),
-    ("pairs", 0, "a"), ("pairs", 1, "b"), ("pairs", 0, "y"),
-    ("pairs", 0, "magnitude"),
+    ("format_version",), ("poses",), ("pairs",), ("pairs", 0), ("pairs", 1),
+    ("pairs", 0, "a"), ("pairs", 0, "b"), ("pairs", 1, "a"), ("pairs", 1, "b"),
+    ("pairs", 0, "y"), ("pairs", 1, "y"), ("pairs", 0, "magnitude"),
+    ("pairs", 1, "magnitude"),
 )
 
 json_values = st.recursive(
@@ -457,11 +462,13 @@ class TestPairFile:
         with pytest.raises(ValueError, match="'poses'"):
             parse_pair_file(json.dumps({"format_version": 1, "pairs": []}).encode())
 
-    @pytest.mark.parametrize("poses", ["", None, 3])
+    @pytest.mark.parametrize("poses", ["", None, 3, "poses.json\0", "\0"])
     def test_pair_file_takes_the_parsers_poses_rule(self, poses):
-        # write_pair_file must never write bytes its own parser refuses
+        # write_pair_file must never write bytes its own parser refuses; no
+        # file name holds a NUL
         raw = {"format_version": 1, "poses": poses, "pairs": []}
-        with pytest.raises(ValueError) as parsed:
+        with pytest.raises(ValueError, match="^pair file must reference a "
+                                             "pose file in 'poses'$") as parsed:
             parse_pair_file(json.dumps(raw).encode())
         with pytest.raises(ValueError) as built:
             PairFile(poses=poses, entries=())
@@ -993,3 +1000,182 @@ class TestLoadCorpus:
             outputs.append((save_checkpoint(model), history_csv(history),
                             report_csv(report), report_summary_csv(report)))
         assert outputs[0] == outputs[1]
+
+
+# the records of VALID_RECORDS with no optional field, and a third; the
+# column checks take their format 2 file
+PLAIN_RECORDS = [PoseRecord(id=r.id, pose=r.pose) for r in VALID_RECORDS] + [
+    random_record(_RNG, "c", category="squat")]
+PLAIN_POSE_FILE = write_pose_file(PLAIN_RECORDS)
+
+
+def edited(data: bytes, edits) -> bytes:
+    """data with each (path, value) edit of replaced applied in turn; an
+    edit whose path an earlier one took away is skipped."""
+    for path, value in edits:
+        try:
+            data = replaced(data, path, value)
+        except (KeyError, IndexError, TypeError):
+            pass
+    return data
+
+
+def described(value):
+    """value as a comparable form that tells an int from a float, -0.0 from
+    0.0 and a tuple from a list, and holds each array's dtype, shape, bytes
+    and writeability."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes(),
+                value.flags.writeable)
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__, *(described(getattr(value, f.name))
+                                        for f in dataclasses.fields(value)))
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, *map(described, value))
+    return repr(value)
+
+
+def outcome(read, *args):
+    """What read(*args) returns, described, or the type and text of the
+    ValueError or OSError it raises."""
+    try:
+        return described(read(*args))
+    except (ValueError, OSError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@contextmanager
+def by_row():
+    """The readers with their column checks off, so that every file takes
+    the per-row rule, which is what the column checks must agree with."""
+    with mock.patch.object(corpus, "_pair_columns", lambda raw: None), \
+            mock.patch.object(corpus, "_record_columns", lambda raw: None):
+        yield
+
+
+def assert_columns_agree_with_rows(pair_file: bytes, pose_file: bytes) -> None:
+    """parse_pair_file, parse_pose_file and load_corpus give what the
+    per-row rule gives: the same entries, records, table and ids, or the
+    same error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "poses.json").write_bytes(pose_file)
+        (Path(tmp) / "pairs.json").write_bytes(pair_file)
+        reads = [(parse_pair_file, pair_file), (parse_pose_file, pose_file),
+                 (load_corpus, Path(tmp) / "pairs.json")]
+        got = [outcome(read, arg) for read, arg in reads]
+        with by_row():
+            expected = [outcome(read, arg) for read, arg in reads]
+    assert got == expected
+
+
+# values the pair rule takes or refuses: int, bool, NaN, infinite (1e400
+# reads as inf), -0.0, negative and huge magnitudes, labels and ids, and
+# KeyError, which deletes the field
+PAIR_VALUES = st.sampled_from([
+    KeyError, None, 0, 1, 2, -1, True, False, 0.0, -0.0, 0.5, -0.5, 1.0,
+    math.nan, math.inf, -math.inf, 1e308, 10 ** 400, "", "a", "b", "c", "a:b",
+    "ghost", [], {}, {"a": "a"}])
+# record fields by name (None: the whole record) and values their rule takes
+# or refuses: duplicate, empty and CSV-special ids, valid and bad confidences
+# and quality_scores, non-str categories, and keypoints a format 2 record
+# may not carry
+RECORD_EDITS = st.one_of(
+    st.tuples(st.just("id"), st.sampled_from(
+        [KeyError, "", "a", "b", "c", "d", "x,y", 'q"', "l\n", "r\r", 3, None])),
+    st.tuples(st.just("category"), st.sampled_from(
+        [KeyError, "squat", "", "a,b", 3, 0.5, None, True, []])),
+    st.tuples(st.just("confidences"), st.sampled_from(
+        [KeyError, [0.5] * NUM_KEYPOINTS, [1] * NUM_KEYPOINTS, [0, 1] * 7 + [0.25],
+         [2.0] * NUM_KEYPOINTS, [0.5] * (NUM_KEYPOINTS - 1), [True] * NUM_KEYPOINTS,
+         [math.nan] * NUM_KEYPOINTS, "x", None])),
+    st.tuples(st.just("quality_score"), st.sampled_from(
+        [KeyError, 0.25, -1.5, 3, 0, True, "0.5", math.nan, math.inf,
+         10 ** 400, None])),
+    st.tuples(st.just("keypoints"), st.sampled_from(
+        [[[0.0, 0.0]] * NUM_KEYPOINTS, None, []])),
+    st.tuples(st.just("extra"), st.sampled_from([0, None])),
+    st.tuples(st.none(), st.sampled_from([3, "a", None, [], {}])))
+
+
+class TestColumnChecks:
+    """The readers check the pair rows, the pose records and the join a
+    column at a time, and fall back to the per-row rule for any input the
+    column checks do not take. Whatever the input, they must give what the
+    per-row rule alone gives, error text included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(PAIR_FILE_PATHS),
+                                    PAIR_VALUES | json_values),
+                          min_size=1, max_size=3))
+    @example(edits=[(("pairs", 0, "magnitude"), 0)])
+    @example(edits=[(("pairs", 1, "magnitude"), -0.0)])
+    @example(edits=[(("pairs", 1, "y"), True), (("pairs", 0, "magnitude"), -0.5)])
+    @example(edits=[(("pairs", 1, "a"), "")])
+    @example(edits=[(("pairs", 0, "magnitude"), 10 ** 400)])
+    @example(edits=[(("pairs", 1), 7), (("pairs", 0, "magnitude"), math.nan)])
+    @example(edits=[(("pairs", 0, "magnitude"), math.inf)])
+    @example(edits=[(("pairs", 0, "b"), KeyError)])
+    def test_pair_file_edits(self, edits):
+        assert_columns_agree_with_rows(edited(VALID_PAIR_FILE, edits),
+                                       PLAIN_POSE_FILE)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 2), RECORD_EDITS),
+                          min_size=1, max_size=3))
+    @example(edits=[(2, ("id", "a"))])
+    @example(edits=[(1, ("id", ""))])
+    @example(edits=[(0, ("id", 3))])
+    @example(edits=[(2, ("id", "x,y")), (1, ("category", 3))])
+    @example(edits=[(0, ("confidences", [1] * NUM_KEYPOINTS)),
+                    (2, ("quality_score", 3))])
+    @example(edits=[(1, ("confidences", [2.0] * NUM_KEYPOINTS))])
+    @example(edits=[(0, ("category", 3))])
+    @example(edits=[(1, ("keypoints", [[0.0, 0.0]] * NUM_KEYPOINTS))])
+    def test_pose_record_edits(self, edits):
+        pose_file = edited(PLAIN_POSE_FILE, [
+            (("records", i) + (() if field is None else (field,)), value)
+            for i, (field, value) in edits])
+        pairs = write_pair_file(PairFile(poses="poses.json", entries=(
+            PairEntry(a="a", b="b", y=1, magnitude=0.03),
+            PairEntry(a="c", b="a", y=0))))
+        assert_columns_agree_with_rows(pairs, pose_file)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(*[st.sampled_from(["a", "b", "c", "g1", "g2"])] * 2),
+                         min_size=1, max_size=6))
+    @example(rows=[("a", "g1"), ("g2", "b")])
+    def test_join_names_the_first_unknown_id_in_pair_order(self, rows):
+        entries = [PairEntry(a=a, b=b, y=0) for a, b in rows]
+        unknown = [ref for pair in rows for ref in pair if ref.startswith("g")]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_corpus(Path(tmp), PLAIN_RECORDS, entries)
+            if not unknown:
+                table, ids = load_corpus(path)
+                pairs, direct_ids = build_pose_pairs(PLAIN_RECORDS, entries)
+                assert ids == direct_ids == [f"{a}:{b}" for a, b in rows]
+                assert_same_pairs(table, pairs)
+                return
+            message = f"^pair references unknown pose id {unknown[0]!r}$"
+            with pytest.raises(ValueError, match=message):
+                load_corpus(path)
+        with pytest.raises(ValueError, match=message):
+            build_pose_pairs(PLAIN_RECORDS, entries)
+
+    def test_unknown_b_of_row_0_is_named_before_unknown_a_of_row_1(self, tmp_path):
+        # a join that looked up every a before any b would name 'g2'
+        entries = [PairEntry(a="a", b="g1", y=0), PairEntry(a="g2", b="b", y=0)]
+        with pytest.raises(ValueError, match="^pair references unknown pose "
+                                             "id 'g1'$"):
+            load_corpus(write_corpus(tmp_path, PLAIN_RECORDS, entries))
+
+    def test_column_checks_take_gen_files(self, tmp_path):
+        # the files gen writes never reach the per-row rule
+        records, entries = generate_corpus_files(SynthConfig(
+            pairs_per_template=2, seed=5))
+        path = write_corpus(tmp_path, records, entries)
+        with mock.patch.object(corpus, "_checked_pairs", side_effect=AssertionError), \
+                mock.patch.object(corpus, "_checked_records", side_effect=AssertionError):
+            table, ids = load_corpus(path)
+        pairs, direct_ids = build_pose_pairs(records, entries)
+        assert ids == direct_ids
+        assert_same_pairs(table, pairs)

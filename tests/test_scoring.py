@@ -9,8 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from posesim.network import init_model
+from posesim.network import _run_layers, _variant_layers, init_model
 from posesim.scoring import (
+    EVAL_CHUNK,
     EvalReport,
     EvalRow,
     ScoreParams,
@@ -22,8 +23,9 @@ from posesim.scoring import (
     similarity_score,
     spearman_rho,
 )
-from posesim.skeleton import NUM_KEYPOINTS, Pose, SKELETON_EDGES, build_skeleton_topology
-from posesim.training import PosePair, cosine_distances
+from posesim.skeleton import (NUM_KEYPOINTS, Pose, SKELETON_EDGES,
+                              build_skeleton_topology, normalize_stack)
+from posesim.training import PairTable, PosePair, cosine_distances
 
 TOPO = build_skeleton_topology()
 
@@ -352,6 +354,27 @@ class TestEvaluate:
         assert row._fields == ("pair_id", "d_c", "score", "label", "magnitude")
         assert tuple(row) == ("0", row.d_c, row.score, 1, 0.5)
         assert type(row.d_c) is float and type(row.score) is float
+
+    @pytest.mark.parametrize("variant", ["gcn", "mlp"])
+    def test_chunked_distances_match_one_gather_and_score_pair(self, variant):
+        # more than two chunks of pairs, the last one short, over rows that
+        # repeat in and across chunks
+        rng = np.random.default_rng(16)
+        m = 2 * EVAL_CHUNK + 37
+        table = PairTable(rng.uniform(-2, 2, (300, NUM_KEYPOINTS, 2)),
+                          rng.integers(0, 300, (m, 2)), rng.integers(0, 2, m),
+                          (None,) * m)
+        model = init_model(h=2, seed=4)
+        report = evaluate(model, TOPO, table, variant=variant)
+        emb = _run_layers(_variant_layers(model, variant), TOPO,
+                          normalize_stack(table.keypoints))
+        gathered = _clipped_distances(emb[table.twins.reshape(-1)])
+        dists = np.array([row.d_c for row in report.rows])
+        assert dists.tobytes() == gathered.tobytes()
+        poses = [Pose(kp) for kp in table.keypoints]
+        assert [(row.d_c, row.score) for row in report.rows] == [
+            score_pair(model, TOPO, poses[a], poses[b], variant=variant)
+            for a, b in table.twins.tolist()]
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
