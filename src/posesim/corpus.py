@@ -5,10 +5,12 @@ which write_pose_file writes, holds every record's keypoints in one base64
 block of little-endian float64s beside the records' other fields; format 1,
 which is still read, holds them as each record's nested lists. The pair
 file references pose ids and stores a label plus an optional ground-truth
-perturbation magnitude. The synthetic generator stands in for an upstream
-pose-estimation stage: it jitters hand-authored template skeletons by graded
-amounts for positive pairs and crosses distinct templates for negatives, all
-deterministically from one seed.
+perturbation magnitude per pair. Its format 2, which write_pair_file
+writes, holds the pairs as four equal-length columns; format 1, which is
+still read, as one object per pair. The synthetic generator stands in for
+an upstream pose-estimation stage: it jitters hand-authored template
+skeletons by graded amounts for positive pairs and crosses distinct
+templates for negatives, all deterministically from one seed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 import base64
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
+from operator import attrgetter
 from pathlib import Path
 from types import NoneType
 
@@ -29,8 +32,8 @@ from posesim.skeleton import (KEYPOINT_NAMES, NUM_KEYPOINTS, Pose, admits_stack,
                               admitted, number_array)
 from posesim.training import PosePair, _admitted_table, checked_label
 
-FILE_VERSION = 1  # of a pair file, and of the pose file's first format
-POSE_FILE_VERSION = 2
+FILE_VERSION = 1  # the first format of a pose file and of a pair file
+POSE_FILE_VERSION = PAIR_FILE_VERSION = 2
 # bytes of one record's keypoints in a format 2 pose file
 _POSE_BYTES = NUM_KEYPOINTS * 2 * 8
 
@@ -275,20 +278,40 @@ def _record_fields(data: bytes) -> tuple[np.ndarray, tuple]:
 def _record_columns(raw_records: list) -> tuple | None:
     """_checked_records' columns of format 2 records whose stack was
     admitted, checked a column at a time, if every record is an object
-    holding an id and at most a category, the ids nonempty, distinct
-    strings with no character report.csv would quote and the categories
-    strings; None for any other records, which the per-row rule judges."""
-    if not (set(map(type, raw_records)) <= {dict}
-            and set().union(*raw_records) <= {"id", "category"}):
+    holding no key but those of _RECORD_FIELDS, the ids nonempty, distinct
+    strings with no character report.csv would quote, the categories
+    strings, each confidences a list of 15 ints or floats in [0, 1] and each
+    quality_score a finite float; None for any other records, an int
+    quality_score's too, which the per-row rule judges."""
+    if not set(map(type, raw_records)) <= {dict}:
         return None
-    ids, categories = (list(map(dict.get, raw_records, repeat(key)))
-                       for key in ("id", "category"))
+    keys = set().union(*raw_records)
+    if not keys <= set(_RECORD_FIELDS):
+        return None
+    absent = [None] * len(raw_records)
+    ids, confidences, categories, quality_scores = (
+        list(map(dict.get, raw_records, repeat(key))) if key in keys else absent
+        for key in _RECORD_FIELDS)
+    given = [c for c in confidences if c is not None]
+    given_scores = [q for q in quality_scores if q is not None]
     if not (set(map(type, ids)) <= {str} and all(ids)
             and len(set(ids)) == len(ids) and not _csv_special("".join(ids))
-            and set(map(type, categories)) <= {str, NoneType}):
+            and set(map(type, categories)) <= {str, NoneType}
+            and set(map(type, given)) <= {list}
+            and set(map(len, given)) <= {NUM_KEYPOINTS}
+            and set(map(type, given_scores)) <= {float}
+            and all(map(any_finite, given_scores))):
         return None
-    absent = [None] * len(ids)
-    return ids, absent, categories, absent
+    # every confidence in [0, 1], by scans that loop in C: a NaN compares
+    # false, so min and max may pass it over, but it makes the sum NaN
+    values = list(chain.from_iterable(given))
+    if not (set(map(type, values)) <= {int, float} and 0 <= min(values, default=0)
+            and max(values, default=0) <= 1 and not math.isnan(sum(values))):
+        return None
+    if given:
+        confidences = [None if c is None else tuple(map(float, c))
+                       for c in confidences]
+    return ids, confidences, categories, quality_scores
 
 
 def _checked_records(raw_records: list, keypoints, stacked: bool,
@@ -384,33 +407,66 @@ def _pair_rows(data: bytes) -> tuple[str, tuple]:
     """A pair file's pose-file reference and its rows' checked columns, in
     _PAIR_FIELDS order: parse_pair_file short of building the entries.
 
-    The column checks of _pair_columns take nearly every file; rows they do
-    not take go to the per-row rule of _checked_pairs."""
-    doc = read_document(data, "pair file", FILE_VERSION)
+    Format 2 holds the columns; format 1's objects are taken apart into
+    them. The column checks of _pair_columns take nearly every file; rows
+    they do not take, zipped back from the columns, go to the per-row rule
+    of _checked_pairs, so both formats raise the same first error."""
+    doc = read_document(data, "pair file", FILE_VERSION, PAIR_FILE_VERSION)
     poses = doc.get("poses")
     _check_poses_reference(poses)
     raw_pairs = doc.get("pairs")
-    if not isinstance(raw_pairs, list):
+    if doc["format_version"] == PAIR_FILE_VERSION:
+        columns = _pair_block(raw_pairs)
+    elif not isinstance(raw_pairs, list):
         raise ValueError("pair file must carry a 'pairs' array")
-    return poses, _pair_columns(raw_pairs) or _checked_pairs(raw_pairs)
+    elif set(map(type, raw_pairs)) <= {dict}:
+        columns = [list(map(dict.get, raw_pairs, repeat(key)))
+                   for key in _PAIR_FIELDS]
+    else:
+        return poses, _checked_pairs(raw_pairs)
+    return poses, _pair_columns(columns) or _checked_pairs(
+        [dict(zip(_PAIR_FIELDS, row)) for row in zip(*columns)])
 
 
-def _pair_columns(raw_pairs: list) -> tuple | None:
-    """_checked_pairs' columns, checked a column at a time, if every row is
-    an object whose a and b are nonempty strings, y the int 0 or 1 and
-    magnitude absent, None or a float in [0, inf); None for any other rows,
-    an int magnitude's too, which the per-row rule judges."""
-    if not set(map(type, raw_pairs)) <= {dict}:
-        return None
-    a, b, y, magnitudes = (list(map(dict.get, raw_pairs, repeat(key)))
-                           for key in _PAIR_FIELDS)
+def _pair_block(block) -> list:
+    """The four columns of a format 2 pair file's 'pairs', an object holding
+    exactly the lists a, b, y and magnitude, all of one length; ValueError
+    naming the field for anything else."""
+    if not isinstance(block, dict):
+        raise ValueError(f"pair file 'pairs' must be an object of the columns "
+                         f"{', '.join(_PAIR_FIELDS)}, got {type(block).__name__}")
+    for key in _PAIR_FIELDS:
+        if key not in block:
+            raise ValueError(f"pair file 'pairs' is missing the column {key!r}")
+    if len(block) > len(_PAIR_FIELDS):
+        extra = min(block.keys() - set(_PAIR_FIELDS))
+        raise ValueError(f"pair file 'pairs' has an unknown column {extra!r}")
+    columns = [block[key] for key in _PAIR_FIELDS]
+    for key, column in zip(_PAIR_FIELDS, columns):
+        if not isinstance(column, list):
+            raise ValueError(f"pair file 'pairs' column {key!r} must be a "
+                             f"list, got {type(column).__name__}")
+    if len(set(map(len, columns))) > 1:
+        lengths = ", ".join(f"{key} {len(column)}"
+                            for key, column in zip(_PAIR_FIELDS, columns))
+        raise ValueError(f"pair file 'pairs' columns must have one length, "
+                         f"got {lengths}")
+    return columns
+
+
+def _pair_columns(columns: list) -> list | None:
+    """columns, a pair file's a, b, y and magnitude lists, if they pass the
+    pair rule checked a column at a time: a and b nonempty strings, y the
+    int 0 or 1 and each magnitude None or a float in [0, inf); None for any
+    other columns, an int magnitude's too, which the per-row rule judges."""
+    a, b, y, magnitudes = columns
     given = [m for m in magnitudes if m is not None]
     if not ((set(map(type, a)) | set(map(type, b))) <= {str} and all(a)
             and all(b) and set(map(type, y)) <= {int} and set(y) <= {0, 1}
             and set(map(type, given)) <= {float}
             and all(map(nonnegative, given)) and all(map(math.inf.__gt__, given))):
         return None
-    return a, b, y, magnitudes
+    return columns
 
 
 def _checked_pairs(raw_pairs: list) -> tuple:
@@ -432,14 +488,12 @@ def _checked_pairs(raw_pairs: list) -> tuple:
 
 
 def write_pair_file(pair_file: PairFile) -> bytes:
-    rows = []
-    for e in pair_file.entries:
-        row = {"a": e.a, "b": e.b, "y": e.y}
-        if e.magnitude is not None:
-            row["magnitude"] = e.magnitude
-        rows.append(row)
-    return write_document({"poses": pair_file.poses, "pairs": rows},
-                          FILE_VERSION)
+    """Canonical pair-file serialization, format 2: the entries' a, b, y
+    and magnitude as four columns in entry order, a magnitude null where
+    absent. parse(write(f)) == f, and the bytes are identical across runs."""
+    return write_document({"poses": pair_file.poses, "pairs": {
+        key: list(map(attrgetter(key), pair_file.entries))
+        for key in _PAIR_FIELDS}}, PAIR_FILE_VERSION)
 
 
 def build_pose_pairs(records, entries):

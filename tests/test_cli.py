@@ -16,7 +16,7 @@ from posesim.network import ArchMeta, init_model, load_checkpoint, save_checkpoi
 from posesim.scoring import ScoreParams
 from posesim.training import TrainConfig
 
-from v1_files import v1_from_v2
+from v1_files import v1_from_v2, v1_pairs_from_v2
 
 
 def run(capsys, *argv):
@@ -150,11 +150,12 @@ class TestTrain:
         assert err.startswith("error:")
 
     # edits None: the whole file becomes JSON nested too deep to parse;
-    # otherwise each (path, value) edit sets that field, of poses.json
-    # turned into format 1, whose records hold their keypoints
+    # otherwise each (path, value) edit sets that field, of pairs.json as
+    # written or of poses.json turned into format 1, whose records hold
+    # their keypoints
     @pytest.mark.parametrize("name, edits", [
         ("pairs.json", None),
-        ("pairs.json", [(("pairs", 0, "magnitude"), 10 ** 400)]),
+        ("pairs.json", [(("pairs", "magnitude", 0), 10 ** 400)]),
         ("poses.json", [(("records", 0, "keypoints", 0, 0), 10 ** 400)]),
         ("poses.json", [(("records", 0, "keypoints", 0, 0), -1e308),
                         (("records", 0, "keypoints", 1, 0), 1e308)]),
@@ -293,16 +294,21 @@ class TestEval:
         summary = (out / "summary.csv").read_text().strip().splitlines()
         assert summary[0] == "spearman_rho,mean_pos_dist,mean_neg_dist"
 
-    def test_format_1_pose_file_gives_the_same_outputs(self, tmp_path, capsys):
-        # train, eval and score read the format 1 file of the same records
-        # and write the bytes they write on the format 2 file gen wrote
+    def test_format_1_files_give_the_same_outputs(self, tmp_path, capsys):
+        # train, eval and score read the format 1 pose file of the same
+        # records, with the format 2 pair file gen wrote and with its format
+        # 1 file, and write the bytes they write on gen's format 2 files
         corpus = gen_small(tmp_path, capsys)
-        old = tmp_path / "v1"
-        old.mkdir()
-        (old / "poses.json").write_bytes(v1_from_v2((corpus / "poses.json").read_bytes()))
-        (old / "pairs.json").write_bytes((corpus / "pairs.json").read_bytes())
+        poses = v1_from_v2((corpus / "poses.json").read_bytes())
+        pairs = (corpus / "pairs.json").read_bytes()
+        directories = [corpus]
+        for name, pair_bytes in (("v1_poses", pairs), ("v1", v1_pairs_from_v2(pairs))):
+            directories.append(tmp_path / name)
+            directories[-1].mkdir()
+            (directories[-1] / "poses.json").write_bytes(poses)
+            (directories[-1] / "pairs.json").write_bytes(pair_bytes)
         outputs = []
-        for directory in (corpus, old):
+        for directory in directories:
             run_dir = tmp_path / f"run_{directory.name}"
             ev = tmp_path / f"eval_{directory.name}"
             score = tmp_path / f"score_{directory.name}.csv"
@@ -317,12 +323,12 @@ class TestEval:
             outputs.append([path.read_bytes() for path in (
                 run_dir / "model.json", run_dir / "history.csv",
                 ev / "report.csv", ev / "summary.csv", score)])
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_per_row_forms_give_the_same_outputs(self, tmp_path, capsys):
-        # int magnitudes and a record's confidences send the pair file and
-        # the pose file to their per-row rule, which must read the values
-        # the column checks read
+        # int magnitudes and a record's int quality_score send the pair file
+        # and the pose file to their per-row rule, which must read the
+        # values the column checks read
         out = tmp_path / "corpus"
         assert run(capsys, "gen", "--jitter", "0,1", "--pairs-per-template", "4",
                    "--out", str(out))[0] == 0
@@ -330,12 +336,11 @@ class TestEval:
         ints = tmp_path / "ints"
         ints.mkdir()
         pairs = json.loads((out / "pairs.json").read_bytes())
-        for row in pairs["pairs"]:
-            if "magnitude" in row:
-                row["magnitude"] = int(row["magnitude"])
+        pairs["pairs"]["magnitude"] = [m if m is None else int(m)
+                                       for m in pairs["pairs"]["magnitude"]]
         (ints / "pairs.json").write_bytes(json.dumps(pairs).encode())
         poses = json.loads((out / "poses.json").read_bytes())
-        poses["records"][1]["confidences"] = [1] * 15
+        poses["records"][1]["quality_score"] = 3
         (ints / "poses.json").write_bytes(json.dumps(poses).encode())
         reports = []
         for directory in (out, ints):
@@ -366,8 +371,7 @@ class TestEval:
         run_dir = train_small(tmp_path, capsys, corpus)
         # strip magnitudes from the pair file
         doc = json.loads((corpus / "pairs.json").read_bytes())
-        for row in doc["pairs"]:
-            row.pop("magnitude", None)
+        doc["pairs"]["magnitude"] = [None] * len(doc["pairs"]["magnitude"])
         (corpus / "pairs.json").write_bytes(json.dumps(doc).encode())
         out = tmp_path / "eval"
         code, stdout, _ = run(capsys, "eval",

@@ -36,7 +36,7 @@ from posesim.skeleton import (KEYPOINT_NAMES, NUM_KEYPOINTS, SKELETON_EDGES, Pos
                               build_skeleton_topology)
 from posesim.training import TrainConfig, history_csv, train
 
-from v1_files import dumped, v1_document
+from v1_files import dumped, v1_document, v1_pairs_from_v2
 
 
 def random_record(rng, rec_id, **kw):
@@ -52,10 +52,12 @@ VALID_RECORDS = [
 # format 1, whose records hold their keypoints, which the tests below edit
 VALID_POSE_FILE = dumped(v1_document(VALID_RECORDS))
 VALID_POSE_FILE_V2 = write_pose_file(VALID_RECORDS)
-VALID_PAIR_FILE = write_pair_file(PairFile(poses="poses.json", entries=(
+VALID_PAIR_FILE_V2 = write_pair_file(PairFile(poses="poses.json", entries=(
     PairEntry(a="a", b="b", y=1, magnitude=0.03),
     PairEntry(a="b", b="a", y=0),
 )))
+# format 1, one object per pair, which the tests below edit row by row
+VALID_PAIR_FILE = v1_pairs_from_v2(VALID_PAIR_FILE_V2)
 
 # Fields of each file, as paths of keys and indices, for the properties below
 POSE_FILE_PATHS = (
@@ -76,6 +78,12 @@ PAIR_FILE_PATHS = (
     ("pairs", 0, "a"), ("pairs", 0, "b"), ("pairs", 1, "a"), ("pairs", 1, "b"),
     ("pairs", 0, "y"), ("pairs", 1, "y"), ("pairs", 0, "magnitude"),
     ("pairs", 1, "magnitude"),
+)
+PAIR_FILE_V2_PATHS = (
+    ("format_version",), ("poses",), ("pairs",), ("pairs", "a"), ("pairs", "b"),
+    ("pairs", "y"), ("pairs", "magnitude"), ("pairs", "extra"), ("pairs", "a", 0),
+    ("pairs", "b", 1), ("pairs", "y", 0), ("pairs", "magnitude", 0),
+    ("pairs", "magnitude", 1),
 )
 
 json_values = st.recursive(
@@ -452,11 +460,12 @@ class TestPairFile:
         back = parse_pair_file(write_pair_file(pf))
         assert back == pf
 
-    def test_magnitude_omitted_when_absent(self):
-        pf = PairFile(poses="poses.json", entries=(PairEntry(a="x", b="y", y=0),))
+    def test_written_as_columns_with_null_for_an_absent_magnitude(self):
+        pf = PairFile(poses="poses.json", entries=(
+            PairEntry(a="x", b="y", y=0), PairEntry(a="y", b="z", y=1, magnitude=0.5)))
         doc = json.loads(write_pair_file(pf))
-        assert doc["pairs"][0] == {"a": "x", "b": "y", "y": 0}
-        assert doc["poses"] == "poses.json"
+        assert doc == {"format_version": 2, "poses": "poses.json", "pairs": {
+            "a": ["x", "y"], "b": ["y", "z"], "y": [0, 1], "magnitude": [None, 0.5]}}
 
     def test_missing_poses_reference(self):
         with pytest.raises(ValueError, match="'poses'"):
@@ -494,11 +503,41 @@ class TestPairFile:
             parse_pair_file(json.dumps(raw).encode())
 
 
+class TestPairFileV2Errors:
+    """A format 2 pair file's 'pairs' must be an object of exactly the four
+    columns, each a list, all of one length; each fault is named, a missing
+    column before an unknown one, and the first unknown one in sorted
+    order. A format 1 file must hold rows."""
+
+    @pytest.mark.parametrize("edits, message", [
+        ([(("pairs",), [])], "'pairs' must be an object of the columns a, b, y, "
+                             "magnitude, got list"),
+        ([(("pairs",), KeyError)], "'pairs' must be an object of the columns a, "
+                                   "b, y, magnitude, got NoneType"),
+        ([(("pairs", "y"), KeyError)], "'pairs' is missing the column 'y'"),
+        ([(("pairs", "B"), []), (("pairs", "b"), KeyError)],
+         "'pairs' is missing the column 'b'"),
+        ([(("pairs", "zz"), []), (("pairs", "extra"), [])],
+         "'pairs' has an unknown column 'extra'"),
+        ([(("pairs", "a"), "ab")], "'pairs' column 'a' must be a list, got str"),
+        ([(("pairs", "magnitude"), {})],
+         "'pairs' column 'magnitude' must be a list, got dict"),
+        ([(("pairs", "b"), ["b"])], "'pairs' columns must have one length, got "
+                                    "a 2, b 1, y 2, magnitude 2"),
+        ([(("format_version",), 1)], "must carry a 'pairs' array"),
+    ], ids=["rows", "absent", "missing-column", "missing-before-unknown",
+            "unknown-columns", "str-column", "dict-column", "unequal-lengths",
+            "format-1-columns"])
+    def test_structural_fault_named(self, edits, message):
+        with pytest.raises(ValueError, match=f"^pair file {message}$"):
+            parse_pair_file(edited(VALID_PAIR_FILE_V2, edits))
+
+
 @pytest.mark.parametrize("version", [True, 1.0, 2.0])
 @pytest.mark.parametrize("parse, data", [
     (parse_pose_file, VALID_POSE_FILE), (parse_pose_file, VALID_POSE_FILE_V2),
-    (parse_pair_file, VALID_PAIR_FILE),
-], ids=["pose", "pose-v2", "pair"])
+    (parse_pair_file, VALID_PAIR_FILE), (parse_pair_file, VALID_PAIR_FILE_V2),
+], ids=["pose", "pose-v2", "pair", "pair-v2"])
 def test_format_version_must_be_the_int_itself(parse, data, version):
     with pytest.raises(ValueError, match="format_version"):
         parse(replaced(data, ("format_version",), version))
@@ -578,6 +617,15 @@ class TestParserProperties:
                                                                 value):
         parses_or_raises_value_error(
             parse_pair_file, replaced(VALID_PAIR_FILE, path, value))
+
+    @settings(max_examples=150, deadline=None)
+    @given(path=st.sampled_from(PAIR_FILE_V2_PATHS),
+           value=json_values | st.just(KeyError))
+    @example(path=("pairs", "magnitude", 0), value=10 ** 400)
+    def test_v2_pair_field_replacements_parse_or_raise_value_error(self, path,
+                                                                   value):
+        parses_or_raises_value_error(
+            parse_pair_file, replaced(VALID_PAIR_FILE_V2, path, value))
 
 
 # non-finite values, leaves numpy would convert but the rule refuses, and
@@ -1053,19 +1101,37 @@ def by_row():
         yield
 
 
+def read_outcomes(directory: Path, pair_file: bytes, pose_file: bytes) -> list:
+    """The outcomes of parse_pair_file, parse_pose_file and load_corpus on
+    the two files, written into directory, whose path an error may name."""
+    (directory / "poses.json").write_bytes(pose_file)
+    (directory / "pairs.json").write_bytes(pair_file)
+    return [outcome(parse_pair_file, pair_file), outcome(parse_pose_file, pose_file),
+            outcome(load_corpus, directory / "pairs.json")]
+
+
 def assert_columns_agree_with_rows(pair_file: bytes, pose_file: bytes) -> None:
     """parse_pair_file, parse_pose_file and load_corpus give what the
     per-row rule gives: the same entries, records, table and ids, or the
     same error."""
     with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "poses.json").write_bytes(pose_file)
-        (Path(tmp) / "pairs.json").write_bytes(pair_file)
-        reads = [(parse_pair_file, pair_file), (parse_pose_file, pose_file),
-                 (load_corpus, Path(tmp) / "pairs.json")]
-        got = [outcome(read, arg) for read, arg in reads]
+        got = read_outcomes(Path(tmp), pair_file, pose_file)
         with by_row():
-            expected = [outcome(read, arg) for read, arg in reads]
-    assert got == expected
+            assert got == read_outcomes(Path(tmp), pair_file, pose_file)
+
+
+def v2_edit(path, value):
+    """The edit of a format 2 pair file that matches the format 1 edit
+    (path, value): a pair's field is a cell of its column, and a deleted
+    field, which the pair rule reads as None, a null cell."""
+    if path[0] != "pairs":
+        return path, value
+    return ("pairs", path[2], path[1]), None if value is KeyError else value
+
+
+# the fields of a format 1 pair file that a format 2 file holds too
+PAIR_CELL_PATHS = (("poses",),) + tuple(
+    ("pairs", i, key) for i in (0, 1) for key in ("a", "b", "y", "magnitude"))
 
 
 # values the pair rule takes or refuses: int, bool, NaN, infinite (1e400
@@ -1075,8 +1141,8 @@ PAIR_VALUES = st.sampled_from([
     KeyError, None, 0, 1, 2, -1, True, False, 0.0, -0.0, 0.5, -0.5, 1.0,
     math.nan, math.inf, -math.inf, 1e308, 10 ** 400, "", "a", "b", "c", "a:b",
     "ghost", [], {}, {"a": "a"}])
-# record fields by name (None: the whole record) and values their rule takes
-# or refuses: duplicate, empty and CSV-special ids, valid and bad confidences
+# record fields by name or path (None: the whole record) and values their
+# rule takes or refuses: duplicate, empty and CSV-special ids, valid and bad confidences
 # and quality_scores, non-str categories, and keypoints a format 2 record
 # may not carry
 RECORD_EDITS = st.one_of(
@@ -1087,9 +1153,14 @@ RECORD_EDITS = st.one_of(
     st.tuples(st.just("confidences"), st.sampled_from(
         [KeyError, [0.5] * NUM_KEYPOINTS, [1] * NUM_KEYPOINTS, [0, 1] * 7 + [0.25],
          [2.0] * NUM_KEYPOINTS, [0.5] * (NUM_KEYPOINTS - 1), [True] * NUM_KEYPOINTS,
-         [math.nan] * NUM_KEYPOINTS, "x", None])),
+         [0.5] * (NUM_KEYPOINTS + 1), [[0.5]] * NUM_KEYPOINTS, "x" * NUM_KEYPOINTS,
+         [math.nan] * NUM_KEYPOINTS, "x", {}, 3, 0.5, None])),
+    st.tuples(st.tuples(st.just("confidences"), st.integers(0, NUM_KEYPOINTS - 1)),
+              st.sampled_from([KeyError, 0, 1, 0.0, -0.0, 1.0, 0.25, 5e-324, 1.5,
+                               -0.5, 2, True, False, None, "0.5", math.nan,
+                               math.inf, 10 ** 400, []])),
     st.tuples(st.just("quality_score"), st.sampled_from(
-        [KeyError, 0.25, -1.5, 3, 0, True, "0.5", math.nan, math.inf,
+        [KeyError, 0.25, -1.5, -0.0, 1e308, 3, 0, True, "0.5", math.nan, math.inf,
          10 ** 400, None])),
     st.tuples(st.just("keypoints"), st.sampled_from(
         [[[0.0, 0.0]] * NUM_KEYPOINTS, None, []])),
@@ -1131,14 +1202,49 @@ class TestColumnChecks:
     @example(edits=[(1, ("confidences", [2.0] * NUM_KEYPOINTS))])
     @example(edits=[(0, ("category", 3))])
     @example(edits=[(1, ("keypoints", [[0.0, 0.0]] * NUM_KEYPOINTS))])
+    @example(edits=[(0, ("confidences", [1] * NUM_KEYPOINTS))])
+    @example(edits=[(0, ("confidences", [0.5] * NUM_KEYPOINTS)),
+                    (0, (("confidences", 3), True))])
+    @example(edits=[(1, ("confidences", [0.5] * NUM_KEYPOINTS)),
+                    (1, (("confidences", 14), math.nan))])
+    @example(edits=[(2, ("confidences", [0.5] * NUM_KEYPOINTS)),
+                    (2, (("confidences", 0), -0.5))])
+    @example(edits=[(2, ("confidences", "x" * NUM_KEYPOINTS))])
+    @example(edits=[(1, ("confidences", [0.5] * (NUM_KEYPOINTS + 1)))])
+    @example(edits=[(1, ("confidences", [[0.5]] * NUM_KEYPOINTS))])
+    @example(edits=[(1, ("confidences", 0.5))])
+    @example(edits=[(2, ("quality_score", 0.25)), (0, ("quality_score", math.inf))])
+    @example(edits=[(2, ("quality_score", 0.25)), (0, ("quality_score", 3))])
     def test_pose_record_edits(self, edits):
         pose_file = edited(PLAIN_POSE_FILE, [
-            (("records", i) + (() if field is None else (field,)), value)
+            (("records", i) + (() if field is None else
+                               (field,) if isinstance(field, str) else field), value)
             for i, (field, value) in edits])
         pairs = write_pair_file(PairFile(poses="poses.json", entries=(
             PairEntry(a="a", b="b", y=1, magnitude=0.03),
             PairEntry(a="c", b="a", y=0))))
         assert_columns_agree_with_rows(pairs, pose_file)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(PAIR_CELL_PATHS),
+                                    PAIR_VALUES | json_values), max_size=3))
+    @example(edits=[])
+    @example(edits=[(("pairs", 0, "magnitude"), KeyError), (("pairs", 1, "y"), 2)])
+    @example(edits=[(("pairs", 1, "a"), KeyError)])
+    @example(edits=[(("pairs", 1, "b"), "")])
+    @example(edits=[(("pairs", 0, "magnitude"), 0), (("pairs", 1, "b"), "ghost")])
+    @example(edits=[(("pairs", 1, "magnitude"), math.nan), (("pairs", 0, "y"), True)])
+    def test_format_2_reads_as_format_1(self, edits):
+        # the same edits, at a pair's fields of a format 1 file and at the
+        # cells of a format 2 file's columns, give the same entries, table
+        # and ids, or the same error, with and without the column checks
+        v1 = edited(VALID_PAIR_FILE, edits)
+        v2 = edited(VALID_PAIR_FILE_V2, [v2_edit(*edit) for edit in edits])
+        with tempfile.TemporaryDirectory() as tmp:
+            got = read_outcomes(Path(tmp), v2, PLAIN_POSE_FILE)
+            assert got == read_outcomes(Path(tmp), v1, PLAIN_POSE_FILE)
+            with by_row():
+                assert got == read_outcomes(Path(tmp), v2, PLAIN_POSE_FILE)
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.tuples(*[st.sampled_from(["a", "b", "c", "g1", "g2"])] * 2),
@@ -1169,13 +1275,20 @@ class TestColumnChecks:
             load_corpus(write_corpus(tmp_path, PLAIN_RECORDS, entries))
 
     def test_column_checks_take_gen_files(self, tmp_path):
-        # the files gen writes never reach the per-row rule
+        # the files gen writes never reach the per-row rule, nor do they
+        # once their records carry confidences and quality scores, as a
+        # pose estimator's would
         records, entries = generate_corpus_files(SynthConfig(
             pairs_per_template=2, seed=5))
+        records = [dataclasses.replace(
+            rec, confidences=(0.5, 1, 0.0) * 5 if i % 2 else None,
+            quality_score=None if i % 3 else i / 7) for i, rec in enumerate(records)]
         path = write_corpus(tmp_path, records, entries)
         with mock.patch.object(corpus, "_checked_pairs", side_effect=AssertionError), \
                 mock.patch.object(corpus, "_checked_records", side_effect=AssertionError):
             table, ids = load_corpus(path)
+            assert parse_pose_file((tmp_path / "poses.json").read_bytes()) == records
+            assert parse_pair_file(path.read_bytes()).entries == tuple(entries)
         pairs, direct_ids = build_pose_pairs(records, entries)
         assert ids == direct_ids
         assert_same_pairs(table, pairs)

@@ -15,7 +15,7 @@ from posesim.cli import main
 from posesim.skeleton import build_skeleton_topology
 from posesim.training import gradient_check, random_check_instance
 
-from v1_files import v1_from_v2
+from v1_files import v1_from_v2, v1_pairs_from_v2
 
 # (label, train flags) -> digests of model.json, history.csv, report.csv,
 # summary.csv and the score CSV for one pair, all on the `gen --seed 1` corpus
@@ -90,25 +90,28 @@ def artifacts(corpus, out, flags):
 # json.dumps(sort_keys=True, indent=1) writer; they pin the written bytes,
 # whitespace and escaping included, which the digests of what is parsed
 # back from them cannot. Generation makes no BLAS call, so they hold under
-# every OpenBLAS kernel. poses.json is pinned as format 1, the nested-list
-# layout the pin was recorded from: the written format 2 file must turn
-# back into those bytes through a standard-library converter.
+# every OpenBLAS kernel. Both files are pinned as format 1, the layouts the
+# pins were recorded from: each written format 2 file must turn back into
+# those bytes through a standard-library converter.
 PINNED_CORPUS = {
     "poses.json":
         "280f4b8e5647b7c6216ceee576bf06ed8e7b28c4f230ebfb0e47f700ebbfa46e",
     "pairs.json":
         "0daa3b8cd713da8ad8e19adcba66f21be5e699caccb239a3f5510d06f5581d2b",
 }
-# sha256 of the format 2 poses.json that `gen --seed 1` writes
+# sha256 of the format 2 poses.json and pairs.json that `gen --seed 1` writes
 PINNED_POSES_V2 = "930639be981eb00998ba8b46f00f82a5d7bafa38188ac540d90c5f6f1df6d6b1"
+PINNED_PAIRS_V2 = "2c883b2674cecf4528566d9053a8cb4f4512c0c5550710cd9e4206ee82e71491"
 
 
 def test_corpus_files_match_pinned_digests(corpus):
     poses = (corpus / "poses.json").read_bytes()
+    pairs = (corpus / "pairs.json").read_bytes()
     assert hashlib.sha256(poses).hexdigest() == PINNED_POSES_V2
+    assert hashlib.sha256(pairs).hexdigest() == PINNED_PAIRS_V2
     assert {
         "poses.json": hashlib.sha256(v1_from_v2(poses)).hexdigest(),
-        "pairs.json": sha256(corpus / "pairs.json"),
+        "pairs.json": hashlib.sha256(v1_pairs_from_v2(pairs)).hexdigest(),
     } == PINNED_CORPUS
 
 

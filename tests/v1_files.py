@@ -1,9 +1,10 @@
-"""Pose files of format 1, built with the standard library alone.
+"""Pose and pair files of format 1, built with the standard library alone.
 
-write_pose_file writes format 2, whose keypoints are one base64 block;
-the tests that edit a record's keypoints in place, and the checks that
+write_pose_file writes format 2, whose keypoints are one base64 block, and
+write_pair_file format 2, whose pairs are four columns; the tests that edit
+a record's keypoints or a pair's fields in place, and the checks that
 format 1 is still read, build their format 1 files here, independently of
-the package's writer: json.dumps(sort_keys=True, indent=1) plus a newline,
+the package's writers: json.dumps(sort_keys=True, indent=1) plus a newline,
 the bytes format 1 files were written with.
 """
 
@@ -48,5 +49,24 @@ def v1_from_v2(data: bytes) -> bytes:
     for i, row in enumerate(doc["records"]):
         flat = values[COORDS * i:COORDS * (i + 1)]
         row["keypoints"] = [list(flat[j:j + 2]) for j in range(0, COORDS, 2)]
+    doc["format_version"] = 1
+    return dumped(doc)
+
+
+def v1_pairs_from_v2(data: bytes) -> bytes:
+    """The format 1 bytes of a format 2 pair file: its a, b, y and
+    magnitude columns zipped back into one object per pair, the magnitude
+    omitted where it is null."""
+    doc = json.loads(data)
+    assert doc["format_version"] == 2
+    columns = doc["pairs"]
+    rows = []
+    for a, b, y, magnitude in zip(columns["a"], columns["b"], columns["y"],
+                                  columns["magnitude"]):
+        row = {"a": a, "b": b, "y": y}
+        if magnitude is not None:
+            row["magnitude"] = magnitude
+        rows.append(row)
+    doc["pairs"] = rows
     doc["format_version"] = 1
     return dumped(doc)
