@@ -18,7 +18,7 @@ from __future__ import annotations
 import base64
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from types import NoneType
@@ -278,40 +278,20 @@ def _record_fields(data: bytes) -> tuple[np.ndarray, tuple]:
 def _record_columns(raw_records: list) -> tuple | None:
     """_checked_records' columns of format 2 records whose stack was
     admitted, checked a column at a time, if every record is an object
-    holding no key but those of _RECORD_FIELDS, the ids nonempty, distinct
-    strings with no character report.csv would quote, the categories
-    strings, each confidences a list of 15 ints or floats in [0, 1] and each
-    quality_score a finite float; None for any other records, an int
-    quality_score's too, which the per-row rule judges."""
-    if not set(map(type, raw_records)) <= {dict}:
+    holding an id and at most a category, the ids nonempty, distinct
+    strings with no character report.csv would quote and the categories
+    strings; None for any other records, which the per-row rule judges."""
+    if not (set(map(type, raw_records)) <= {dict}
+            and set().union(*raw_records) <= {"id", "category"}):
         return None
-    keys = set().union(*raw_records)
-    if not keys <= set(_RECORD_FIELDS):
-        return None
-    absent = [None] * len(raw_records)
-    ids, confidences, categories, quality_scores = (
-        list(map(dict.get, raw_records, repeat(key))) if key in keys else absent
-        for key in _RECORD_FIELDS)
-    given = [c for c in confidences if c is not None]
-    given_scores = [q for q in quality_scores if q is not None]
+    ids, categories = (list(map(dict.get, raw_records, repeat(key)))
+                       for key in ("id", "category"))
     if not (set(map(type, ids)) <= {str} and all(ids)
             and len(set(ids)) == len(ids) and not _csv_special("".join(ids))
-            and set(map(type, categories)) <= {str, NoneType}
-            and set(map(type, given)) <= {list}
-            and set(map(len, given)) <= {NUM_KEYPOINTS}
-            and set(map(type, given_scores)) <= {float}
-            and all(map(any_finite, given_scores))):
+            and set(map(type, categories)) <= {str, NoneType}):
         return None
-    # every confidence in [0, 1], by scans that loop in C: a NaN compares
-    # false, so min and max may pass it over, but it makes the sum NaN
-    values = list(chain.from_iterable(given))
-    if not (set(map(type, values)) <= {int, float} and 0 <= min(values, default=0)
-            and max(values, default=0) <= 1 and not math.isnan(sum(values))):
-        return None
-    if given:
-        confidences = [None if c is None else tuple(map(float, c))
-                       for c in confidences]
-    return ids, confidences, categories, quality_scores
+    absent = [None] * len(ids)
+    return ids, absent, categories, absent
 
 
 def _checked_records(raw_records: list, keypoints, stacked: bool,
@@ -409,23 +389,23 @@ def _pair_rows(data: bytes) -> tuple[str, tuple]:
 
     Format 2 holds the columns; format 1's objects are taken apart into
     them. The column checks of _pair_columns take nearly every file; rows
-    they do not take, zipped back from the columns, go to the per-row rule
-    of _checked_pairs, so both formats raise the same first error."""
+    they do not take go to the per-row rule of _checked_pairs, format 2's
+    zipped back from the columns, so both formats raise the same first
+    error."""
     doc = read_document(data, "pair file", FILE_VERSION, PAIR_FILE_VERSION)
     poses = doc.get("poses")
     _check_poses_reference(poses)
     raw_pairs = doc.get("pairs")
     if doc["format_version"] == PAIR_FILE_VERSION:
         columns = _pair_block(raw_pairs)
-    elif not isinstance(raw_pairs, list):
+        return poses, _pair_columns(columns) or _checked_pairs(
+            [dict(zip(_PAIR_FIELDS, row)) for row in zip(*columns)])
+    if not isinstance(raw_pairs, list):
         raise ValueError("pair file must carry a 'pairs' array")
-    elif set(map(type, raw_pairs)) <= {dict}:
-        columns = [list(map(dict.get, raw_pairs, repeat(key)))
-                   for key in _PAIR_FIELDS]
-    else:
+    if not set(map(type, raw_pairs)) <= {dict}:
         return poses, _checked_pairs(raw_pairs)
-    return poses, _pair_columns(columns) or _checked_pairs(
-        [dict(zip(_PAIR_FIELDS, row)) for row in zip(*columns)])
+    columns = [list(map(dict.get, raw_pairs, repeat(key))) for key in _PAIR_FIELDS]
+    return poses, _pair_columns(columns) or _checked_pairs(raw_pairs)
 
 
 def _pair_block(block) -> list:

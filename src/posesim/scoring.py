@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -190,15 +189,10 @@ def evaluate(model: EmbeddingModel, topo: np.ndarray | None, pairs,
         part = slice(start, start + EVAL_CHUNK)
         dist_array[part] = _clipped_distances(emb[table.twins[part].reshape(-1)])
     dists = dist_array.tolist()
-    # _score of each distance, which is clipped to [0, 2], so
-    # similarity_score's check is moot: numpy's quotient and products round
-    # as Python's do, and each exp is math.exp's, whose bits np.exp need
-    # not give
-    z = dist_array / _DEFAULT_PARAMS.width_u
-    scores = list(map(_DEFAULT_PARAMS.amplitude_sigma.__mul__,
-                      map(math.exp, ((-0.5 * z) * z).tolist())))
-    rows = tuple(map(tuple.__new__, repeat(EvalRow), zip(
-        pair_ids, dists, scores, table.labels.tolist(), table.magnitudes)))
+    # the distances are clipped to [0, 2], so similarity_score's check is moot
+    scores = [_score(d, _DEFAULT_PARAMS) for d in dists]
+    rows = tuple(map(EvalRow._make, zip(pair_ids, dists, scores,
+                                        table.labels.tolist(), table.magnitudes)))
     # the masks keep each label's distances in row order, so the means
     # take the same values in the same order as lists of the rows would
     pos = dist_array[table.labels == 1]

