@@ -245,9 +245,10 @@ def _record_fields(data: bytes) -> tuple[np.ndarray, tuple]:
     columns of its records' other fields, in _RECORD_FIELDS and file order:
     parse_pose_file short of building the records and their Poses.
 
-    A format 2 file whose stack is admitted at once takes the column checks
-    of _record_columns; any other file, or records those checks do not
-    take, the per-row rule of _checked_records."""
+    A format 1 record's keypoints are popped into the stack attempt, which
+    leaves a format 2 record. An admitted stack's records take the column
+    checks of _record_columns; the rest, or those it declines, the per-row
+    rule of _checked_records."""
     doc = read_document(data, "pose file", FILE_VERSION, POSE_FILE_VERSION)
     if doc.get("keypoint_order") != list(KEYPOINT_NAMES):
         raise ValueError("pose file keypoint_order does not match the "
@@ -255,36 +256,44 @@ def _record_fields(data: bytes) -> tuple[np.ndarray, tuple]:
     raw_records = doc.get("records")
     if not isinstance(raw_records, list):
         raise ValueError("pose file must carry a 'records' array")
-    blocked = doc["format_version"] == POSE_FILE_VERSION
-    if blocked:
+    records, not_object = _objects(raw_records, "record")
+    if doc["format_version"] == POSE_FILE_VERSION:
         keypoints = _keypoint_block(doc.get("keypoints"), len(raw_records))
-        stacked = admits_stack(keypoints)
     else:
-        keypoints = [raw.get("keypoints") if isinstance(raw, dict) else None
-                     for raw in raw_records]
+        keypoints = [record.pop("keypoints", None) for record in records]
         try:
             keypoints = number_array(keypoints, (len(keypoints), NUM_KEYPOINTS, 2),
                                      "keypoints")
             keypoints.setflags(write=False)
-            stacked = admits_stack(keypoints)
         except ValueError:
-            stacked = False
-    columns = _record_columns(raw_records) if blocked and stacked else None
-    columns = columns or _checked_records(raw_records, keypoints, stacked, blocked)
+            pass  # no stack: each record's own Pose check names the faulty one
+    stacked = isinstance(keypoints, np.ndarray) and admits_stack(keypoints)
+    columns = _record_columns(records) if stacked else None
+    columns = columns or _checked_records(records, keypoints, stacked)
+    if not_object:
+        raise not_object
     # every record passed its Pose check, so the keypoints converted, if any
     return np.reshape(keypoints, (-1, NUM_KEYPOINTS, 2)), columns
 
 
-def _record_columns(raw_records: list) -> tuple | None:
-    """_checked_records' columns of format 2 records whose stack was
-    admitted, checked a column at a time, if every record is an object
-    holding an id and at most a category, the ids nonempty, distinct
-    strings with no character report.csv would quote and the categories
-    strings; None for any other records, which the per-row rule judges."""
-    if not (set(map(type, raw_records)) <= {dict}
-            and set().union(*raw_records) <= {"id", "category"}):
+def _objects(rows: list, what: str) -> tuple[list, ValueError | None]:
+    """rows up to the first that is not a JSON object, and the ValueError
+    naming that row for the caller to raise once the rows before it pass, so
+    the first fault in file order wins; None for it if every row is one."""
+    if set(map(type, rows)) <= {dict}:
+        return rows, None
+    k = next(i for i, row in enumerate(rows) if not isinstance(row, dict))
+    return rows[:k], ValueError(f"{what} at index {k} must be an object")
+
+
+def _record_columns(records: list) -> tuple | None:
+    """_checked_records' columns of records whose stack was admitted, checked
+    a column at a time, if every record holds an id and at most a category,
+    the ids nonempty, distinct strings report.csv would not quote and the
+    categories strings; None for others, which the per-row rule judges."""
+    if not set().union(*records) <= {"id", "category"}:
         return None
-    ids, categories = (list(map(dict.get, raw_records, repeat(key)))
+    ids, categories = (list(map(dict.get, records, repeat(key)))
                        for key in ("id", "category"))
     if not (set(map(type, ids)) <= {str} and all(ids)
             and len(set(ids)) == len(ids) and not _csv_special("".join(ids))
@@ -294,18 +303,14 @@ def _record_columns(raw_records: list) -> tuple | None:
     return ids, absent, categories, absent
 
 
-def _checked_records(raw_records: list, keypoints, stacked: bool,
-                     blocked: bool) -> tuple:
+def _checked_records(records: list, keypoints, stacked: bool) -> tuple:
     """The record rule, a record at a time: the columns of _record_fields,
     each confidences a tuple of floats and each quality_score a float, or
     the ValueError of the first record, in file order, that breaks it.
-    Record i's keypoints, keypoints[i], take their own Pose check unless the
-    stack was admitted; blocked says the file is format 2."""
+    Unless the stack was admitted, keypoints[i] takes record i's Pose check."""
     columns = ([], [], [], [])
     seen = set()
-    for i, raw in enumerate(raw_records):
-        if not isinstance(raw, dict):
-            raise ValueError(f"record at index {i} must be an object")
+    for i, raw in enumerate(records):
         rec_id = raw.get("id")
         if not isinstance(rec_id, str) or not rec_id:
             raise ValueError(f"record at index {i} is missing a string id")
@@ -313,7 +318,7 @@ def _checked_records(raw_records: list, keypoints, stacked: bool,
             raise ValueError(f"duplicate record id {rec_id!r}")
         seen.add(rec_id)
         try:
-            if blocked and "keypoints" in raw:
+            if "keypoints" in raw:
                 raise ValueError("keypoints belong in the file's 'keypoints' "
                                  "block in format_version 2, not in a record")
             if not stacked:
@@ -387,25 +392,25 @@ def _pair_rows(data: bytes) -> tuple[str, tuple]:
     """A pair file's pose-file reference and its rows' checked columns, in
     _PAIR_FIELDS order: parse_pair_file short of building the entries.
 
-    Format 2 holds the columns; format 1's objects are taken apart into
-    them. The column checks of _pair_columns take nearly every file; rows
-    they do not take go to the per-row rule of _checked_pairs, format 2's
-    zipped back from the columns, so both formats raise the same first
-    error."""
+    Format 1's objects are taken apart into the four columns format 2
+    holds, so both formats take one path and raise one first error: the
+    column checks of _pair_columns, then the per-row rule of _checked_pairs
+    on columns those decline."""
     doc = read_document(data, "pair file", FILE_VERSION, PAIR_FILE_VERSION)
     poses = doc.get("poses")
     _check_poses_reference(poses)
     raw_pairs = doc.get("pairs")
     if doc["format_version"] == PAIR_FILE_VERSION:
-        columns = _pair_block(raw_pairs)
-        return poses, _pair_columns(columns) or _checked_pairs(
-            [dict(zip(_PAIR_FIELDS, row)) for row in zip(*columns)])
-    if not isinstance(raw_pairs, list):
+        columns, not_object = _pair_block(raw_pairs), None
+    elif not isinstance(raw_pairs, list):
         raise ValueError("pair file must carry a 'pairs' array")
-    if not set(map(type, raw_pairs)) <= {dict}:
-        return poses, _checked_pairs(raw_pairs)
-    columns = [list(map(dict.get, raw_pairs, repeat(key))) for key in _PAIR_FIELDS]
-    return poses, _pair_columns(columns) or _checked_pairs(raw_pairs)
+    else:
+        rows, not_object = _objects(raw_pairs, "pair")
+        columns = [list(map(dict.get, rows, repeat(key))) for key in _PAIR_FIELDS]
+    columns = _pair_columns(columns) or _checked_pairs(columns)
+    if not_object:
+        raise not_object
+    return poses, columns
 
 
 def _pair_block(block) -> list:
@@ -449,22 +454,17 @@ def _pair_columns(columns: list) -> list | None:
     return columns
 
 
-def _checked_pairs(raw_pairs: list) -> tuple:
-    """The pair rule, a row at a time: the columns of _pair_rows, each
-    magnitude as PairEntry's rule returns it, or the ValueError of the
-    first row, in file order, that breaks the rule."""
-    columns = ([], [], [], [])
-    for i, raw in enumerate(raw_pairs):
-        if not isinstance(raw, dict):
-            raise ValueError(f"pair at index {i} must be an object")
-        a, b, y = raw.get("a"), raw.get("b"), raw.get("y")
+def _checked_pairs(columns: list) -> tuple:
+    """The pair rule, a row at a time: columns, a pair file's a, b, y and
+    magnitude lists, each magnitude as PairEntry's rule returns it, or the
+    ValueError of the first row, in file order, that breaks the rule."""
+    magnitudes = []
+    for i, row in enumerate(zip(*columns)):
         try:
-            row = (a, b, y, _checked_magnitude(a, b, y, raw.get("magnitude")))
+            magnitudes.append(_checked_magnitude(*row))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"pair at index {i}: {exc}") from exc
-        for column, value in zip(columns, row):
-            column.append(value)
-    return columns
+    return *columns[:3], magnitudes
 
 
 def write_pair_file(pair_file: PairFile) -> bytes:

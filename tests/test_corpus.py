@@ -36,7 +36,7 @@ from posesim.skeleton import (KEYPOINT_NAMES, NUM_KEYPOINTS, SKELETON_EDGES, Pos
                               build_skeleton_topology)
 from posesim.training import TrainConfig, history_csv, train
 
-from v1_files import dumped, v1_document, v1_pairs_from_v2
+from v1_files import dumped, v1_document, v1_from_v2, v1_pairs_from_v2
 
 
 def random_record(rng, rec_id, **kw):
@@ -362,9 +362,37 @@ class TestPoseFileErrors:
             parse_pose_file(self.as_bytes(doc))
         assert str(info.value).count("record 'a'") == 1
 
+    @pytest.mark.parametrize("row", [3, None, [], "a"])
+    @pytest.mark.parametrize("edits, message", [
+        ([], "record at index 2 must be an object"),
+        ([(("records", 1, "id"), KeyError)],
+         "record at index 1 is missing a string id"),
+        ([(("records", 1, "id"), "a")], "duplicate record id 'a'"),
+        ([(("records", 1, "keypoints"), [[0.0, 0.0]] * 14)],
+         r"record 'b': keypoints must have shape 15x2, got \(14, 2\)"),
+        ([(("records", 1, "quality_score"), "0.5")],
+         "record 'b': quality_score must be a finite number, got '0.5'"),
+    ], ids=["clean", "missing-id", "duplicate-id", "keypoints", "quality"])
+    def test_record_not_an_object_is_named_after_earlier_faults(
+            self, row, edits, message):
+        # records 0 and 1, then one that is not an object, then a duplicate
+        # of record 0 that no check may reach first
+        doc = v1_document(VALID_RECORDS)
+        doc["records"] += [row, dict(doc["records"][0])]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_pose_file(edited(self.as_bytes(doc), edits))
+
 
 def encoded(stack) -> str:
     return base64.b64encode(np.asarray(stack, "<f8").tobytes()).decode("ascii")
+
+
+def nan_block(*rows) -> str:
+    """The keypoint block of VALID_RECORDS twice over, with a NaN in each of
+    the given rows."""
+    stack = np.array([rec.pose.keypoints for rec in VALID_RECORDS * 2])
+    stack[list(rows), 0, 0] = math.nan
+    return encoded(stack)
 
 
 class TestPoseFileV2Errors:
@@ -450,6 +478,32 @@ class TestPoseFileV2Errors:
                                              ".* overflows float64$"):
             self.parse(doc)
 
+    @pytest.mark.parametrize("row", [3, None, [], "a"])
+    @pytest.mark.parametrize("edits, message", [
+        ([], "record at index 2 must be an object"),
+        ([(("records", 1, "id"), KeyError)],
+         "record at index 1 is missing a string id"),
+        ([(("records", 1, "id"), "a")], "duplicate record id 'a'"),
+        ([(("records", 1, "keypoints"), [[0.0, 0.0]] * NUM_KEYPOINTS)],
+         "record 'b': keypoints belong in the file's 'keypoints' block in "
+         "format_version 2, not in a record"),
+        ([(("keypoints",), nan_block(1, 2, 3))],
+         "record 'b': keypoints contains non-finite values"),
+        ([(("records", 1, "quality_score"), "0.5")],
+         "record 'b': quality_score must be a finite number, got '0.5'"),
+    ], ids=["clean", "missing-id", "duplicate-id", "own-keypoints",
+            "nonfinite-keypoint", "quality"])
+    def test_record_not_an_object_is_named_after_earlier_faults(
+            self, row, edits, message):
+        # records 0 and 1, then one that is not an object, then a duplicate
+        # of record 0 that no check may reach first; the block's rows of
+        # the last two hold a NaN, which no check may name either
+        doc = self.good_doc()
+        doc["records"] += [row, dict(doc["records"][0])]
+        doc["keypoints"] = nan_block(2, 3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_pose_file(edited(json.dumps(doc).encode(), edits))
+
 
 class TestPairFile:
     def test_round_trip(self):
@@ -501,6 +555,25 @@ class TestPairFile:
                "pairs": [{"a": "x", "b": "y", "y": 3}]}
         with pytest.raises(ValueError, match="pair at index 0"):
             parse_pair_file(json.dumps(raw).encode())
+
+    @pytest.mark.parametrize("row", [3, None, [], "a"])
+    @pytest.mark.parametrize("edits, message", [
+        ([], "pair at index 2 must be an object"),
+        ([(("pairs", 1, "a"), "")],
+         "pair at index 1: pair field a must be a nonempty string, got ''"),
+        ([(("pairs", 1, "y"), True)],
+         r"pair at index 1: y must be 0 or 1 \(an int\), got True"),
+        ([(("pairs", 1, "magnitude"), -0.5)],
+         "pair at index 1: magnitude must be a finite number >= 0, got -0.5"),
+    ], ids=["clean", "empty-a", "bool-y", "negative-magnitude"])
+    def test_pair_not_an_object_is_named_after_earlier_faults(
+            self, row, edits, message):
+        # pairs 0 and 1, then one that is not an object, then a pair whose
+        # label no check may reach first
+        doc = json.loads(VALID_PAIR_FILE)
+        doc["pairs"] += [row, {"a": "a", "b": "b", "y": 3}]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_pair_file(edited(json.dumps(doc).encode(), edits))
 
 
 class TestPairFileV2Errors:
@@ -1256,15 +1329,25 @@ class TestColumnChecks:
             load_corpus(write_corpus(tmp_path, PLAIN_RECORDS, entries))
 
     def test_column_checks_take_gen_files(self, tmp_path):
-        # the files gen writes never reach the per-row rule
+        # the files gen writes, and their format 1 copies, never reach the
+        # per-row rule
         records, entries = generate_corpus_files(SynthConfig(
             pairs_per_template=2, seed=5))
         path = write_corpus(tmp_path, records, entries)
+        v1_path = tmp_path / "v1" / "pairs.json"
+        v1_path.parent.mkdir()
+        v1_path.write_bytes(v1_pairs_from_v2(path.read_bytes()))
+        (v1_path.parent / "poses.json").write_bytes(
+            v1_from_v2((tmp_path / "poses.json").read_bytes()))
         with mock.patch.object(corpus, "_checked_pairs", side_effect=AssertionError), \
                 mock.patch.object(corpus, "_checked_records", side_effect=AssertionError):
             table, ids = load_corpus(path)
-            assert parse_pose_file((tmp_path / "poses.json").read_bytes()) == records
-            assert parse_pair_file(path.read_bytes()).entries == tuple(entries)
+            v1_table, v1_ids = load_corpus(v1_path)
+            for pairs_path in (path, v1_path):
+                poses_path = pairs_path.parent / "poses.json"
+                assert parse_pose_file(poses_path.read_bytes()) == records
+                assert parse_pair_file(pairs_path.read_bytes()).entries == tuple(entries)
         pairs, direct_ids = build_pose_pairs(records, entries)
-        assert ids == direct_ids
+        assert ids == v1_ids == direct_ids
         assert_same_pairs(table, pairs)
+        assert described(v1_table) == described(table)

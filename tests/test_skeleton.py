@@ -226,9 +226,9 @@ NESTED_LEAVES = (st.floats() | st.integers(-2 ** 70, 2 ** 70)
 
 
 class TestNumberArrayFlatPath:
-    """Nested lists of plain floats and ints convert from their flattened
-    leaves; the result, or the error, is that of the general conversion,
-    which a tuple at the top level takes."""
+    """number_array has one conversion for nested sequences: nested lists
+    of any leaves, ragged or of the wrong shape included, give the bytes,
+    or the error text, that the same values under a top-level tuple give."""
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.lists(NESTED_LEAVES, min_size=1, max_size=3),
