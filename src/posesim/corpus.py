@@ -316,6 +316,7 @@ def _checked_records(records: list, keypoints, stacked: bool) -> tuple:
             raise ValueError(f"record at index {i} is missing a string id")
         if rec_id in seen:
             raise ValueError(f"duplicate record id {rec_id!r}")
+        check_csv_ids((rec_id,), "record id")  # the try's prefix would repeat it
         seen.add(rec_id)
         try:
             if "keypoints" in raw:
@@ -510,12 +511,8 @@ def _rotate_subtree(points: np.ndarray, joint: int, parent: int,
                     angle: float) -> None:
     """Rotate joint and all its descendants about the parent's position."""
     members = [joint]
-    frontier = [joint]
-    while frontier:
-        node = frontier.pop()
-        kids = [c for c, p in _PARENT.items() if p == node]
-        members.extend(kids)
-        frontier.extend(kids)
+    for node in members:
+        members.extend(c for c, p in _PARENT.items() if p == node)
     c, s = math.cos(angle), math.sin(angle)
     pivot = points[parent].copy()
     for idx in members:
@@ -562,7 +559,7 @@ def generate_corpus_files(cfg: SynthConfig = SynthConfig()):
         diag = _extent_diagonal(points)
         for k in range(cfg.pairs_per_template):
             level = cfg.jitter_levels[k % len(cfg.jitter_levels)]
-            jittered = points.copy()
+            jittered = points
             if level > 0.0:
                 # per-axis sigma level*diag/sqrt(2): the displacement vector
                 # then has RMS length level*diag (mean 0.886 of that)

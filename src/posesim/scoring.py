@@ -58,13 +58,15 @@ class ScoreParams:
 
 _DEFAULT_PARAMS = ScoreParams()
 
+_D_C_RULE = "d_c must be finite and >= 0"
+
 
 def similarity_score(d_c: float, p: ScoreParams = _DEFAULT_PARAMS) -> float:
     """Map a cosine distance to a score in (0, amplitude_sigma].
 
     Strictly decreasing in d_c; score(0) equals amplitude_sigma exactly.
     """
-    return _score(checked_float(d_c, nonnegative, "d_c must be finite and >= 0"), p)
+    return _score(checked_float(d_c, nonnegative, _D_C_RULE), p)
 
 
 def _score(d: float, p: ScoreParams) -> float:
@@ -166,6 +168,7 @@ def evaluate(model: EmbeddingModel, topo: np.ndarray | None, pairs,
     rank lower). Distance means cover label 1 and label 0 pairs separately
     (nan when a label is absent). pair_ids defaults to the pair index; no
     id may hold a comma, a double quote or a line break (check_csv_ids).
+    A NaN distance, from weights that overflow, raises as in score_pair.
 
     Each table row is normalized and embedded once, EVAL_CHUNK rows per
     stacked call, with no backward cache kept, and the distances are taken
@@ -189,7 +192,10 @@ def evaluate(model: EmbeddingModel, topo: np.ndarray | None, pairs,
         part = slice(start, start + EVAL_CHUNK)
         dist_array[part] = _clipped_distances(emb[table.twins[part].reshape(-1)])
     dists = dist_array.tolist()
-    # the distances are clipped to [0, 2], so similarity_score's check is moot
+    # clipping puts the finite distances in [0, 2] but keeps a NaN
+    if not np.isfinite(dist_array).all():
+        k = int(np.argmin(np.isfinite(dist_array)))
+        raise ValueError(f"pair {pair_ids[k]!r}: {_D_C_RULE}, got {dists[k]!r}")
     scores = [_score(d, _DEFAULT_PARAMS) for d in dists]
     rows = tuple(map(EvalRow._make, zip(pair_ids, dists, scores,
                                         table.labels.tolist(), table.magnitudes)))
@@ -198,13 +204,10 @@ def evaluate(model: EmbeddingModel, topo: np.ndarray | None, pairs,
     pos = dist_array[table.labels == 1]
     neg = dist_array[table.labels == 0]
     graded = [(s, m) for s, m in zip(scores, table.magnitudes) if m is not None]
-    rho = None
-    if len(graded) >= 2:
-        try:
-            rho = spearman_rho([s for s, _ in graded],
-                               [-m for _, m in graded])
-        except ValueError:
-            rho = None
+    try:
+        rho = spearman_rho([s for s, _ in graded], [-m for _, m in graded])
+    except ValueError:
+        rho = None
     return EvalReport(
         rows=rows,
         spearman_rho=rho,

@@ -514,8 +514,7 @@ def vet_both_ways(theta, kp, label):
     x = normalize_stack(kp.reshape(-1, NUM_KEYPOINTS, 2)).reshape(kp.shape)
     # overflowing and NaN candidates must decide alike, without warnings
     with np.errstate(all="ignore"):
-        mask = _fd_friendly(theta, H, x, label, TOPO,
-                            np.empty((len(theta), 2, SIZE)))
+        mask = _fd_friendly(theta, H, x, label, TOPO)
         reasons = [solo_rejections(solo_model(theta[i]), TOPO,
                                    PosePair(Pose(kp[i, 0]), Pose(kp[i, 1]),
                                             label), x[i])

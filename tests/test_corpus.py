@@ -154,7 +154,8 @@ class TestPoseRecord:
         data = replaced(VALID_POSE_FILE, ("records", 1, "id"), rec_id)
         with pytest.raises(ValueError, match=message) as info:
             parse_pose_file(data)
-        assert str(info.value).startswith(f"record {rec_id!r}: ")
+        assert str(info.value).startswith(f"record id {rec_id!r} holds ")
+        assert str(info.value).count(repr(rec_id)) == 1
 
     def test_confidence_bounds(self):
         ok = PoseRecord(id="a", pose=ZERO_POSE, confidences=[0.5] * 15)
@@ -423,6 +424,18 @@ class TestPoseFileV2Errors:
         with pytest.raises(ValueError, match=f"^pose file 'keypoints' must be "
                                              f"a base64 string, got {kind}$"):
             self.parse(doc)
+
+    @pytest.mark.parametrize("rec_id", ["a,b", 'a"b', "c\nd", "c\rd"])
+    def test_id_a_csv_field_would_quote_is_named_once(self, rec_id):
+        doc = self.good_doc()
+        doc["records"][1]["id"] = rec_id
+        with pytest.raises(ValueError) as info:
+            self.parse(doc)
+        with pytest.raises(ValueError) as record:
+            PoseRecord(id=rec_id, pose=ZERO_POSE)
+        # the parser raises PoseRecord's own message, which names the id once
+        assert str(info.value) == str(record.value)
+        assert str(info.value).count(repr(rec_id)) == 1
 
     @pytest.mark.parametrize("edit", [
         lambda text: text[:-1],                  # a character short

@@ -345,6 +345,27 @@ class TestEvaluate:
                 evaluate(model, TOPO, pairs, pair_ids=["ok", bad, "x,y", "z"])
             assert str(info.value).startswith(f"pair_id {bad!r} ")
 
+    @pytest.mark.parametrize("variant", ["gcn", "mlp"])
+    def test_distance_not_finite_raises_score_pairs_error(self, variant):
+        # finite weights that overflow the forward pass give NaN distances,
+        # which no score may take: evaluate names the first such pair with
+        # the message score_pair raises on it
+        rng = np.random.default_rng(17)
+        poses = [Pose(rng.uniform(-2, 2, (NUM_KEYPOINTS, 2))) for _ in range(3)]
+        pairs = [PosePair(poses[0], poses[1], 1, magnitude=0.1),
+                 PosePair(poses[1], poses[2], 0),
+                 PosePair(poses[2], poses[0], 1, magnitude=0.2)]
+        model = init_model(h=2, seed=4)
+        model.theta[...] *= 1e200
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError) as solo:
+                score_pair(model, TOPO, poses[0], poses[1], variant=variant)
+            with pytest.raises(ValueError) as info:
+                evaluate(model, TOPO, pairs, variant=variant,
+                         pair_ids=["a:b", "b:c", "c:a"])
+        assert str(solo.value) == "d_c must be finite and >= 0, got nan"
+        assert str(info.value) == f"pair 'a:b': {solo.value}"
+
     def test_rows_are_named_tuples_in_field_order(self):
         pose = Pose(np.zeros((NUM_KEYPOINTS, 2)))
         report = evaluate(init_model(h=2, seed=5), TOPO,
