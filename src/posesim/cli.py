@@ -18,9 +18,9 @@ import numpy as np
 from posesim.corpus import (
     PairFile,
     SynthConfig,
+    _record_fields,
     generate_corpus_files,
     load_corpus,
-    parse_pose_file,
     write_pair_file,
     write_pose_file,
 )
@@ -33,7 +33,7 @@ from posesim.scoring import (
     report_summary_csv,
     score_pair,
 )
-from posesim.skeleton import build_skeleton_topology
+from posesim.skeleton import Pose, build_skeleton_topology
 from posesim.training import (
     TrainConfig,
     gradient_check,
@@ -106,16 +106,16 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     model = load_checkpoint(Path(args.checkpoint).read_bytes())
-    records = parse_pose_file(Path(args.poses).read_bytes())
-    by_id = {rec.id: rec for rec in records}
+    stack, (ids, *_) = _record_fields(Path(args.poses).read_bytes())
+    rows = dict(zip(ids, range(len(ids))))
     for ref in (args.id_a, args.id_b):
-        if ref not in by_id:
+        if ref not in rows:
             raise ValueError(f"unknown pose id {ref!r}")
     topo = build_skeleton_topology()
     params = ScoreParams(amplitude_sigma=args.sigma, width_u=args.width)
     with np.errstate(over="raise", invalid="raise"):
-        d_c, score = score_pair(model, topo, by_id[args.id_a].pose,
-                                by_id[args.id_b].pose, params,
+        d_c, score = score_pair(model, topo, Pose(stack[rows[args.id_a]]),
+                                Pose(stack[rows[args.id_b]]), params,
                                 variant=args.variant)
     if args.round:
         print(f"d_c={d_c:.4f} score={score:.0f}")

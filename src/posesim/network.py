@@ -200,8 +200,8 @@ def parameter_count(model: EmbeddingModel) -> int:
     return model.theta.size
 
 
-def init_theta(h: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
-    """init_model's parameters as one flat vector, written into out if given.
+def init_theta(h: int, seed: int) -> np.ndarray:
+    """init_model's parameters as one flat vector.
 
     Weight matrices are drawn in canonical order from a PCG64 generator
     seeded with `seed`, each uniform in +-sqrt(6 / (fan_in + fan_out)) and
@@ -209,8 +209,7 @@ def init_theta(h: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
     determined by (h, seed).
     """
     layout = flat_layout(h)
-    theta = np.empty(layout.size) if out is None else out
-    theta.fill(0.0)
+    theta = np.zeros(layout.size)
     # Generator.uniform(low, high, n) is low + (high - low) * u for the n
     # values u of Generator.random(n), each product and sum rounded on its
     # own; one random() call and two passes per matrix give those values

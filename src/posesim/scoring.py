@@ -20,7 +20,7 @@ import numpy as np
 from posesim.network import (MLP_WIDTHS, EmbeddingModel, _run_layers,
                              _variant_layers, checked_float, nonnegative,
                              positive)
-from posesim.skeleton import TWO, ZERO, Pose, normalize_stack
+from posesim.skeleton import TWO, ZERO, Pose, normalize_stack, number_array
 from posesim.training import cosine_distances, pair_table
 
 # Table rows evaluate() embeds per call, and pairs whose distances it takes
@@ -114,11 +114,13 @@ def spearman_rho(xs, ys) -> float:
 
     Ranks both lists, then computes the Pearson correlation of the rank
     vectors; on tie-free data this agrees with 1 - 6*sum(d^2)/(n(n^2-1)).
-    Undefined (raises) when either list has no rank variance.
+    Each list is a sequence or an array of numbers by number_array's rule,
+    so a bool or a string is refused. Undefined (raises) when either list
+    has no rank variance.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.ndim != 1 or ys.ndim != 1 or xs.size != ys.size:
+    xs, ys = (number_array(v, (np.size(v),), what)
+              for v, what in ((xs, "xs"), (ys, "ys")))
+    if xs.size != ys.size:
         raise ValueError(f"need two equal-length lists, got shapes "
                          f"{xs.shape} and {ys.shape}")
     if xs.size < 2:
@@ -205,7 +207,9 @@ def evaluate(model: EmbeddingModel, topo: np.ndarray | None, pairs,
     neg = dist_array[table.labels == 0]
     graded = [(s, m) for s, m in zip(scores, table.magnitudes) if m is not None]
     try:
-        rho = spearman_rho([s for s, _ in graded], [-m for _, m in graded])
+        # arrays: spearman_rho admits them by dtype, not by a scan of each value
+        rho = spearman_rho(np.array([s for s, _ in graded]),
+                           np.array([-m for _, m in graded]))
     except ValueError:
         rho = None
     return EvalReport(

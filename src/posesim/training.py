@@ -170,11 +170,9 @@ class PairTable:
         if type(self.magnitudes) is not tuple or len(self.magnitudes) != len(twins):
             raise ValueError(f"magnitudes must be a tuple of {len(twins)} "
                              f"values, got {_described(self.magnitudes)}")
-        given = [m for m in self.magnitudes if m is not None]
-        if not (set(map(type, given)) <= {float}
-                and np.all(np.greater_equal(given, 0.0) & np.isfinite(given))):
-            bad = next(m for m in given
-                       if type(m) is not float or not 0.0 <= m < math.inf)
+        bad = next((m for m in self.magnitudes if m is not None and not (
+            type(m) is float and 0.0 <= m < math.inf)), None)
+        if bad is not None:
             raise ValueError(f"magnitudes must be None or finite floats >= 0, "
                              f"got {bad!r}")
         for arr in (kp, twins, labels):
@@ -417,26 +415,23 @@ class _BatchGradient:
     +-0.0, which changes no bit of a total that starts at +0.0 as long as
     their backward products are finite. The live twins are propagated in
     one pass and their gradients written PAIRS_PER_CHUNK pairs at a time to
-    one buffer, sized to the pairs a call takes and reused by later calls:
-    materializing a whole batch makes the reduction page-fault bound. The
+    one buffer, allocated once; a short batch touches only its first rows.
+    Materializing a whole batch makes the reduction page-fault bound. The
     total is laid out as the model's flat theta; grads views it per parameter.
     """
 
     def __init__(self, model: EmbeddingModel):
-        self.h = model.arch.gcn_hidden
-        self.rows = np.empty((0, model.theta.size))
-        self.total = np.zeros(model.theta.size)
-        self.grads = parameter_list(layers_of(self.total, self.h))
+        h, size = model.arch.gcn_hidden, model.theta.size
+        # row 0: the running total; rows 2j + 1, 2j + 2: pair j's twins
+        self.rows = np.empty((2 * PAIRS_PER_CHUNK + 1, size))
+        self.twin_grads = parameter_list(layers_of(self.rows[1:], h))
+        self.total = np.zeros(size)
+        self.grads = parameter_list(layers_of(self.total, h))
 
     def compute(self, model, topo, x, twins, labels, margin, variant):
         """Sum the gradients of the pairs whose twins are the normalized
         poses x[twins[2k]], x[twins[2k + 1]], embedding each distinct pose
         once. Leaves the sum in self.total; returns each pair's loss and d."""
-        needed = 2 * min(PAIRS_PER_CHUNK, len(labels)) + 1
-        if len(self.rows) < needed:
-            # row 0: the running total; rows 2j + 1, 2j + 2: pair j's twins
-            self.rows = np.empty((needed, self.total.size))
-            self.twin_grads = parameter_list(layers_of(self.rows[1:], self.h))
         poses, inv = np.unique(twins, return_inverse=True)
         emb, cache = embed(model, x[poses], topo, variant)
         d, g = _cosine_distance_grads(emb[inv])
@@ -627,12 +622,10 @@ def gradient_check(model: EmbeddingModel, topo: np.ndarray,
     """
     check_variant(variant)
     x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
-    analytic = _BatchGradient(model)
-    analytic.compute(model, topo, x, np.arange(2), np.array([pair.label_y]),
-                     cfg.margin_m, variant)
+    _, grads = pair_backward(model, topo, pair, cfg, variant)
     gn = _central_differences(model, topo, x, pair.label_y, cfg.margin_m,
                               variant)
-    ga = analytic.total[-gn.size:]
+    ga = np.concatenate([g.reshape(-1) for g in grads])[-gn.size:]
     denom = np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-8)
     return float(np.max(np.abs(ga - gn) / denom))
 
@@ -715,7 +708,7 @@ def random_check_instance(seed: int):
     while True:
         for k in range(CANDIDATES_PER_BLOCK):
             seeds[k] = int(rng.integers(2 ** 32))
-            init_theta(h, seeds[k], out=theta[k])
+            theta[k] = init_theta(h, seeds[k])
             # one draw of both poses takes the same values as two in a row
             keypoints[k] = rng.uniform(-3.0, 3.0, size=(2, NUM_KEYPOINTS, 2))
         # finite draws in [-3, 3] meet normalize_stack's precondition

@@ -402,7 +402,7 @@ def twin_inputs(seed, k):
     theta = np.empty((k, SIZE))
     kp = np.empty((k, 2, NUM_KEYPOINTS, 2))
     for i in range(k):
-        init_theta(H, int(rng.integers(2 ** 32)), out=theta[i])
+        theta[i] = init_theta(H, int(rng.integers(2 ** 32)))
         kp[i] = rng.uniform(-3.0, 3.0, size=(2, NUM_KEYPOINTS, 2))
     return theta, kp
 

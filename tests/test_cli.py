@@ -252,6 +252,69 @@ class TestScore:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_format_1_and_per_row_copies_give_the_same_bytes(self, tmp_path,
+                                                             capsys):
+        # a format 1 copy takes the column checks as format 2 does; a copy
+        # one of whose records carries confidences takes the per-row rule
+        corpus = gen_small(tmp_path, capsys)
+        run_dir = train_small(tmp_path, capsys, corpus)
+        data = (corpus / "poses.json").read_bytes()
+        rows = json.loads(data)
+        rows["records"][1]["confidences"] = [1] * 15
+        outputs = []
+        for name, pose_bytes in (("v2", data), ("v1", v1_from_v2(data)),
+                                 ("rows", json.dumps(rows).encode())):
+            poses, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            poses.write_bytes(pose_bytes)
+            assert run(capsys, "score", "--checkpoint", str(run_dir / "model.json"),
+                       "--poses", str(poses), "--a", "t00", "--b", "t01_p002",
+                       "--out", str(out))[0] == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("v1, path, value", [
+        (False, ("records", 9, "quality_score"), "0.5"),
+        (False, ("records", 9, "id"), "t00"),
+        (True, ("records", 9, "keypoints", 3, 1), float("nan")),
+    ], ids=["quality-score", "duplicate-id", "nan-keypoint"])
+    def test_faulty_record_named_as_parse_pose_file_names_it(
+            self, tmp_path, capsys, v1, path, value):
+        corpus = gen_small(tmp_path, capsys)
+        run_dir = train_small(tmp_path, capsys, corpus)
+        data = (corpus / "poses.json").read_bytes()
+        doc = json.loads(v1_from_v2(data) if v1 else data)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        data = json.dumps(doc).encode()
+        (corpus / "poses.json").write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            parse_pose_file(data)
+        code, stdout, err = run(capsys, "score",
+                                "--checkpoint", str(run_dir / "model.json"),
+                                "--poses", str(corpus / "poses.json"),
+                                "--a", "t00", "--b", "t01")
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {info.value}\n"
+
+    def test_does_not_build_the_records(self, tmp_path, capsys, monkeypatch):
+        # score reads the pose file as load_corpus does, into columns
+        corpus = gen_small(tmp_path, capsys)
+        run_dir = train_small(tmp_path, capsys, corpus)
+        argv = ["score", "--checkpoint", str(run_dir / "model.json"),
+                "--poses", str(corpus / "poses.json"), "--a", "t00",
+                "--b", "t01_p002"]
+        want = run(capsys, *argv)
+        assert want[0] == 0
+
+        def refuse(data):
+            raise AssertionError("parse_pose_file called")
+
+        monkeypatch.setattr("posesim.corpus.parse_pose_file", refuse)
+        monkeypatch.setattr("posesim.cli.parse_pose_file", refuse, raising=False)
+        assert run(capsys, *argv) == want
+
 
 class TestEval:
     @pytest.mark.parametrize("field", ["seed", "gcn_hidden"])

@@ -468,9 +468,6 @@ class TestCheckpoint:
     def test_init_model_draws_init_theta(self):
         model = init_model(h=3, seed=21)
         assert model.theta.tobytes() == init_theta(3, 21).tobytes()
-        out = np.full(model.theta.size, np.nan)
-        assert init_theta(3, 21, out=out) is out
-        assert out.tobytes() == model.theta.tobytes()
 
     def test_checkpoint_is_valid_json_with_metadata(self):
         model = init_model(h=3, seed=9)

@@ -165,6 +165,20 @@ class TestSpearman:
         with pytest.raises(ValueError):
             spearman_rho([1, np.nan, 3], [1, 2, 3])
 
+    @pytest.mark.parametrize("xs, ys, what", [
+        (["1", "2", "3"], [1, 2, 3], "xs"),
+        ([1, 2, 3], [True, False, True], "ys"),
+        ([1.0, 2.0, 3.0], [1, np.True_, 3], "ys"),
+        (np.array(["1", "2", "3"]), [1, 2, 3], "xs"),
+        ([3, 1, 2], np.array([True, False, True]), "ys"),
+    ], ids=["str-xs", "bool-ys", "numpy-bool-ys", "str-array-xs",
+            "bool-array-ys"])
+    def test_bools_and_strings_are_not_numbers(self, xs, ys, what):
+        # numpy's float conversion would read each of these as numbers
+        with pytest.raises(ValueError, match=f"^{what} must hold numbers, "
+                                             f"not bools or strings$"):
+            spearman_rho(xs, ys)
+
 
 def chain_reference_score(model, coords_a, coords_b):
     """Rebuild the full pipeline with Python loops: min-max normalization,
