@@ -2,7 +2,7 @@
 
 A cosine distance d maps to a score through a Gaussian-shaped curve
 sigma * exp(-1/2 * (d/u)^2), so identical embeddings score exactly 100 and
-the score decays smoothly and strictly monotonically with distance.
+the score decays strictly with distance until the Gaussian underflows to 0.0.
 Ranking quality over a labelled corpus is summarized by Spearman's rank
 correlation between predicted scores and negated ground-truth perturbation
 magnitudes: a larger perturbation must rank lower in score.
@@ -20,7 +20,7 @@ import numpy as np
 from posesim.network import (MLP_WIDTHS, EmbeddingModel, _run_layers,
                              _variant_layers, checked_float, nonnegative,
                              positive)
-from posesim.skeleton import TWO, ZERO, Pose, normalize_stack, number_array
+from posesim.skeleton import TWO, ZERO, Pose, normalize_stack, number_vector
 from posesim.training import cosine_distances, pair_table
 
 # Table rows evaluate() embeds per call, and pairs whose distances it takes
@@ -62,9 +62,11 @@ _D_C_RULE = "d_c must be finite and >= 0"
 
 
 def similarity_score(d_c: float, p: ScoreParams = _DEFAULT_PARAMS) -> float:
-    """Map a cosine distance to a score in (0, amplitude_sigma].
+    """Map a cosine distance to a score in [0, amplitude_sigma].
 
-    Strictly decreasing in d_c; score(0) equals amplitude_sigma exactly.
+    Decreasing in d_c, strictly until the Gaussian underflows to 0.0, as
+    similarity_score(2.0, ScoreParams(width_u=0.01)) does; no d_c in [0, 2]
+    underflows at the default width_u. score(0) is amplitude_sigma exactly.
     """
     return _score(checked_float(d_c, nonnegative, _D_C_RULE), p)
 
@@ -114,12 +116,11 @@ def spearman_rho(xs, ys) -> float:
 
     Ranks both lists, then computes the Pearson correlation of the rank
     vectors; on tie-free data this agrees with 1 - 6*sum(d^2)/(n(n^2-1)).
-    Each list is a sequence or an array of numbers by number_array's rule,
-    so a bool or a string is refused. Undefined (raises) when either list
+    Each list is a vector of numbers by number_vector's rule, so a bool, a
+    string, ragged nesting or another rank is refused. Undefined (raises) when either list
     has no rank variance.
     """
-    xs, ys = (number_array(v, (np.size(v),), what)
-              for v, what in ((xs, "xs"), (ys, "ys")))
+    xs, ys = number_vector(xs, "xs"), number_vector(ys, "ys")
     if xs.size != ys.size:
         raise ValueError(f"need two equal-length lists, got shapes "
                          f"{xs.shape} and {ys.shape}")

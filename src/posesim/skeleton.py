@@ -91,10 +91,22 @@ def number_array(values, shape: tuple, what: str) -> np.ndarray:
     return arr
 
 
+def number_vector(values, what: str) -> np.ndarray:
+    """values, an array or a sequence of numbers, as a new float64 vector by
+    number_array's rule; ValueError naming what, ragged nesting included."""
+    try:
+        shape = np.shape(values)
+    except ValueError:  # ragged nesting, which number_array names
+        shape = (-1,)
+    if len(shape) != 1:
+        raise ValueError(f"{what} must be a vector, got shape {shape}")
+    return number_array(values, shape, what)
+
+
 def admitted(cls, fields: dict):
     """An instance of the frozen dataclass cls holding fields, values the
-    caller has already checked by cls's own rule, so that its __post_init__
-    does not check them again."""
+    caller has checked by cls's own rule, with no __init__ or __post_init__
+    run: the only constructor of PairTable and NormalizedPose."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
@@ -164,16 +176,13 @@ class NormalizedPose:
 
     Every entry lies in [0, 1]. Along each axis the minimum maps to 0 and the
     maximum to 1, except for a degenerate axis (zero extent) where the whole
-    column is 0.5.
+    column is 0.5. Only normalize_pose builds one, with read-only features.
     """
 
     features: np.ndarray
 
-    def __post_init__(self):
-        f = _validated_coords(self.features, "features")
-        if f.min() < 0.0 or f.max() > 1.0:
-            raise ValueError("normalized features must lie in [0, 1]")
-        object.__setattr__(self, "features", f)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a NormalizedPose is built by normalize_pose")
 
 
 @lru_cache(maxsize=1)
@@ -229,4 +238,6 @@ def normalize_pose(pose: Pose) -> NormalizedPose:
     result invariant to translation and to positive per-axis scaling. An axis
     with zero extent maps to 0.5 everywhere.
     """
-    return NormalizedPose(normalize_stack(pose.keypoints[None])[0])
+    features = normalize_stack(pose.keypoints[None])[0]
+    features.setflags(write=False)
+    return admitted(NormalizedPose, {"features": features})

@@ -16,7 +16,6 @@ batch is trained rather than dropped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,12 +47,10 @@ from posesim.skeleton import (
     NUM_KEYPOINTS,
     ONE,
     Pose,
-    _validated_coords,
-    admits_stack,
     admitted,
     build_skeleton_topology,
     normalize_stack,
-    number_array,
+    number_vector,
     scalar_operand,
 )
 
@@ -113,33 +110,17 @@ class PosePair:
                            checked_label(self.label_y, self.magnitude))
 
 
-def _check_range(arr: np.ndarray, top: int, rule: str) -> None:
-    """ValueError(f"{rule}, got {v}") for v, the least or the greatest value
-    of the integer array arr, outside [0, top]."""
-    for v in (arr.min(), arr.max()) if arr.size else ():
-        if not 0 <= v <= top:
-            raise ValueError(f"{rule}, got {v}")
-
-
-def _described(value) -> str:
-    if isinstance(value, np.ndarray):
-        return f"{value.dtype} array of shape {value.shape}"
-    if isinstance(value, (tuple, list)):
-        return f"{type(value).__name__} of length {len(value)}"
-    return type(value).__name__
-
-
 @dataclass(frozen=True, eq=False)
 class PairTable:
     """Labelled pose pairs as columns, the form train and evaluate read:
     pair k joins rows twins[k] of the (n, 15, 2) float64 keypoint stack
     under labels[k] and magnitudes[k], by PosePair's rule.
 
-    Every row is checked as a Pose's keypoints are, twins is an (m, 2)
-    integer array of rows of the stack, labels an integer array of m 0s
-    and 1s, and magnitudes a tuple of m values, each None or a finite float
-    >= 0; a fault raises ValueError naming its field. The arrays are made
-    read-only; nothing checks a table's values again.
+    Every row holds a Pose's keypoints, twins is an (m, 2) intp array of
+    rows of the stack, labels an intp array of m 0s and 1s, and magnitudes
+    a tuple of m values, each None or a finite float >= 0; the arrays are
+    read-only. Only load_corpus and pair_table build a table, both through
+    _admitted_table, and nothing checks its values again.
     """
 
     keypoints: np.ndarray
@@ -147,44 +128,15 @@ class PairTable:
     labels: np.ndarray
     magnitudes: tuple
 
-    def __post_init__(self):
-        kp, twins, labels = self.keypoints, self.twins, self.labels
-        if not (isinstance(kp, np.ndarray) and kp.dtype == np.float64
-                and kp.shape[1:] == (NUM_KEYPOINTS, 2)):
-            raise ValueError(f"keypoints must be a float64 array of shape "
-                             f"(n, {NUM_KEYPOINTS}, 2), got {_described(kp)}")
-        if not admits_stack(kp):
-            for i, row in enumerate(kp):
-                _validated_coords(row, f"keypoints row {i}")
-        if not (isinstance(twins, np.ndarray) and twins.dtype.kind in "iu"
-                and twins.ndim == 2 and twins.shape[1] == 2):
-            raise ValueError(f"twins must be an integer array of shape (m, 2), "
-                             f"got {_described(twins)}")
-        _check_range(twins, len(kp) - 1,
-                     f"twins must be rows of keypoints, in [0, {len(kp)})")
-        if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu"
-                and labels.shape == (len(twins),)):
-            raise ValueError(f"labels must be an integer array of shape "
-                             f"({len(twins)},), got {_described(labels)}")
-        _check_range(labels, 1, "labels must be 0 or 1")
-        if type(self.magnitudes) is not tuple or len(self.magnitudes) != len(twins):
-            raise ValueError(f"magnitudes must be a tuple of {len(twins)} "
-                             f"values, got {_described(self.magnitudes)}")
-        bad = next((m for m in self.magnitudes if m is not None and not (
-            type(m) is float and 0.0 <= m < math.inf)), None)
-        if bad is not None:
-            raise ValueError(f"magnitudes must be None or finite floats >= 0, "
-                             f"got {bad!r}")
-        for arr in (kp, twins, labels):
-            arr.setflags(write=False)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a PairTable is built by load_corpus or pair_table")
 
     def __len__(self) -> int:
         return len(self.twins)
 
 
 def _admitted_table(keypoints, twins, labels, magnitudes) -> PairTable:
-    """A PairTable of columns that already pass its rule, made read-only
-    without its checks."""
+    """The PairTable of columns that hold its invariants, made read-only."""
     for arr in (keypoints, twins, labels):
         arr.setflags(write=False)
     return admitted(PairTable, {"keypoints": keypoints, "twins": twins,
@@ -272,13 +224,7 @@ def _embedding_pair(e1, e2) -> np.ndarray:
     """The (2, dim) stack of two finite number vectors of equal shape."""
     pair = []
     for e, what in ((e1, "e1"), (e2, "e2")):
-        try:
-            shape = np.shape(e)
-        except ValueError:  # ragged nesting, which number_array names
-            shape = (-1,)
-        if len(shape) != 1:
-            raise ValueError(f"{what} must be a vector, got shape {shape}")
-        arr = number_array(e, shape, what)
+        arr = number_vector(e, what)
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{what} contains non-finite values")
         pair.append(arr)

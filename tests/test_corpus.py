@@ -1070,6 +1070,13 @@ class TestLoadCorpus:
         assert ids == direct_ids
         assert_same_pairs(table, pairs)
 
+    def test_a_table_is_not_replaced(self, tmp_path):
+        records, entries = generate_corpus_files(SynthConfig(
+            pairs_per_template=1, seed=4))
+        table, _ = load_corpus(write_corpus(tmp_path, records, entries))
+        with pytest.raises(TypeError, match="built by load_corpus or pair_table"):
+            dataclasses.replace(table, labels=np.full(len(table), 2))
+
     def test_stack_that_takes_the_exact_checks(self, tmp_path):
         # each pose's sum of squares overflows at 1e200, so every record
         # takes its own exact checks; the table holds the same rows

@@ -7,8 +7,12 @@ up here as a digest mismatch, even if the trainer and its test replica
 drift together.
 """
 
+import ctypes
+import glob
 import hashlib
+import os
 
+import numpy
 import pytest
 
 from posesim.cli import main
@@ -52,6 +56,20 @@ PINNED = {
         },
     ),
 }
+
+
+def kernel():
+    """The running OpenBLAS core, read as CI's "OpenBLAS kernel" step reads
+    it, or unknown, and numpy's version: the pins were recorded under
+    SkylakeX, and another kernel or numpy release may move the bytes."""
+    try:
+        libs = os.path.join(os.path.dirname(numpy.__path__[0]), "numpy.libs")
+        lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas*"))[0])
+        lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+        core = lib.scipy_openblas_get_corename64_().decode()
+    except (IndexError, OSError, AttributeError):
+        core = "unknown"
+    return f"OpenBLAS core {core}, numpy {numpy.__version__}"
 
 
 def sha256(path):
@@ -120,7 +138,7 @@ def test_artifacts_match_pinned_digests(corpus, tmp_path, capsys, label):
     flags, want = PINNED[label]
     got = artifacts(corpus, tmp_path, flags)
     capsys.readouterr()
-    assert got == want
+    assert got == want, kernel()
 
 
 # gradient_check's max relative error on instances 0 and 1, per variant
@@ -137,7 +155,7 @@ def test_gradient_check_errors_match_pinned_values(variant):
     for seed in (0, 1):
         model, pair = random_check_instance(seed)
         got.append(repr(gradient_check(model, topo, pair, variant=variant)))
-    assert tuple(got) == PINNED_GRADCHECK[variant]
+    assert tuple(got) == PINNED_GRADCHECK[variant], kernel()
 
 
 # sha256 over random_check_instance(k): the model's flat parameters, both

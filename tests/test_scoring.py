@@ -5,6 +5,7 @@ score) with loops and math-module arithmetic only."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from posesim.scoring import (
 )
 from posesim.skeleton import (NUM_KEYPOINTS, Pose, SKELETON_EDGES,
                               build_skeleton_topology, normalize_stack)
-from posesim.training import PairTable, PosePair, cosine_distances
+from posesim.training import PosePair, _admitted_table, cosine_distances
 
 TOPO = build_skeleton_topology()
 
@@ -178,6 +179,16 @@ class TestSpearman:
         with pytest.raises(ValueError, match=f"^{what} must hold numbers, "
                                              f"not bools or strings$"):
             spearman_rho(xs, ys)
+
+    @pytest.mark.parametrize("xs, message", [
+        ([1, [1, 2]], "xs must hold numbers (setting an array element"),
+        ([[1, 2], [3, 4]], "xs must be a vector, got shape (2, 2)"),
+        (np.ones((2, 2)), "xs must be a vector, got shape (2, 2)"),
+        (5, "xs must be a vector, got shape ()"),
+    ], ids=["ragged", "nested-list", "2-d-array", "scalar"])
+    def test_non_vector_is_named(self, xs, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            spearman_rho(xs, [1, 2, 3, 4])
 
 
 def chain_reference_score(model, coords_a, coords_b):
@@ -396,9 +407,9 @@ class TestEvaluate:
         # repeat in and across chunks
         rng = np.random.default_rng(16)
         m = 2 * EVAL_CHUNK + 37
-        table = PairTable(rng.uniform(-2, 2, (300, NUM_KEYPOINTS, 2)),
-                          rng.integers(0, 300, (m, 2)), rng.integers(0, 2, m),
-                          (None,) * m)
+        table = _admitted_table(rng.uniform(-2, 2, (300, NUM_KEYPOINTS, 2)),
+                                rng.integers(0, 300, (m, 2)),
+                                rng.integers(0, 2, m), (None,) * m)
         model = init_model(h=2, seed=4)
         report = evaluate(model, TOPO, table, variant=variant)
         emb = _run_layers(_variant_layers(model, variant), TOPO,

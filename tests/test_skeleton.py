@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -213,10 +214,16 @@ class TestPoseValidation:
         with pytest.raises(ValueError):
             pose.keypoints[0, 0] = 1.0
 
-    def test_normalized_pose_rejects_out_of_range(self):
-        bad = np.full((NUM_KEYPOINTS, 2), 1.5)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            NormalizedPose(bad)
+    def test_normalized_pose_comes_only_from_normalize_pose(self):
+        normalized = normalize_pose(random_pose(np.random.default_rng(5)))
+        features = normalized.features
+        assert not features.flags.writeable
+        for args in ((), (features,), (np.full((NUM_KEYPOINTS, 2), 1.5),)):
+            with pytest.raises(TypeError, match="^a NormalizedPose is built "
+                                                "by normalize_pose$"):
+                NormalizedPose(*args)
+        with pytest.raises(TypeError, match="built by normalize_pose"):
+            dataclasses.replace(normalized, features=features)
 
 
 # leaves of nested lists: JSON's floats and ints, a huge int, and leaves
@@ -398,4 +405,4 @@ class TestPoseEquality:
     def test_other_types_are_unequal(self):
         pose = Pose(np.zeros((NUM_KEYPOINTS, 2)))
         assert pose != "pose"
-        assert pose != NormalizedPose(np.zeros((NUM_KEYPOINTS, 2)))
+        assert pose != normalize_pose(pose)

@@ -31,6 +31,7 @@ from posesim.training import (
     TrainConfig,
     TrainHistory,
     _adam_update,
+    _admitted_table,
     adam_step,
     contrastive_loss,
     cosine_distance,
@@ -667,6 +668,15 @@ class TestPairTable:
                 arr.flat[0] = 0
         assert pair_table(table) is table
 
+    def test_only_the_builders_make_a_table(self):
+        table = pair_table(pairs_of(_table_cases()["stack-rows"]))
+        fields = {name: getattr(table, name)
+                  for name in ("keypoints", "twins", "labels", "magnitudes")}
+        for args, kwargs in (((), {}), (tuple(fields.values()), {}), ((), fields)):
+            with pytest.raises(TypeError, match="^a PairTable is built by "
+                                                "load_corpus or pair_table$"):
+                PairTable(*args, **kwargs)
+
     def test_signed_zeros_stay_distinct_rows(self):
         table = pair_table(pairs_of(_table_cases()["signed-zeros"]))
         assert table.twins.tolist() == [[0, 1], [1, 0]]
@@ -675,100 +685,10 @@ class TestPairTable:
 
     @pytest.mark.parametrize("pairs", [
         pytest.param([], id="no-pairs"),
-        pytest.param(PairTable(np.empty((0, NUM_KEYPOINTS, 2)),
-                               np.empty((0, 2), dtype=np.intp),
-                               np.empty(0, dtype=np.intp), ()), id="empty-table")])
+        pytest.param(_admitted_table(np.empty((0, NUM_KEYPOINTS, 2)),
+                                     np.empty((0, 2), dtype=np.intp),
+                                     np.empty(0, dtype=np.intp), ()),
+                     id="empty-table")])
     def test_empty_input_is_rejected(self, pairs):
         with pytest.raises(ValueError, match="pairs must be nonempty"):
             pair_table(pairs)
-
-
-def table_fields(**changes):
-    """The columns of a valid two-pair table on four poses, with changes."""
-    fields = {"keypoints": np.random.default_rng(2).uniform(
-                  0.0, 300.0, (4, NUM_KEYPOINTS, 2)),
-              "twins": np.array([[0, 1], [2, 3]]),
-              "labels": np.array([1, 0]),
-              "magnitudes": (0.25, None)}
-    return {**fields, **changes}
-
-
-def with_xs(row, values):
-    """The valid table's keypoints with the first x coordinates of one row
-    set to values."""
-    keypoints = table_fields()["keypoints"]
-    keypoints[row, :len(values), 0] = values
-    return keypoints
-
-
-class TestPairTableChecks:
-    """A table a library caller builds is checked once, by PosePair's rule
-    and the stack's shape; each fault names its field."""
-
-    def test_valid_table(self):
-        fields = table_fields(magnitudes=(0.0, None))
-        table = PairTable(**fields)
-        assert len(table) == 2 and table.magnitudes == (0.0, None)
-        for name in ("keypoints", "twins", "labels"):
-            arr = getattr(table, name)
-            assert arr is fields[name] and not arr.flags.writeable
-
-    @pytest.mark.parametrize("changes, message", [
-        ({"keypoints": np.zeros((4, NUM_KEYPOINTS, 3))},
-         "keypoints must be a float64 array of shape (n, 15, 2), got float64 "
-         "array of shape (4, 15, 3)"),
-        ({"keypoints": np.zeros((NUM_KEYPOINTS, 2))},
-         "keypoints must be a float64 array of shape (n, 15, 2), got float64 "
-         "array of shape (15, 2)"),
-        ({"keypoints": np.zeros((4, NUM_KEYPOINTS, 2), dtype=np.float32)},
-         "keypoints must be a float64 array of shape (n, 15, 2), got float32 "
-         "array of shape (4, 15, 2)"),
-        ({"keypoints": [[[0.0, 0.0]] * NUM_KEYPOINTS] * 4},
-         "keypoints must be a float64 array of shape (n, 15, 2), got list of "
-         "length 4"),
-        ({"keypoints": with_xs(2, [math.nan])},
-         "keypoints row 2 contains non-finite values"),
-        ({"keypoints": with_xs(1, [-1e308, 1e308])},
-         "keypoints row 1 x extent 1e+308 - -1e+308 overflows float64"),
-        ({"twins": np.array([[0.0, 1.0], [2.0, 3.0]])},
-         "twins must be an integer array of shape (m, 2), got float64 array "
-         "of shape (2, 2)"),
-        ({"twins": np.array([0, 1, 2, 3])},
-         "twins must be an integer array of shape (m, 2), got int64 array of "
-         "shape (4,)"),
-        ({"twins": np.array([[0, 1], [2, 4]])},
-         "twins must be rows of keypoints, in [0, 4), got 4"),
-        ({"twins": np.array([[0, -1], [2, 3]])},
-         "twins must be rows of keypoints, in [0, 4), got -1"),
-        ({"labels": np.array([1, 0, 1])},
-         "labels must be an integer array of shape (2,), got int64 array of "
-         "shape (3,)"),
-        ({"labels": np.array([True, False])},
-         "labels must be an integer array of shape (2,), got bool array of "
-         "shape (2,)"),
-        ({"labels": np.array([2, 0])}, "labels must be 0 or 1, got 2"),
-        ({"labels": np.array([1, -1])}, "labels must be 0 or 1, got -1"),
-        ({"magnitudes": [0.25, None]},
-         "magnitudes must be a tuple of 2 values, got list of length 2"),
-        ({"magnitudes": (0.25,)},
-         "magnitudes must be a tuple of 2 values, got tuple of length 1"),
-        ({"magnitudes": (None, -5.0)},
-         "magnitudes must be None or finite floats >= 0, got -5.0"),
-        ({"magnitudes": (math.inf, None)},
-         "magnitudes must be None or finite floats >= 0, got inf"),
-        ({"magnitudes": (math.nan, None)},
-         "magnitudes must be None or finite floats >= 0, got nan"),
-        ({"magnitudes": (1, None)},
-         "magnitudes must be None or finite floats >= 0, got 1"),
-        ({"magnitudes": (np.float64(0.5), None)},
-         "magnitudes must be None or finite floats >= 0, got np.float64(0.5)"),
-    ], ids=["keypoints-coords", "keypoints-one-pose", "keypoints-float32",
-            "keypoints-list", "keypoints-nan", "keypoints-extent",
-            "twins-float", "twins-flat", "twins-past-stack", "twins-negative",
-            "labels-length", "labels-bool", "labels-two", "labels-negative",
-            "magnitudes-list", "magnitudes-length", "magnitudes-negative",
-            "magnitudes-inf", "magnitudes-nan", "magnitudes-int",
-            "magnitudes-numpy"])
-    def test_fault_names_its_field(self, changes, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            PairTable(**table_fields(**changes))
