@@ -1,6 +1,8 @@
 """Training-module tests: finite differences are the gradient oracle, a
 hand-rolled replica of the documented loop is the trainer oracle."""
 
+import base64
+import json
 import math
 import re
 
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posesim.corpus import (PoseRecord, SynthConfig, parse_pose_file,
-                            split_corpus, write_pose_file)
+from posesim.corpus import (PairEntry, PairFile, PoseRecord, SynthConfig,
+                            load_corpus, parse_pose_file, split_corpus,
+                            write_pair_file, write_pose_file)
 from posesim.network import (
     AffineLayer,
     ArchMeta,
@@ -692,3 +695,102 @@ class TestPairTable:
     def test_empty_input_is_rejected(self, pairs):
         with pytest.raises(ValueError, match="pairs must be nonempty"):
             pair_table(pairs)
+
+
+def table_keypoints():
+    return np.random.default_rng(2).uniform(0.0, 300.0, (4, NUM_KEYPOINTS, 2))
+
+
+def block(stack) -> str:
+    """stack's bytes as a format 2 pose file's keypoint block."""
+    return base64.b64encode(stack.tobytes()).decode("ascii")
+
+
+def with_xs(row, values) -> str:
+    """The valid corpus's keypoint block with the first x coordinates of one
+    row set to values."""
+    keypoints = table_keypoints()
+    keypoints[row, :len(values), 0] = values
+    return block(keypoints)
+
+
+def table_files(tmp_path, file=None, key=None, value=None):
+    """The pair file path of a valid two-pair corpus on four poses, p0 to p3,
+    written in format 2 with value in place of the pose file's field key
+    (file "poses") or the pair file's column key (file "pairs")."""
+    docs = {"poses": json.loads(write_pose_file(
+                PoseRecord(f"p{i}", Pose(kp))
+                for i, kp in enumerate(table_keypoints()))),
+            "pairs": json.loads(write_pair_file(PairFile("poses.json", (
+                PairEntry("p0", "p1", 1, 0.25), PairEntry("p2", "p3", 0)))))}
+    if file is not None:
+        (docs["poses"] if file == "poses" else docs["pairs"]["pairs"])[key] = value
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    return tmp_path / "pairs.json"
+
+
+class TestPairTableChecks:
+    """No table holds a value its rule excludes: load_corpus, the builder
+    that reads files, names each fault by its field or row before it builds
+    one, as PosePair's and Pose's own checks do for pair_table."""
+
+    def test_valid_table(self, tmp_path):
+        table, _ = load_corpus(table_files(tmp_path, "pairs", "magnitude",
+                                           [0.0, None]))
+        assert len(table) == 2 and table.magnitudes == (0.0, None)
+        assert table.keypoints.tobytes() == table_keypoints().tobytes()
+        assert table.twins.tolist() == [[0, 1], [2, 3]]
+        assert table.labels.tolist() == [1, 0]
+        for name in ("keypoints", "twins", "labels"):
+            assert not getattr(table, name).flags.writeable
+
+    @pytest.mark.parametrize("file, key, value, message", [
+        ("poses", "keypoints", block(np.zeros((4, NUM_KEYPOINTS, 3))),
+         "pose file 'keypoints' holds 1440 bytes, not the 960 of 4 records"),
+        ("poses", "keypoints", block(np.zeros((NUM_KEYPOINTS, 2))),
+         "pose file 'keypoints' holds 240 bytes, not the 960 of 4 records"),
+        ("poses", "keypoints", block(np.zeros((4, NUM_KEYPOINTS, 2), np.float32)),
+         "pose file 'keypoints' holds 480 bytes, not the 960 of 4 records"),
+        ("poses", "keypoints", [[[0.0, 0.0]] * NUM_KEYPOINTS] * 4,
+         "pose file 'keypoints' must be a base64 string, got list"),
+        ("poses", "keypoints", with_xs(2, [math.nan]),
+         "record 'p2': keypoints contains non-finite values"),
+        ("poses", "keypoints", with_xs(1, [-1e308, 1e308]),
+         "record 'p1': keypoints x extent 1e+308 - -1e+308 overflows float64"),
+        ("pairs", "a", [0.0, 2.0],
+         "pair at index 0: pair field a must be a nonempty string, got 0.0"),
+        ("pairs", "a", ["p0", "p1", "p2", "p3"],
+         "pair file 'pairs' columns must have one length, got a 4, b 2, y 2, "
+         "magnitude 2"),
+        ("pairs", "b", ["p1", "p4"], "pair references unknown pose id 'p4'"),
+        ("pairs", "b", ["", "p3"],
+         "pair at index 0: pair field b must be a nonempty string, got ''"),
+        ("pairs", "y", [1, 0, 1],
+         "pair file 'pairs' columns must have one length, got a 2, b 2, y 3, "
+         "magnitude 2"),
+        ("pairs", "y", [True, False],
+         "pair at index 0: y must be 0 or 1 (an int), got True"),
+        ("pairs", "y", [2, 0], "pair at index 0: y must be 0 or 1 (an int), got 2"),
+        ("pairs", "y", [1, -1],
+         "pair at index 1: y must be 0 or 1 (an int), got -1"),
+        ("pairs", "magnitude", {"0": 0.25},
+         "pair file 'pairs' column 'magnitude' must be a list, got dict"),
+        ("pairs", "magnitude", [0.25],
+         "pair file 'pairs' columns must have one length, got a 2, b 2, y 2, "
+         "magnitude 1"),
+        ("pairs", "magnitude", [None, -5.0],
+         "pair at index 1: magnitude must be a finite number >= 0, got -5.0"),
+        ("pairs", "magnitude", [math.inf, None],
+         "pair at index 0: magnitude must be a finite number >= 0, got inf"),
+        ("pairs", "magnitude", [math.nan, None],
+         "pair at index 0: magnitude must be a finite number >= 0, got nan"),
+    ], ids=["keypoints-coords", "keypoints-one-pose", "keypoints-float32",
+            "keypoints-list", "keypoints-nan", "keypoints-extent",
+            "twins-float", "twins-flat", "twins-past-stack", "twins-negative",
+            "labels-length", "labels-bool", "labels-two", "labels-negative",
+            "magnitudes-list", "magnitudes-length", "magnitudes-negative",
+            "magnitudes-inf", "magnitudes-nan"])
+    def test_fault_names_its_field(self, tmp_path, file, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_corpus(table_files(tmp_path, file, key, value))
