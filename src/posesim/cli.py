@@ -24,8 +24,9 @@ from posesim.corpus import (
     write_pair_file,
     write_pose_file,
 )
-from posesim.network import (VARIANTS, ArchMeta, check_seed, init_model,
-                              load_checkpoint, save_checkpoint)
+from posesim.network import (VARIANTS, ArchMeta, check_seed, checked_float,
+                              init_model, load_checkpoint, positive,
+                              save_checkpoint)
 from posesim.scoring import (
     ScoreParams,
     evaluate,
@@ -148,6 +149,8 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.instances < 1:
         raise ValueError("--instances must be >= 1")
+    threshold = checked_float(args.threshold, positive,
+                              "--threshold must be finite and > 0")
     check_seed(args.seed)  # the first and the last instance seed, before any work
     check_seed(args.seed + args.instances - 1)
     topo = build_skeleton_topology()
@@ -158,9 +161,9 @@ def cmd_gradcheck(args) -> int:
     # np.max, unlike max(), lets a NaN error through to fail the check
     worst = float(np.max(errs))
     print(f"max_rel_err={worst!r}")
-    if not worst < args.threshold:
+    if not worst < threshold:
         print(f"gradient check failed: {worst!r} is not below "
-              f"{args.threshold!r}", file=sys.stderr)
+              f"{threshold!r}", file=sys.stderr)
         return 1
     return 0
 

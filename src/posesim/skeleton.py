@@ -170,13 +170,14 @@ def admits_stack(stack: np.ndarray) -> bool:
         return bool(np.vecdot(flat, flat).max(initial=0.0) < math.inf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizedPose:
     """Position- and scale-invariant node features, one (x, y) row per joint.
 
     Every entry lies in [0, 1]. Along each axis the minimum maps to 0 and the
     maximum to 1, except for a degenerate axis (zero extent) where the whole
     column is 0.5. Only normalize_pose builds one, with read-only features.
+    It compares and hashes by identity, as its array field cannot.
     """
 
     features: np.ndarray

@@ -16,6 +16,7 @@ batch is trained rather than dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +65,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 # Pairs whose per-twin gradients exist at once in _BatchGradient; at 16 its
-# buffer, 33 rows of every parameter, is 1.5 MB and stays in a 2 MB L2
+# buffer, 33 rows of every parameter, is 1.5 MB and stays in a 2 MB L2. That
+# is the upper bound: a batch writes only its active weight rows' columns
 PAIRS_PER_CHUNK = 16
 
 # Weight rows gradient_check moves at once, up and down; at 4 a block's
@@ -359,18 +361,26 @@ class _BatchGradient:
     total is bit-identical to summing pair_backward results in a loop. Only
     pairs with dL/dd != 0 are backpropagated: the others would add exact
     +-0.0, which changes no bit of a total that starts at +0.0 as long as
-    their backward products are finite. The live twins are propagated in
-    one pass and their gradients written PAIRS_PER_CHUNK pairs at a time to
-    one buffer, allocated once; a short batch touches only its first rows.
-    Materializing a whole batch makes the reduction page-fault bound. The
-    total is laid out as the model's flat theta; grads views it per parameter.
+    their backward products are finite. The same rule drops MLP weight
+    rows: row k of a weight gradient is h_in[k] * dz, so a row whose input
+    unit is zero in every live twin gets only +-0.0 and stays +0.0 in the
+    total. Only the active rows of each weight, and the whole graph weights
+    and biases, are written and summed; the total is set to +0.0 and takes
+    each parameter's summed block with one assignment.
+
+    The live twins are propagated in one pass and their compact gradients
+    written PAIRS_PER_CHUNK pairs at a time to one buffer, allocated once;
+    a batch uses its first columns, a short batch its first rows, and every
+    cell a sum reads is written in that chunk. Materializing a whole batch
+    makes the reduction page-fault bound. The total is laid out as the
+    model's flat theta; grads views it per parameter.
     """
 
     def __init__(self, model: EmbeddingModel):
         h, size = model.arch.gcn_hidden, model.theta.size
+        self.layout = flat_layout(h)
         # row 0: the running total; rows 2j + 1, 2j + 2: pair j's twins
         self.rows = np.empty((2 * PAIRS_PER_CHUNK + 1, size))
-        self.twin_grads = parameter_list(layers_of(self.rows[1:], h))
         self.total = np.zeros(size)
         self.grads = parameter_list(layers_of(self.total, h))
 
@@ -385,16 +395,39 @@ class _BatchGradient:
         live = np.flatnonzero(np.repeat(dl_dd != 0.0, 2))
         terms = _backward(model, topo, cache.take(inv[live]),
                           g[live] * dl_dd[live // 2, None])
-        self.total[...] = 0.0
+        # each MLP weight keeps the rows whose input unit is nonzero in some
+        # live twin; its terms come first, last layer first
+        active = [None, None]  # per parameter, canonical order; None: all
+        for i in reversed(range(len(model.mlp_layers))):
+            _, h_in, dz = terms[i]
+            r = np.flatnonzero(h_in.any(axis=0))
+            terms[i] = (True, h_in[:, r], dz)
+            active += [r, None]
+        blocks, used = [], 0
+        for (_, shape, _), r in zip(self.layout.params, active):
+            if r is not None:
+                shape = (len(r),) + shape[1:]
+            width = math.prod(shape)
+            block = self.rows[:, used:used + width]
+            blocks.append(block.reshape(len(block), *shape))
+            used += width
+        # the running sum of the blocks fills self.total's first columns
+        # until it moves to row 0 and each block takes its place
+        total = self.total[:used]
+        total[...] = 0.0
         step = len(self.rows) - 1
         for start in range(0, len(live), step):
             part = slice(start, start + step)
             n = len(live[part])
-            _twin_grads(terms, part, [t[:n] for t in self.twin_grads])
-            self.rows[0] = self.total
-            pair_sums = self.rows[2:n + 2:2]
-            np.add(self.rows[1:n + 1:2], pair_sums, out=pair_sums)
-            np.add.reduce(self.rows[0:n + 1:2], axis=0, out=self.total)
+            _twin_grads(terms, part, [b[1:n + 1] for b in blocks])
+            self.rows[0, :used] = total
+            pair_sums = self.rows[2:n + 2:2, :used]
+            np.add(self.rows[1:n + 1:2, :used], pair_sums, out=pair_sums)
+            np.add.reduce(self.rows[0:n + 1:2, :used], axis=0, out=total)
+        self.rows[0, :used] = total
+        self.total[...] = 0.0
+        for grad, block, r in zip(self.grads, blocks, active):
+            grad[... if r is None else r] = block[0]
         return loss, d
 
 

@@ -63,6 +63,8 @@ from posesim.training import (
 )
 
 TOPO = build_skeleton_topology()
+H = 2
+SIZE = flat_layout(H).size
 
 
 @st.composite
@@ -216,6 +218,110 @@ def test_twin_index_matches_the_gathered_stack(kp, seed, variant):
     core.compute(model, TOPO, x, twins.reshape(-1, 2)[apart].reshape(-1),
                  np.zeros(apart.size, dtype=int), margin, variant)
     assert core.total.tobytes() == np.zeros(core.total.size).tobytes()
+
+
+def batch_inputs(model_seed, variant, n, data_seed, positives, reach,
+                 signed_zeros, lone):
+    """A model and a batch of n pairs for _BatchGradient.compute, the pairs'
+    twins x[2k], x[2k + 1]: (model, x, labels, margin). A pair is positive
+    with probability positives; the margin is reach times the smallest
+    distance, so at reach <= 1 every negative is past it. signed_zeros
+    turns every zero feature into -0.0; lone moves joint 0 left of the
+    others in every twin but the last, a positive's, so the mlp variant's
+    input unit 0 is nonzero in that twin alone."""
+    model = init_model(h=H, seed=model_seed)
+    rng = np.random.default_rng(data_seed)
+    kp = rng.uniform(-3.0, 3.0, size=(2 * n, NUM_KEYPOINTS, 2))
+    labels = (rng.random(n) < positives).astype(np.intp)
+    if lone:
+        kp[:-1, 0, 0], kp[-1, 0, 0], labels[-1] = -4.0, 4.0, 1
+    x = normalize_stack(kp)
+    if signed_zeros:
+        x = np.where(x == 0.0, -0.0, x)
+    d = cosine_distances(embed(model, x, TOPO, variant)[0])
+    return model, x, labels, min(2.0, reach * float(d.min()))
+
+
+def full_rows_total(model, x, labels, margin, variant):
+    """The summed batch gradient with nothing skipped: every twin's
+    gradient written by _twin_grads to a full row in theta's layout, the
+    pairs' sums formed, and added to +0.0 one at a time in batch order."""
+    emb, cache = embed(model, x, TOPO, variant)
+    d, g = _cosine_distance_grads(emb)
+    g *= np.repeat(_pair_losses(d, labels, margin)[1], 2)[:, None]
+    rows = np.empty((len(x), SIZE))
+    _twin_grads(_backward(model, TOPO, cache, g), slice(None),
+                parameter_list(layers_of(rows, H)))
+    total = np.zeros(SIZE)
+    for a, b in rows.reshape(-1, 2, SIZE):
+        total = total + (a + b)
+    return total
+
+
+# an init seed whose GCN output is all zero on every pose tried at h = 2
+ZERO_GCN_SEED = 3
+PINNED_BATCHES = {
+    "zero gcn output": dict(model_seed=ZERO_GCN_SEED, variant="gcn",
+                            n=PAIRS_PER_CHUNK + 1, data_seed=0, positives=0.5,
+                            reach=2.0, signed_zeros=False, lone=False),
+    "no live pair": dict(model_seed=4, variant="gcn", n=PAIRS_PER_CHUNK,
+                         data_seed=1, positives=0.0, reach=1.0,
+                         signed_zeros=False, lone=False),
+    "a row live in one twin, after the first chunk": dict(
+        model_seed=4, variant="mlp", n=PAIRS_PER_CHUNK + 1, data_seed=2,
+        positives=1.0, reach=1.5, signed_zeros=False, lone=True),
+    "-0.0 inputs": dict(model_seed=4, variant="mlp", n=3, data_seed=3,
+                        positives=0.5, reach=1.5, signed_zeros=True,
+                        lone=False),
+}
+
+
+def test_pinned_batches_hit_their_cases():
+    cases = {name: batch_inputs(**args) for name, args in PINNED_BATCHES.items()}
+    model, x, _, _ = cases["zero gcn output"]
+    assert not embed(model, x, TOPO, "gcn")[1].inputs[2].any()
+    model, x, labels, margin = cases["no live pair"]
+    d = cosine_distances(embed(model, x, TOPO, "gcn")[0])
+    assert not _pair_losses(d, labels, margin)[1].any()
+    model, x, labels, margin = cases[
+        "a row live in one twin, after the first chunk"]
+    assert np.flatnonzero(x[:, 0, 0]).tolist() == [len(x) - 1]
+    # chunks split the live twins: every pair is live here
+    d = cosine_distances(embed(model, x, TOPO, "mlp")[0])
+    assert _pair_losses(d, labels, margin)[1].all()
+    assert len(x) > 2 * PAIRS_PER_CHUNK
+    _, x, _, _ = cases["-0.0 inputs"]
+    assert np.any(np.signbit(x) & (x == 0.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(model_seed=st.integers(0, 2 ** 32 - 1),
+       variant=st.sampled_from(VARIANTS),
+       n=st.integers(1, 3 * PAIRS_PER_CHUNK + 1),
+       data_seed=st.integers(0, 2 ** 32 - 1), positives=st.floats(0.0, 1.0),
+       reach=st.floats(0.5, 3.0), signed_zeros=st.booleans(),
+       lone=st.booleans())
+@example(**PINNED_BATCHES["zero gcn output"])
+@example(**PINNED_BATCHES["no live pair"])
+@example(**PINNED_BATCHES["a row live in one twin, after the first chunk"])
+@example(**PINNED_BATCHES["-0.0 inputs"])
+def test_batch_gradient_matches_full_materialization(model_seed, variant, n,
+                                                     data_seed, positives,
+                                                     reach, signed_zeros,
+                                                     lone):
+    # compute writes and sums only the live twins' active weight rows; every
+    # cell a sum reads must have been written in its chunk, so the buffer
+    # starts out holding the largest float: a read of any other cell
+    # overflows, which the suite turns into an error, or leaves the oracle
+    model, x, labels, margin = batch_inputs(model_seed, variant, n, data_seed,
+                                            positives, reach, signed_zeros,
+                                            lone)
+    assume(margin > 0.0)
+    core = _BatchGradient(model)
+    core.rows[...] = np.finfo(np.float64).max
+    core.compute(model, TOPO, x, np.arange(len(x)), labels, margin, variant)
+    want = full_rows_total(model, x, labels, margin, variant)
+    assert core.total.tobytes() == want.tobytes()
 
 
 def loop_gradient_check(model, topo, pair, cfg, variant):
@@ -391,8 +497,6 @@ def test_unknown_variant_rejected_before_any_work(entry, variant):
         ENTRY_POINTS[entry](variant)
 
 
-H = 2
-SIZE = flat_layout(H).size
 
 
 def twin_inputs(seed, k):

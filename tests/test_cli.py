@@ -468,6 +468,18 @@ class TestGradcheck:
         assert "gradient check failed" in err
         assert "max_rel_err=" in stdout
 
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "0"])
+    def test_threshold_not_finite_and_positive_is_refused(self, capsys,
+                                                          monkeypatch,
+                                                          threshold):
+        # refused before any instance is drawn
+        monkeypatch.setattr("posesim.cli.random_check_instance", None)
+        code, stdout, err = run(capsys, "gradcheck", "--threshold", threshold)
+        assert code == 1
+        assert stdout == ""
+        assert err == (f"error: --threshold must be finite and > 0, "
+                       f"got {float(threshold)!r}\n")
+
     def test_nan_instance_error_fails(self, capsys, monkeypatch):
         errs = iter([1e-6, float("nan"), 1e-6])
         monkeypatch.setattr("posesim.cli.gradient_check",

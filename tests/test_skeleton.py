@@ -225,6 +225,14 @@ class TestPoseValidation:
         with pytest.raises(TypeError, match="built by normalize_pose"):
             dataclasses.replace(normalized, features=features)
 
+    def test_normalized_poses_compare_and_hash_by_identity(self):
+        pose = random_pose(np.random.default_rng(5))
+        a, b = normalize_pose(pose), normalize_pose(pose)
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a == a and a != b
+        assert a in [b, a] and b not in [a]
+        assert {a: 1, b: 2}[a] == 1 and hash(a) == hash(a)
+
 
 # leaves of nested lists: JSON's floats and ints, a huge int, and leaves
 # numpy converts but the rule refuses
