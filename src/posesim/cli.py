@@ -18,15 +18,16 @@ import numpy as np
 from posesim.corpus import (
     PairFile,
     SynthConfig,
+    _join,
     _record_fields,
     generate_corpus_files,
     load_corpus,
     write_pair_file,
     write_pose_file,
 )
-from posesim.network import (VARIANTS, ArchMeta, check_seed, checked_float,
-                              init_model, load_checkpoint, positive,
-                              save_checkpoint)
+from posesim.network import (VARIANTS, ArchMeta, check_count, check_seed,
+                              checked_float, init_model, load_checkpoint,
+                              positive, save_checkpoint)
 from posesim.scoring import (
     ScoreParams,
     evaluate,
@@ -108,16 +109,12 @@ def cmd_train(args) -> int:
 def cmd_score(args) -> int:
     model = load_checkpoint(Path(args.checkpoint).read_bytes())
     stack, (ids, *_) = _record_fields(Path(args.poses).read_bytes())
-    rows = dict(zip(ids, range(len(ids))))
-    for ref in (args.id_a, args.id_b):
-        if ref not in rows:
-            raise ValueError(f"unknown pose id {ref!r}")
+    (a, b), = _join(ids, [args.id_a], [args.id_b])[0]
     topo = build_skeleton_topology()
     params = ScoreParams(amplitude_sigma=args.sigma, width_u=args.width)
     with np.errstate(over="raise", invalid="raise"):
-        d_c, score = score_pair(model, topo, Pose(stack[rows[args.id_a]]),
-                                Pose(stack[rows[args.id_b]]), params,
-                                variant=args.variant)
+        d_c, score = score_pair(model, topo, Pose(stack[a]), Pose(stack[b]),
+                                params, variant=args.variant)
     if args.round:
         print(f"d_c={d_c:.4f} score={score:.0f}")
     else:
@@ -147,8 +144,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.instances < 1:
-        raise ValueError("--instances must be >= 1")
+    check_count(args.instances, "--instances")
     threshold = checked_float(args.threshold, positive,
                               "--threshold must be finite and > 0")
     check_seed(args.seed)  # the first and the last instance seed, before any work

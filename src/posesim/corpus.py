@@ -486,18 +486,19 @@ def build_pose_pairs(records, entries):
     entries = [e if type(e) is PairEntry else PairEntry(e.a, e.b, e.y, e.magnitude)
                for e in entries]
     poses = [rec.pose for rec in records]
-    twins, ids = _join({rec.id: i for i, rec in enumerate(records)},
+    twins, ids = _join([rec.id for rec in records],
                        [e.a for e in entries], [e.b for e in entries])
     return [admitted(PosePair, {"pose_a": poses[a], "pose_b": poses[b],
                                 "label_y": e.y, "magnitude": e.magnitude})
             for (a, b), e in zip(twins.tolist(), entries)], ids
 
 
-def _join(rows: dict, a: list, b: list) -> tuple[np.ndarray, list]:
+def _join(ids: list, a: list, b: list) -> tuple[np.ndarray, list]:
     """The twins, an (m, 2) intp array of (row of a, row of b), and the ids
     "a:b" of pairs whose columns a and b passed PairEntry's rule, given the
-    row of each pose id; ValueError naming the first id, in pair order,
+    pose id of each row; ValueError naming the first id, in pair order,
     that has no row."""
+    rows = dict(zip(ids, range(len(ids))))
     try:
         twins = np.array([list(map(rows.__getitem__, a)),
                           list(map(rows.__getitem__, b))], dtype=np.intp).T
@@ -612,7 +613,7 @@ def load_corpus(pair_path):
     pair_path = Path(pair_path)
     pose_file, (a, b, y, magnitudes) = _pair_rows(pair_path.read_bytes())
     stack, (ids, *_) = _record_fields((pair_path.parent / pose_file).read_bytes())
-    twins, pair_ids = _join(dict(zip(ids, range(len(ids)))), a, b)
+    twins, pair_ids = _join(ids, a, b)
     used, twins = np.unique(twins, return_inverse=True)
     return _admitted_table(stack[used], twins.reshape(-1, 2),
                            np.array(y, dtype=np.intp), tuple(magnitudes)), pair_ids

@@ -412,15 +412,11 @@ def load_checkpoint(data: bytes) -> EmbeddingModel:
     try:
         arch_doc = doc["arch"]
         layout = {key: arch_doc[key] for key in LAYOUT}
-        hidden, seed = arch_doc["gcn_hidden"], doc["seed"]
-        if not (_is_int(hidden) and _is_int(seed)):
-            raise TypeError(f"gcn_hidden and seed must be ints, got "
-                            f"{hidden!r} and {seed!r}")
-        arch = ArchMeta(gcn_hidden=hidden, seed=seed)
+        arch = ArchMeta(gcn_hidden=arch_doc["gcn_hidden"], seed=doc["seed"])
         gcn_weights = (doc["gcn_w0"], doc["gcn_w1"])
         mlp_layers = tuple(AffineLayer(w=entry["w"], b=entry["b"])
                            for entry in doc["mlp"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed checkpoint: missing or invalid field ({exc})") from exc
     if layout != LAYOUT:
         raise ValueError(f"unsupported checkpoint layout {layout!r}, "

@@ -530,12 +530,12 @@ def train(model: EmbeddingModel, topo: np.ndarray, pairs,
 
 
 def _central_differences(model: EmbeddingModel, topo: np.ndarray, x,
-                         label: int, margin: float, variant: str) -> np.ndarray:
-    """gradient_check's numeric side on the pair of normalized twins x, flat
-    in theta's layout (the mlp variant's: theta's suffix after the graph)."""
+                         label: int, variant: str) -> np.ndarray:
+    """gradient_check's numeric side at DEFAULT_MARGIN on the normalized
+    twins x, flat in theta's layout (mlp: its suffix after the graph)."""
     layers = _variant_layers(model, variant)
     emb, cache = embed(model, x, topo, variant)
-    loss0 = _pair_losses(cosine_distances(emb), label, margin)[0]
+    loss0 = _pair_losses(cosine_distances(emb), label, DEFAULT_MARGIN)[0]
 
     def differences(i, p, put):
         """The differences at each coordinate of p, a weight (k, n) or bias
@@ -564,7 +564,7 @@ def _central_differences(model: EmbeddingModel, topo: np.ndarray, x,
             copies[np.arange(len(j)), :, c] = out[j, d, :, c]
             e = _run_layers(layers[i + 1:], topo, copies.reshape(-1, *out0.shape))
             e = e.reshape(-1, emb.shape[-1])
-            loss[r[j], d, c] = _pair_losses(cosine_distances(e), label, margin)[0]
+            loss[r[j], d, c] = _pair_losses(cosine_distances(e), label, DEFAULT_MARGIN)[0]
         return ((loss[:, 0] - loss[:, 1]) / (2.0 * FD_EPSILON)).reshape(-1)
 
     numeric = []
@@ -578,9 +578,10 @@ def _central_differences(model: EmbeddingModel, topo: np.ndarray, x,
 
 
 def gradient_check(model: EmbeddingModel, topo: np.ndarray,
-                   pair: PosePair, cfg: TrainConfig = TrainConfig(),
-                   variant: str = "gcn") -> float:
-    """Max relative error between analytic and central-difference gradients.
+                   pair: PosePair, variant: str = "gcn") -> float:
+    """Max relative error between analytic and central-difference gradients
+    of the pair's loss at DEFAULT_MARGIN, the margin random_check_instance
+    vets its instances for.
 
     The analytic side is pair_backward's flat gradient (the trainer's own
     backward pass), the numeric side the pair's loss differenced at every
@@ -601,9 +602,8 @@ def gradient_check(model: EmbeddingModel, topo: np.ndarray,
     """
     check_variant(variant)
     x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
-    _, grads = pair_backward(model, topo, pair, cfg, variant)
-    gn = _central_differences(model, topo, x, pair.label_y, cfg.margin_m,
-                              variant)
+    _, grads = pair_backward(model, topo, pair, TrainConfig(), variant)
+    gn = _central_differences(model, topo, x, pair.label_y, variant)
     ga = np.concatenate([g.reshape(-1) for g in grads])[-gn.size:]
     denom = np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-8)
     return float(np.max(np.abs(ga - gn) / denom))

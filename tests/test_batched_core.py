@@ -324,20 +324,20 @@ def test_batch_gradient_matches_full_materialization(model_seed, variant, n,
     assert core.total.tobytes() == want.tobytes()
 
 
-def loop_gradient_check(model, topo, pair, cfg, variant):
+def loop_gradient_check(model, topo, pair, variant):
     """The per-coordinate loop gradient_check replaced: each coordinate of a
-    private copy is moved in place and both twins are embedded from scratch.
-    Returns the max error and the flat central differences, every
-    coordinate's. Python's max() drops a NaN error here; gradient_check
-    returns NaN."""
+    private copy is moved in place, both twins are embedded from scratch and
+    the loss is taken at DEFAULT_MARGIN. Returns the max error and the flat
+    central differences, every coordinate's. Python's max() drops a NaN
+    error here; gradient_check returns NaN."""
     work = EmbeddingModel(model.gcn_weights, model.mlp_layers, model.arch)
-    _, analytic = pair_backward(work, topo, pair, cfg, variant)
+    _, analytic = pair_backward(work, topo, pair, TrainConfig(), variant)
     x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
 
     def loss_at_current():
         emb, _ = embed(work, x, topo, variant)
         d = float(cosine_distances(emb)[0])
-        return float(_pair_losses(d, pair.label_y, cfg.margin_m)[0])
+        return float(_pair_losses(d, pair.label_y, DEFAULT_MARGIN)[0])
 
     worst, differences = 0.0, []
     for p, ga in zip(parameter_list(work), analytic):
@@ -378,21 +378,18 @@ def test_dead_gcn_seed_has_all_zero_gcn_output():
 
 @settings(max_examples=12, deadline=None)
 @given(h=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
-       label=st.integers(0, 1), variant=st.sampled_from(VARIANTS),
-       margin=st.floats(0.05, 2.0))
-@example(h=2, seed=DEAD_GCN_SEED, label=1, variant="gcn", margin=DEFAULT_MARGIN)
-def test_gradient_check_matches_per_coordinate_loop(h, seed, label, variant,
-                                                    margin):
+       label=st.integers(0, 1), variant=st.sampled_from(VARIANTS))
+@example(h=2, seed=DEAD_GCN_SEED, label=1, variant="gcn")
+def test_gradient_check_matches_per_coordinate_loop(h, seed, label, variant):
     model = init_model(h=h, seed=seed)
     pair = check_pair(seed, label)
-    cfg = TrainConfig(margin_m=margin)
-    got = gradient_check(model, TOPO, pair, cfg, variant)
-    want, want_differences = loop_gradient_check(model, TOPO, pair, cfg, variant)
+    got = gradient_check(model, TOPO, pair, variant)
+    want, want_differences = loop_gradient_check(model, TOPO, pair, variant)
     assert repr(got) == repr(want)
     # every coordinate, bit for bit; the mlp variant compares the suffix
     # after the graph weights, which it never reads
     x = normalize_stack([pair.pose_a.keypoints, pair.pose_b.keypoints])
-    differences = _central_differences(model, TOPO, x, label, margin, variant)
+    differences = _central_differences(model, TOPO, x, label, variant)
     skipped = 4 * h if variant == "mlp" else 0
     assert differences.size == want_differences.size - skipped
     want_differences = want_differences[skipped:]

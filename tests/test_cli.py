@@ -243,6 +243,18 @@ class TestScore:
         assert code == 1
         assert "unknown pose id 'ghost'" in err
 
+    def test_both_ids_unknown_names_the_first(self, tmp_path, capsys):
+        # the pair-order rule of the corpus join: --a before --b
+        corpus = gen_small(tmp_path, capsys)
+        out = train_small(tmp_path, capsys, corpus)
+        code, stdout, err = run(capsys, "score",
+                                "--checkpoint", str(out / "model.json"),
+                                "--poses", str(corpus / "poses.json"),
+                                "--a", "ghost-a", "--b", "ghost-b")
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: pair references unknown pose id 'ghost-a'\n"
+
     def test_missing_checkpoint(self, tmp_path, capsys):
         corpus = gen_small(tmp_path, capsys)
         code, _, err = run(capsys, "score",
@@ -493,7 +505,7 @@ class TestGradcheck:
     def test_instances_validated(self, capsys):
         code, _, err = run(capsys, "gradcheck", "--instances", "0")
         assert code == 1
-        assert "--instances" in err
+        assert err == "error: --instances must be an int >= 1, got 0\n"
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     def test_seed_outside_64_bits_named(self, capsys, seed):

@@ -111,6 +111,16 @@ def json_dumps_document(doc: dict) -> bytes:
                        allow_nan=False) + "\n").encode()
 
 
+def checkpoint_field_fault(field, value):
+    """The whole message load_checkpoint gives for an int field, gcn_hidden
+    or seed, holding value: the malformed-field prefix around the rule of
+    ArchMeta's own check."""
+    rule = ("gcn_hidden must be an int >= 1" if field == "gcn_hidden" else
+            "seed must fit in 64 unsigned bits: an int in [0, 2**64)")
+    return "^" + re.escape(f"malformed checkpoint: missing or invalid field "
+                           f"({rule}, got {value!r})") + "$"
+
+
 def random_pose(rng):
     return normalize_pose(Pose(rng.uniform(-4.0, 4.0, size=(NUM_KEYPOINTS, 2))))
 
@@ -515,14 +525,22 @@ class TestCheckpoint:
     def test_int_fields_must_be_the_int_itself(self, field, value):
         doc = json.loads(save_checkpoint(init_model(h=2, seed=0)))
         (doc["arch"] if field == "gcn_hidden" else doc)[field] = value
-        with pytest.raises(ValueError, match="malformed checkpoint.*must be ints"):
+        with pytest.raises(ValueError, match=checkpoint_field_fault(field, value)):
+            load_checkpoint(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("hidden", [0, -2])
+    def test_gcn_hidden_must_be_at_least_1(self, hidden):
+        doc = json.loads(save_checkpoint(init_model(h=2, seed=0)))
+        doc["arch"]["gcn_hidden"] = hidden
+        with pytest.raises(ValueError,
+                           match=checkpoint_field_fault("gcn_hidden", hidden)):
             load_checkpoint(json.dumps(doc).encode())
 
     @pytest.mark.parametrize("seed", [-5, -1, 2 ** 64, 10 ** 30])
     def test_seed_must_fit_64_unsigned_bits(self, seed):
         doc = json.loads(save_checkpoint(init_model(h=2, seed=0)))
         doc["seed"] = seed
-        with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
+        with pytest.raises(ValueError, match=checkpoint_field_fault("seed", seed)):
             load_checkpoint(json.dumps(doc).encode())
 
     def test_largest_seed_loads(self):
