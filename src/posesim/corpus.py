@@ -115,7 +115,9 @@ class PoseRecord:
     where the Pose is built. The id goes into report.csv's pair ids as it
     is, so it may not hold a comma, a double quote or a line break.
     confidences and quality_score take checked_float's rule (ints or
-    floats, not bools or strings).
+    floats, not bools or strings) and are kept as a tuple of floats and a
+    float. The readers build one per record to apply this rule wherever
+    their column checks decline.
     """
 
     id: str
@@ -125,47 +127,30 @@ class PoseRecord:
     quality_score: float | None = None
 
     def __post_init__(self):
-        fields = _checked_record(self.id, self.confidences, self.category,
-                                 self.quality_score)
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError(f"record id must be a nonempty string, got {self.id!r}")
+        check_csv_ids((self.id,), "record id")
+        if self.confidences is not None:
+            conf = tuple(self.confidences)
+            if len(conf) != NUM_KEYPOINTS:
+                raise ValueError(f"confidences must have length "
+                                 f"{NUM_KEYPOINTS}, got {len(conf)}")
+            object.__setattr__(self, "confidences", tuple(checked_float(
+                c, _unit_range, "confidences must be numbers in [0, 1]") for c in conf))
+        if self.category is not None and not isinstance(self.category, str):
+            raise ValueError("category must be a string")
+        if self.quality_score is not None:
+            object.__setattr__(self, "quality_score", checked_float(
+                self.quality_score, any_finite, "quality_score must be a finite number"))
         if not isinstance(self.pose, Pose):
             raise TypeError(f"pose must be a Pose, got {type(self.pose).__name__}")
-        for name, value in zip(_RECORD_FIELDS, fields):
-            object.__setattr__(self, name, value)
-
-
-def _checked_record(rec_id, confidences, category, quality_score) -> tuple:
-    """PoseRecord's fields but its pose, by its rule, in _RECORD_FIELDS
-    order; confidences become a tuple of floats and quality_score a float."""
-    if not isinstance(rec_id, str) or not rec_id:
-        raise ValueError(f"record id must be a nonempty string, got {rec_id!r}")
-    check_csv_ids((rec_id,), "record id")
-    if confidences is not None:
-        conf = tuple(confidences)
-        if len(conf) != NUM_KEYPOINTS:
-            raise ValueError(f"confidences must have length "
-                             f"{NUM_KEYPOINTS}, got {len(conf)}")
-        confidences = tuple(checked_float(
-            c, _unit_range, "confidences must be numbers in [0, 1]") for c in conf)
-    if category is not None and not isinstance(category, str):
-        raise ValueError("category must be a string")
-    if quality_score is not None:
-        quality_score = checked_float(quality_score, any_finite,
-                                      "quality_score must be a finite number")
-    return rec_id, confidences, category, quality_score
-
-
-def _checked_magnitude(a, b, y, magnitude) -> float | None:
-    """magnitude as checked_label returns it, once a PairEntry's fields pass
-    its rule: a and b nonempty strings, y and magnitude checked_label's."""
-    for name, v in (("a", a), ("b", b)):
-        if not isinstance(v, str) or not v:
-            raise ValueError(f"pair field {name} must be a nonempty string, got {v!r}")
-    return checked_label(y, magnitude)
 
 
 @dataclass(frozen=True)
 class PairEntry:
-    """One row of a pair file: two pose ids, a label, optional magnitude."""
+    """One row of a pair file: two pose ids, nonempty strings, a label and
+    an optional magnitude, both by checked_label's rule. The readers build
+    one per row to apply this rule wherever their column checks decline."""
 
     a: str
     b: str
@@ -173,8 +158,11 @@ class PairEntry:
     magnitude: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "magnitude", _checked_magnitude(
-            self.a, self.b, self.y, self.magnitude))
+        for name, v in (("a", self.a), ("b", self.b)):
+            if not isinstance(v, str) or not v:
+                raise ValueError(f"pair field {name} must be a nonempty "
+                                 f"string, got {v!r}")
+        object.__setattr__(self, "magnitude", checked_label(self.y, self.magnitude))
 
 
 def _check_poses_reference(poses) -> None:
@@ -305,7 +293,7 @@ def _record_columns(records: list) -> tuple | None:
 
 def _checked_records(records: list, keypoints, stacked: bool) -> tuple:
     """The record rule, a record at a time: the columns of _record_fields,
-    each confidences a tuple of floats and each quality_score a float, or
+    each record's fields as the PoseRecord built from them holds them, or
     the ValueError of the first record, in file order, that breaks it.
     Unless the stack was admitted, keypoints[i] takes record i's Pose check."""
     columns = ([], [], [], [])
@@ -322,14 +310,14 @@ def _checked_records(records: list, keypoints, stacked: bool) -> tuple:
             if "keypoints" in raw:
                 raise ValueError("keypoints belong in the file's 'keypoints' "
                                  "block in format_version 2, not in a record")
-            if not stacked:
-                Pose(keypoints[i])  # its exact checks name the faulty record
-            fields = _checked_record(rec_id, raw.get("confidences"),
-                                     raw.get("category"), raw.get("quality_score"))
+            pose = (admitted(Pose, {"keypoints": keypoints[i]}) if stacked
+                    else Pose(keypoints[i]))  # its exact checks name the faulty record
+            record = PoseRecord(rec_id, pose, raw.get("confidences"),
+                                raw.get("category"), raw.get("quality_score"))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"record {rec_id!r}: {exc}") from exc
-        for column, value in zip(columns, fields):
-            column.append(value)
+        for column, name in zip(columns, _RECORD_FIELDS):
+            column.append(getattr(record, name))
     return columns
 
 
@@ -368,14 +356,8 @@ def write_pose_file(records) -> bytes:
             raise ValueError(f"duplicate record id {rec.id!r}")
         seen.add(rec.id)
         stack.append(rec.pose.keypoints)
-        row = {"id": rec.id}
-        if rec.confidences is not None:
-            row["confidences"] = list(rec.confidences)
-        if rec.category is not None:
-            row["category"] = rec.category
-        if rec.quality_score is not None:
-            row["quality_score"] = rec.quality_score
-        out.append(row)
+        fields = zip(_RECORD_FIELDS, attrgetter(*_RECORD_FIELDS)(rec))
+        out.append({name: value for name, value in fields if value is not None})
     block = base64.b64encode(np.array(stack, dtype="<f8").tobytes())
     return write_document({"keypoint_order": list(KEYPOINT_NAMES),
                            "keypoints": block.decode("ascii"),
@@ -457,12 +439,13 @@ def _pair_columns(columns: list) -> list | None:
 
 def _checked_pairs(columns: list) -> tuple:
     """The pair rule, a row at a time: columns, a pair file's a, b, y and
-    magnitude lists, each magnitude as PairEntry's rule returns it, or the
-    ValueError of the first row, in file order, that breaks the rule."""
+    magnitude lists, each magnitude as the PairEntry built from its row
+    holds it, or the ValueError of the first row, in file order, that breaks
+    the rule."""
     magnitudes = []
     for i, row in enumerate(zip(*columns)):
         try:
-            magnitudes.append(_checked_magnitude(*row))
+            magnitudes.append(PairEntry(*row).magnitude)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"pair at index {i}: {exc}") from exc
     return *columns[:3], magnitudes

@@ -113,28 +113,6 @@ def admitted(cls, fields: dict):
     return obj
 
 
-def _validated_coords(values, what: str) -> np.ndarray:
-    """values as a read-only 15x2 float64 array of finite coordinates whose
-    per-axis extents are finite too; ValueError, naming what, otherwise."""
-    arr = number_array(values, (NUM_KEYPOINTS, 2), what)
-    # One BLAS call admits nearly every array: a finite sum of squares keeps
-    # each |coordinate| below about 1.34e154, so the coordinates and their
-    # extents are finite. The sum is NaN or inf, with no FP warning, for a
-    # NaN, an infinity, any larger |x| or squares whose sum overflows; only
-    # those arrays take the exact checks below.
-    if not np.vdot(arr, arr) < math.inf:
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{what} contains non-finite values")
-        for axis, name in enumerate("xy"):
-            # Python floats: the overflow yields inf without a RuntimeWarning
-            lo, hi = float(arr[:, axis].min()), float(arr[:, axis].max())
-            if hi - lo == math.inf:
-                raise ValueError(f"{what} {name} extent {hi!r} - {lo!r} "
-                                 f"overflows float64")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Pose:
     """A single 2D pose: 15 keypoints in pixel coordinates, indexed as above.
@@ -147,7 +125,22 @@ class Pose:
     keypoints: np.ndarray
 
     def __post_init__(self):
-        kp = _validated_coords(self.keypoints, "keypoints")
+        kp = number_array(self.keypoints, (NUM_KEYPOINTS, 2), "keypoints")
+        # One BLAS call admits nearly every array: a finite sum of squares keeps
+        # each |coordinate| below about 1.34e154, so the coordinates and their
+        # extents are finite. The sum is NaN or inf, with no FP warning, for a
+        # NaN, an infinity, any larger |x| or squares whose sum overflows; only
+        # those arrays take the exact checks below.
+        if not np.vdot(kp, kp) < math.inf:
+            if not np.all(np.isfinite(kp)):
+                raise ValueError("keypoints contains non-finite values")
+            for axis, name in enumerate("xy"):
+                # Python floats: the overflow yields inf without a RuntimeWarning
+                lo, hi = float(kp[:, axis].min()), float(kp[:, axis].max())
+                if hi - lo == math.inf:
+                    raise ValueError(f"keypoints {name} extent {hi!r} - {lo!r} "
+                                     f"overflows float64")
+        kp.setflags(write=False)
         object.__setattr__(self, "keypoints", kp)
 
     def __eq__(self, other):
@@ -161,7 +154,7 @@ class Pose:
 
 def admits_stack(stack: np.ndarray) -> bool:
     """Whether every pose of stack, a (n, 15, 2) float64 array, passes the
-    first check of _validated_coords; on False each needs the exact checks."""
+    first check of Pose's own; on False each needs Pose's exact checks."""
     flat = stack.reshape(-1, NUM_KEYPOINTS * 2)
     # Per pose, not one vdot of the whole stack: OpenBLAS hands a dot that
     # long to its threads, which then spin and slow the work that follows.

@@ -7,6 +7,7 @@ import pytest
 from posesim.cli import _parse_jitter, build_parser, main
 from posesim.corpus import (
     SynthConfig,
+    load_corpus,
     parse_pair_file,
     parse_pose_file,
     write_pair_file,
@@ -14,7 +15,8 @@ from posesim.corpus import (
 )
 from posesim.network import ArchMeta, init_model, load_checkpoint, save_checkpoint
 from posesim.scoring import ScoreParams
-from posesim.training import TrainConfig
+from posesim.skeleton import build_skeleton_topology
+from posesim.training import TrainConfig, history_csv, train
 
 from v1_files import v1_from_v2, v1_pairs_from_v2
 
@@ -131,6 +133,29 @@ class TestTrain:
         assert code == 1
         assert message in err
         assert not out.exists()
+
+    def test_every_flag_reaches_the_run(self, tmp_path, capsys):
+        corpus = gen_small(tmp_path, capsys)
+        out = tmp_path / "run"
+        argv = ["train", "--pairs", str(corpus / "pairs.json"), "--out", str(out)]
+        flags = ["--hidden", "3", "--init-seed", "7", "--margin", "1.0",
+                 "--batch-size", "16", "--lr", "2e-4", "--seed", "5",
+                 "--epochs", "2"]
+        # each flag sets a value other than its default, so a flag that the
+        # run dropped would change the bytes
+        parse = build_parser().parse_args
+        given, default = vars(parse(argv + flags)), vars(parse(argv))
+        assert {key for key in given if given[key] != default[key]} == {
+            "hidden", "init_seed", "margin", "batch_size", "lr", "seed", "epochs"}
+        code, _, _ = run(capsys, *argv, *flags)
+        assert code == 0
+        table, _ = load_corpus(corpus / "pairs.json")
+        model, history = train(
+            init_model(h=3, seed=7), build_skeleton_topology(), table,
+            TrainConfig(learning_rate=2e-4, batch_size=16, epochs=2,
+                        margin_m=1.0, seed=5))
+        assert (out / "model.json").read_bytes() == save_checkpoint(model)
+        assert (out / "history.csv").read_text() == history_csv(history)
 
     def test_written_files_round_trip_canonically(self, tmp_path, capsys):
         corpus = gen_small(tmp_path, capsys)

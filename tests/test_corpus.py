@@ -241,20 +241,31 @@ class TestPoseFileRoundTrip:
 
     def test_layout_matches_format(self):
         kp = np.arange(2.0 * NUM_KEYPOINTS).reshape(-1, 2) - 0.5
+        confidences = (0, 1) * 7 + (0.5,)
         doc = json.loads(write_pose_file([
             PoseRecord(id="a", pose=ZERO_POSE),
-            PoseRecord(id="b", pose=Pose(kp), category="squat")]))
+            PoseRecord(id="b", pose=Pose(kp), category="squat"),
+            PoseRecord(id="c", pose=ZERO_POSE, confidences=confidences,
+                       quality_score=3)]))
         assert sorted(doc) == ["format_version", "keypoint_order", "keypoints",
                                "records"]
         assert doc["format_version"] == 2
         assert doc["keypoint_order"] == list(KEYPOINT_NAMES)
-        # the records keep their other fields and carry no keypoints
-        assert doc["records"] == [{"id": "a"}, {"id": "b", "category": "squat"}]
-        # one block: both records' keypoints, little-endian float64, C order
+        # the records keep their other fields, an absent one omitted, and
+        # carry no keypoints; confidences are an array of floats and
+        # quality_score a float, though the record was given ints
+        assert doc["records"] == [{"id": "a"}, {"id": "b", "category": "squat"},
+                                  {"id": "c", "confidences": list(confidences),
+                                   "quality_score": 3.0}]
+        written = doc["records"][2]
+        assert set(map(type, written["confidences"])) == {float}
+        assert type(written["quality_score"]) is float
+        # one block: the records' keypoints, little-endian float64, C order
         block = base64.b64decode(doc["keypoints"], validate=True)
         assert base64.b64encode(block).decode("ascii") == doc["keypoints"]
-        assert struct.unpack(f"<{4 * NUM_KEYPOINTS}d", block) == (
-            (0.0,) * 2 * NUM_KEYPOINTS + tuple(kp.reshape(-1).tolist()))
+        assert struct.unpack(f"<{6 * NUM_KEYPOINTS}d", block) == (
+            (0.0,) * 2 * NUM_KEYPOINTS + tuple(kp.reshape(-1).tolist())
+            + (0.0,) * 2 * NUM_KEYPOINTS)
 
     def test_write_rejects_duplicate_ids(self):
         rec = PoseRecord(id="dup", pose=ZERO_POSE)
@@ -1254,6 +1265,48 @@ RECORD_EDITS = st.one_of(
         [[[0.0, 0.0]] * NUM_KEYPOINTS, None, []])),
     st.tuples(st.just("extra"), st.sampled_from([0, None])),
     st.tuples(st.none(), st.sampled_from([3, "a", None, [], {}])))
+
+
+# faults of a record's fields and of a pair's, each one that the readers'
+# column checks decline and their per-row path meets; a record id that is
+# not a string is the file's fault, "record at index i is missing a string
+# id", which the readers find before they build the record
+RECORD_FAULTS = [
+    ("confidences", [0.5] * (NUM_KEYPOINTS - 1)),
+    ("confidences", [2.0] * NUM_KEYPOINTS),
+    ("confidences", [True] * NUM_KEYPOINTS),
+    ("category", 3), ("quality_score", "0.5"), ("quality_score", True)]
+PAIR_FAULTS = [("a", ""), ("b", 3), ("y", 2), ("y", True), ("magnitude", -1),
+               ("magnitude", "0.5")]
+
+
+class TestRowTypesAreThePerRowRule:
+    """A field fault in a file is named by the row type's own message for
+    the same values, behind the prefix that names the record or the pair:
+    each reader, in either format, applies the rule by building the row."""
+
+    @pytest.mark.parametrize("field, value", RECORD_FAULTS)
+    def test_record_fault(self, tmp_path, field, value):
+        record = PoseRecord(id="r", pose=ZERO_POSE)
+        with pytest.raises(ValueError) as own:
+            PoseRecord(id="r", pose=ZERO_POSE, **{field: value})
+        expected = f"ValueError: record 'r': {own.value}"
+        for pose_file in (write_pose_file([record]),
+                          dumped(v1_document([record]))):
+            data = replaced(pose_file, ("records", 0, field), value)
+            _, *got = read_outcomes(tmp_path, VALID_PAIR_FILE_V2, data)
+            assert got == [expected, expected]
+
+    @pytest.mark.parametrize("field, value", PAIR_FAULTS)
+    def test_pair_fault(self, tmp_path, field, value):
+        # pair 1 of the valid files is b, a, 0 and no magnitude
+        with pytest.raises(ValueError) as own:
+            PairEntry(**{"a": "b", "b": "a", "y": 0, field: value})
+        expected = f"ValueError: pair at index 1: {own.value}"
+        for data in (replaced(VALID_PAIR_FILE_V2, ("pairs", field, 1), value),
+                     replaced(VALID_PAIR_FILE, ("pairs", 1, field), value)):
+            got, _, loaded = read_outcomes(tmp_path, data, PLAIN_POSE_FILE)
+            assert [got, loaded] == [expected, expected]
 
 
 class TestColumnChecks:
