@@ -93,7 +93,8 @@ TEMPLATE_LIBRARY = (
     )),
 )
 
-# child -> parent over the skeleton tree, rooted at the pelvis (index 3)
+# child -> parent over the skeleton tree, rooted at the pelvis (index 3); its
+# order is _template_poses' draw order, which SKELETON_EDGES' walk would change
 _PARENT = {0: 1, 1: 2, 2: 3, 4: 3, 5: 4, 6: 5, 10: 3, 9: 10, 11: 10,
            14: 10, 8: 9, 7: 8, 12: 11, 13: 12}
 
@@ -295,7 +296,8 @@ def _checked_records(records: list, keypoints, stacked: bool) -> tuple:
     """The record rule, a record at a time: the columns of _record_fields,
     each record's fields as the PoseRecord built from them holds them, or
     the ValueError of the first record, in file order, that breaks it.
-    Unless the stack was admitted, keypoints[i] takes record i's Pose check."""
+    An admitted stack's rows skip Pose's check, which a file whose records
+    carry confidences, and so come here, would otherwise pay per record."""
     columns = ([], [], [], [])
     seen = set()
     for i, raw in enumerate(records):

@@ -42,9 +42,7 @@ LAYOUT = {
     "activations": {"gcn": "relu", "mlp": ["relu", "relu", "identity"]},
 }
 
-GCN_VARIANT = "gcn"
-MLP_VARIANT = "mlp"
-VARIANTS = (GCN_VARIANT, MLP_VARIANT)
+VARIANTS = ("gcn", "mlp")
 
 
 def _is_int(value) -> bool:
@@ -92,7 +90,6 @@ class FlatLayout(NamedTuple):
 
     params: tuple  # (name, shape, slice of theta) per parameter, canonical order
     glorot: tuple  # (start, stop, low, high - low) per weight matrix
-    weights: int  # coordinates of all weight matrices together
     size: int  # theta's size
 
 
@@ -120,8 +117,7 @@ def flat_layout(h: int) -> FlatLayout:
             bound = math.sqrt(6 / sum(shape))  # int / int: no float overflow
             glorot.append((start, stop, -bound, 2.0 * bound))
         start = stop
-    return FlatLayout(tuple(params), tuple(glorot),
-                      sum(b - a for a, b, _, _ in glorot), start)
+    return FlatLayout(tuple(params), tuple(glorot), start)
 
 
 @dataclass(frozen=True)
@@ -210,16 +206,15 @@ def init_theta(h: int, seed: int) -> np.ndarray:
     """
     layout = flat_layout(h)
     theta = np.zeros(layout.size)
+    rng = np.random.Generator(np.random.PCG64(seed))
     # Generator.uniform(low, high, n) is low + (high - low) * u for the n
     # values u of Generator.random(n), each product and sum rounded on its
-    # own; one random() call and two passes per matrix give those values
-    u = np.random.Generator(np.random.PCG64(seed)).random(layout.weights)
-    drawn = 0
+    # own; random(out=matrix) and two in-place passes give those values
     for start, stop, low, width in layout.glorot:
         matrix = theta[start:stop]
-        np.multiply(u[drawn:drawn + stop - start], width, out=matrix)
+        rng.random(out=matrix)
+        matrix *= width
         matrix += low
-        drawn += stop - start
     return theta
 
 
@@ -304,7 +299,7 @@ def _variant_layers(model: EmbeddingModel | Layers, variant: str) -> tuple:
     """The layers embed runs for the variant, in order: the graph weights
     and then the MLP head's AffineLayers, or, for mlp, the head alone."""
     check_variant(variant)
-    gcn = model.gcn_weights if variant == GCN_VARIANT else ()
+    gcn = model.gcn_weights if variant == "gcn" else ()
     return (*gcn, *model.mlp_layers)
 
 

@@ -24,7 +24,6 @@ import numpy as np
 from posesim.network import (
     VARIANTS,
     AffineLayer,
-    ArchMeta,
     EmbeddingModel,
     ForwardCache,
     Layers,
@@ -38,6 +37,7 @@ from posesim.network import (
     checked_float,
     embed,
     flat_layout,
+    init_model,
     init_theta,
     layers_of,
     nonnegative,
@@ -673,8 +673,8 @@ def random_check_instance(seed: int):
     variants is returned (see _fd_friendly).
 
     Candidates are vetted CANDIDATES_PER_BLOCK at a time as one stack of
-    models, each model's flat parameters drawn by init_theta as init_model
-    draws them; only the winner becomes an EmbeddingModel and a PosePair.
+    models, each model's flat parameters drawn by init_theta; only the
+    winner becomes a model, init_model of its seed, and a PosePair.
     The generator is local, so drawing past the winner changes nothing.
     """
     check_seed(seed)
@@ -695,7 +695,5 @@ def random_check_instance(seed: int):
         mask = _fd_friendly(theta, h, x.reshape(keypoints.shape), label, topo)
         if mask.any():
             k = int(np.argmax(mask))
-            model = EmbeddingModel(*layers_of(theta[k], h),
-                                   ArchMeta(gcn_hidden=h, seed=seeds[k]))
-            return model, PosePair(Pose(keypoints[k, 0]), Pose(keypoints[k, 1]),
-                                   label_y=label)
+            return init_model(h, seeds[k]), PosePair(
+                Pose(keypoints[k, 0]), Pose(keypoints[k, 1]), label_y=label)

@@ -4,7 +4,7 @@ from dataclasses import astuple
 
 import pytest
 
-from posesim.cli import _parse_jitter, build_parser, main
+from posesim.cli import DEFAULT_INIT_SEED, _parse_jitter, build_parser, main
 from posesim.corpus import (
     SynthConfig,
     load_corpus,
@@ -567,6 +567,7 @@ class TestParser:
         assert astuple(TrainConfig()) == (tr.lr, tr.batch_size, tr.epochs,
                                           tr.margin, tr.seed)
         assert tr.hidden == ArchMeta().gcn_hidden
+        assert tr.init_seed == DEFAULT_INIT_SEED
         sc = parse(["score", "--checkpoint", "c", "--poses", "p",
                     "--a", "x", "--b", "y"])
         assert astuple(ScoreParams()) == (sc.sigma, sc.width)

@@ -59,9 +59,9 @@ PINNED = {
 
 
 def kernel():
-    """The running OpenBLAS core, read as CI's "OpenBLAS kernel" step reads
-    it, or unknown, and numpy's version: the pins were recorded under
-    SkylakeX, and another kernel or numpy release may move the bytes."""
+    """The running OpenBLAS core, or unknown, and numpy's version: the pins
+    were recorded under SkylakeX, and another kernel or numpy release may
+    move the bytes. CI's "OpenBLAS kernel" step prints this function."""
     try:
         libs = os.path.join(os.path.dirname(numpy.__path__[0]), "numpy.libs")
         lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas*"))[0])

@@ -612,6 +612,15 @@ class TestConfigAndPairValidation:
         assert random_check_instance(10)[1].label_y == 0
         assert random_check_instance(11)[1].label_y == 1
 
+    @pytest.mark.parametrize("seed", [*range(20, 30), 2 ** 64 - 1])
+    def test_check_instance_model_is_init_model_of_its_seed(self, seed):
+        """An instance's model is rebuilt from the seed it records, for
+        seeds whose instance no digest pins."""
+        model = random_check_instance(seed)[0]
+        fresh = init_model(2, model.arch.seed)
+        assert model.theta.tobytes() == fresh.theta.tobytes()
+        assert model.arch == fresh.arch
+
 
 def bytes_only_table(pairs):
     """pair_table's keypoints and twins as a loop that keys every pose on
